@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -73,6 +74,30 @@ _INPUT_ERRORS = (
 _NUMERIC_ERRORS = (DegenerateNormalizerError, NoConvergenceError, EmptyClassError)
 
 
+# config entries that may also be a JSON list of integers
+_LIST_OPTIONS = frozenset({"clusters_per_class", "budgets"})
+
+
+def _check_config_entry(action: argparse.Action, value) -> None:
+    """Raise :class:`ParseError` unless ``value`` is what the flag behind
+    ``action`` accepts: a JSON boolean for a switch, one of the choices,
+    a string the flag's type parses (a JSON number for a numeric flag)."""
+    if action.nargs == 0:
+        ok = isinstance(value, bool)
+    elif isinstance(value, list):
+        ok = action.dest in _LIST_OPTIONS and all(type(v) is int for v in value)
+    elif action.type is None:
+        ok = isinstance(value, str) and value in (action.choices or [value])
+    else:
+        try:
+            action.type(str(value))
+            return
+        except ValueError:
+            ok = False
+    if not ok:
+        raise ParseError(f"config value {value!r} is not valid for {action.dest!r}")
+
+
 class _Options:
     """Merged view of CLI flags, config-file entries, and defaults."""
 
@@ -88,6 +113,13 @@ class _Options:
                     raise ParseError(f"config file is not valid JSON: {exc}") from exc
             if not isinstance(payload, dict):
                 raise ParseError("config file must hold a JSON object")
+            actions = {a.dest: a for a in args.config_actions}
+            for key, value in payload.items():
+                if key not in actions:
+                    raise ParseError(
+                        f"config key {key!r} is not an option of {args.command!r}"
+                    )
+                _check_config_entry(actions[key], value)
             self._file = payload
 
     def get(self, name: str, default=None):
@@ -109,16 +141,20 @@ def _parse_int_list(text) -> list[int]:
 
 
 def _fit_config(opt: _Options) -> FitConfig:
-    return FitConfig(
-        max_iters=int(opt.get("max_iters", 500)),
-        tol=float(opt.get("tol", 1e-8)),
-        ridge_floor=float(opt.get("ridge_floor", 1e-6)),
-        mixing_iters=int(opt.get("mixing_iters", 20)),
-        seed=int(opt.get("seed", 0)),
-        count_linked_as_unsupervised=bool(
-            opt.get("count_linked_as_unsupervised", False)
-        ),
-    )
+    """Each FitConfig field from the option of the same name, converted to
+    the type of the field's default, which it falls back to."""
+    return FitConfig(**{
+        f.name: type(f.default)(opt.get(f.name, f.default)) for f in fields(FitConfig)
+    })
+
+
+def _load_labeled(opt: _Options, command: str) -> Dataset:
+    """The ``--data`` CSV with its ``--label-column``, which ``command``
+    requires (a named label column always yields labels)."""
+    label_column = opt.get("label_column")
+    if label_column is None:
+        raise ParseError(f"{command} requires --label-column")
+    return load_csv(opt.get("data"), label_column)
 
 
 def _load_inputs(opt: _Options) -> tuple[Dataset, RelationSet]:
@@ -173,12 +209,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     opt = _Options(args)
     model = load_model(opt.get("model"))
-    label_column = opt.get("label_column")
-    if label_column is None:
-        raise ParseError("evaluate requires --label-column")
-    dataset = load_csv(opt.get("data"), label_column)
-    if dataset.labels is None:
-        raise ParseError("evaluate requires ground-truth labels")
+    dataset = _load_labeled(opt, "evaluate")
     post = _posteriors(model, dataset.points)
     score = purity(hard_assign(post), dataset.labels)
     line = f"purity={score!r}"
@@ -191,12 +222,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_gen_relations(args: argparse.Namespace) -> int:
     opt = _Options(args)
-    label_column = opt.get("label_column")
-    if label_column is None:
-        raise ParseError("gen-relations requires --label-column")
-    dataset = load_csv(opt.get("data"), label_column)
-    if dataset.labels is None:
-        raise ParseError("gen-relations requires ground-truth labels")
+    dataset = _load_labeled(opt, "gen-relations")
     relations = sample_relations(
         dataset.labels,
         int(opt.get("n_pairs")),
@@ -227,10 +253,7 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 
 def _cmd_trials(args: argparse.Namespace) -> int:
     opt = _Options(args)
-    label_column = opt.get("label_column")
-    if label_column is None:
-        raise ParseError("trials requires --label-column")
-    dataset = load_csv(opt.get("data"), label_column)
+    dataset = _load_labeled(opt, "trials")
     n_classes = int(opt.get("classes"))
     clusters = _parse_int_list(opt.get("clusters_per_class", "1"))
     if len(clusters) == 1:
@@ -270,10 +293,14 @@ def _cmd_pca(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, *, threads: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, func) -> None:
     p.add_argument("--config", help="JSON file of default option values")
-    if threads:
-        p.add_argument("--threads", type=int, help="parallel trial workers (default 1)")
+    p.add_argument("--threads", type=int, help="parallel trial workers (default 1)")
+    # the flags a config file may set: every option of this command
+    # except --config and --help
+    p.set_defaults(func=func, config_actions=[
+        a for a in p._actions if a.option_strings and a.dest not in ("config", "help")
+    ])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,24 +331,21 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_const",
         const=True,
     )
-    _add_common(p)
-    p.set_defaults(func=_cmd_fit)
+    _add_common(p, _cmd_fit)
 
     p = sub.add_parser("predict", help="per-point posterior table for a fitted model")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--label-column", dest="label_column")
     p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_predict)
+    _add_common(p, _cmd_predict)
 
     p = sub.add_parser("evaluate", help="purity of a fitted model on labeled data")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--label-column", dest="label_column")
     p.add_argument("--out")
-    _add_common(p)
-    p.set_defaults(func=_cmd_evaluate)
+    _add_common(p, _cmd_evaluate)
 
     p = sub.add_parser("gen-relations", help="sample pairwise relations from labels")
     p.add_argument("--data", required=True)
@@ -330,8 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["both", "must-only", "cannot-only"])
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_gen_relations)
+    _add_common(p, _cmd_gen_relations)
 
     p = sub.add_parser("gen-data", help="generate a synthetic labeled dataset")
     p.add_argument("--kind", choices=["two-cluster", "two-moons"], required=True)
@@ -339,8 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_gen_data)
+    _add_common(p, _cmd_gen_data)
 
     p = sub.add_parser("trials", help="repeated-trial purity sweep over link budgets")
     p.add_argument("--data", required=True)
@@ -357,8 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ridge-floor", dest="ridge_floor", type=float)
     p.add_argument("--mixing-iters", dest="mixing_iters", type=int)
     p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_trials)
+    _add_common(p, _cmd_trials)
 
     p = sub.add_parser("pca", help="project a dataset onto leading principal axes")
     p.add_argument("--data", required=True)
@@ -366,8 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--out-data", dest="out_data", required=True)
     p.add_argument("--out-transform", dest="out_transform", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_pca)
+    _add_common(p, _cmd_pca)
 
     return parser
 

@@ -12,164 +12,55 @@ counted as an independent point: relation membership is treated as
 exhaustive for that point, keeping the three factors disjoint.  Set
 ``FitConfig.count_linked_as_unsupervised`` to also duplicate relation
 members into the independent factor (ablation).
+
+The flat model is the two-level model of :mod:`pairmix.hier` with one
+cluster per class: every function here reads a :class:`FlatModel`'s
+arrays that way (``log π = 0``) and runs the shared engine there.
+``FitConfig``, ``FitTrace``, ``CannotLinkPrior`` and ``cannotlink_prior``
+live in :mod:`pairmix.hier` and are re-exported here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import (
-    DegenerateNormalizerError,
     DimensionMismatchError,
     EmptyClassError,
     InvariantViolationError,
     KTooLargeError,
-    LengthMismatchError,
-    NoConvergenceError,
-    NotFiniteError,
 )
-from .gaussian import (
-    log_density_stack,
-    log_sum_exp,
-    regularize_covariance,
-    regularize_covariances,
-    scaled_ridge,
+from .hier import (  # the public names here are re-exported
+    CannotLinkPrior,
+    FitConfig,
+    FitTrace,
+    _CANNOT_PAIR,
+    _MUST_PAIR,
+    _checked_relations,
+    _class_counts,
+    _estep,
+    _fit,
+    _flat_params,
+    _log_likelihood,
+    _point_estep,
+    _predict_batch,
+    _relation_plan,
+    _update_moments,
+    cannotlink_prior,
 )
-from .mixing import mixing_objective, optimize_mixing
-from .types import Dataset, FlatModel, RelationSet, Responsibilities, validate_relations
-
-Z_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class CannotLinkPrior:
-    """Joint prior over the class labels of a cannot-link pair.
-
-    ``table[m, m'] = α_m α_{m'} / norm`` off the diagonal, exactly zero on
-    it, with ``norm = 1 − Σ_m α_m²`` so the table sums to one.
-    """
-
-    table: np.ndarray
-    norm: float
-
-    def __post_init__(self):
-        table = np.array(self.table, dtype=float)
-        table.setflags(write=False)
-        object.__setattr__(self, "table", table)
-
-
-def cannotlink_prior(alpha) -> CannotLinkPrior:
-    """Build the zero-diagonal pair prior for mixing weights ``alpha``.
-
-    Raises :class:`DegenerateNormalizerError` when fewer than two classes
-    exist or the weights are concentrated on one class (norm ≤ 1e-12).
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.ndim != 1:
-        raise InvariantViolationError("alpha must be a 1-D vector")
-    if alpha.size < 2:
-        raise DegenerateNormalizerError(
-            "cannot-link prior needs at least two classes"
-        )
-    if not np.isfinite(alpha).all():
-        raise NotFiniteError("alpha contains non-finite entries")
-    norm = 1.0 - float(alpha @ alpha)
-    if norm <= 1e-12:
-        raise DegenerateNormalizerError(
-            f"cannot-link prior normalizer {norm!r} is not positive; "
-            "mixing weights are concentrated on a single class"
-        )
-    table = np.outer(alpha, alpha) / norm
-    np.fill_diagonal(table, 0.0)
-    return CannotLinkPrior(table=table, norm=norm)
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Knobs for the EM loop.
-
-    ``tol`` is the relative log-likelihood change that counts as converged;
-    ``ridge_floor`` the relative covariance ridge (scaled by mean variance);
-    ``mixing_iters`` the nominal Newton budget for the mixing-weight solver
-    (hard cap ``10 × mixing_iters``); ``seed`` drives initialization when no
-    explicit starting model is supplied.
-    """
-
-    max_iters: int = 500
-    tol: float = 1e-8
-    ridge_floor: float = 1e-6
-    mixing_iters: int = 20
-    seed: int = 0
-    count_linked_as_unsupervised: bool = False
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise InvariantViolationError("max_iters must be >= 1")
-        if not self.tol > 0:
-            raise InvariantViolationError("tol must be > 0")
-        if not self.ridge_floor > 0:
-            raise InvariantViolationError("ridge_floor must be > 0")
-        if self.mixing_iters < 1:
-            raise InvariantViolationError("mixing_iters must be >= 1")
-
-
-@dataclass(frozen=True)
-class FitTrace:
-    """Per-iteration observed-data log-likelihood trail.
-
-    ``log_likelihoods[0]`` is the value at initialization, followed by one
-    entry per EM iteration.  The sequence is nondecreasing except on
-    iterations that needed an empty-class recovery or covariance ridge
-    (recorded in ``warnings``).
-    """
-
-    log_likelihoods: tuple[float, ...]
-    n_iters: int
-    converged: bool
-    warnings: tuple[str, ...] = ()
-
-
-# ---------------------------------------------------------------------------
-# E-step
-
-
-def _class_log_weights(model: FlatModel) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(model.alpha)
-
-
-def _check_point(model: FlatModel, x, name: str = "x") -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.dim,):
-        raise DimensionMismatchError(
-            f"{name} has shape {x.shape}, expected ({model.dim},)"
-        )
-    if not np.all(np.isfinite(x)):
-        raise NotFiniteError(f"{name} contains non-finite entries")
-    return x
+from .initialize import init_flat, make_rng
+from .types import Dataset, FlatModel, RelationSet, Responsibilities
 
 
 def resp_unsupervised(model: FlatModel, x) -> np.ndarray:
     """Class posterior of an independent point: ``ℓ^m ∝ α_m N_m(x)``."""
-    x = _check_point(model, x)
-    w = _class_log_weights(model) + log_density_stack(
-        x[None, :], model.means, model.chols, model.log_dets
-    )[0]
-    return np.exp(w - log_sum_exp(w))
+    return _point_estep(_flat_params(model), RelationSet(), x=x).unsup_class[0]
 
 
 def resp_mustlink(model: FlatModel, x_i, x_j) -> np.ndarray:
     """Shared class posterior of a must-link pair: ``s^m ∝ α_m N_m(x_i) N_m(x_j)``."""
-    x_i = _check_point(model, x_i, "x_i")
-    x_j = _check_point(model, x_j, "x_j")
-    dens = log_density_stack(
-        np.stack([x_i, x_j]), model.means, model.chols, model.log_dets
-    )
-    w = _class_log_weights(model) + dens[0] + dens[1]
-    return np.exp(w - log_sum_exp(w))
+    e = _point_estep(_flat_params(model), _MUST_PAIR, x_i=x_i, x_j=x_j)
+    return e.must_class[0]
 
 
 def resp_cannotlink(model: FlatModel, x_a, x_b):
@@ -179,133 +70,8 @@ def resp_cannotlink(model: FlatModel, x_a, x_b):
     the label pair under the zero-diagonal prior and ``d_a`` / ``d_b`` are
     its row / column marginals.
     """
-    x_a = _check_point(model, x_a, "x_a")
-    x_b = _check_point(model, x_b, "x_b")
-    prior = cannotlink_prior(model.alpha)
-    dens = log_density_stack(
-        np.stack([x_a, x_b]), model.means, model.chols, model.log_dets
-    )
-    with np.errstate(divide="ignore"):
-        w = np.log(prior.table) + dens[0][:, None] + dens[1][None, :]
-    joint = np.exp(w - log_sum_exp(w.reshape(-1)))
-    return joint.sum(axis=1), joint.sum(axis=0), joint
-
-
-class _RelationPlan(NamedTuple):
-    """Index arrays and gathered point blocks of one (dataset, relations) pair.
-
-    Nothing here changes between EM iterations, so a fit builds it once.
-    ``xu`` holds the points of the independent factor, ``xi`` / ``xj`` the
-    must-link members and ``xa`` / ``xb`` the cannot-link members.
-    """
-
-    unsup_idx: np.ndarray
-    must_pairs: np.ndarray
-    cannot_pairs: np.ndarray
-    xu: np.ndarray
-    xi: np.ndarray
-    xj: np.ndarray
-    xa: np.ndarray
-    xb: np.ndarray
-
-
-def _gather_plan(points, unsup_idx, must_pairs, cannot_pairs) -> _RelationPlan:
-    return _RelationPlan(
-        unsup_idx, must_pairs, cannot_pairs,
-        points[unsup_idx],
-        points[must_pairs[:, 0]], points[must_pairs[:, 1]],
-        points[cannot_pairs[:, 0]], points[cannot_pairs[:, 1]],
-    )
-
-
-def _unsup_indices(
-    n: int, relations: RelationSet, count_linked_as_unsupervised: bool
-) -> np.ndarray:
-    """Sorted indices of the points that enter the independent factor."""
-    if count_linked_as_unsupervised or relations.is_empty():
-        return np.arange(n, dtype=np.int64)
-    unlinked = np.ones(n, dtype=bool)
-    unlinked[relations.linked_indices()] = False
-    return np.flatnonzero(unlinked)
-
-
-def _relation_plan(
-    dataset: Dataset, relations: RelationSet, count_linked_as_unsupervised: bool
-) -> _RelationPlan:
-    """Plan for ``relations`` as given (callers validate them first)."""
-    return _gather_plan(
-        dataset.points,
-        _unsup_indices(dataset.n, relations, count_linked_as_unsupervised),
-        np.asarray(relations.must, dtype=np.int64).reshape(-1, 2),
-        np.asarray(relations.cannot, dtype=np.int64).reshape(-1, 2),
-    )
-
-
-def _cannot_log_prior(alpha: np.ndarray) -> np.ndarray:
-    prior = cannotlink_prior(alpha)
-    with np.errstate(divide="ignore"):
-        return np.log(prior.table)
-
-
-def _normalized_rows(w: np.ndarray):
-    """Posterior rows ``exp(w - lse)`` and their log-normalizers ``lse``."""
-    if not w.shape[0]:
-        return np.zeros(w.shape), np.zeros(0)
-    flat = w.reshape(w.shape[0], -1)
-    lse = log_sum_exp(flat, axis=1)
-    return np.exp(flat - lse[:, None]).reshape(w.shape), lse
-
-
-def _unsup_and_must_rows(w_unsup: np.ndarray, w_must: np.ndarray):
-    """Normalize the unlinked-point rows and the must-link rows (same width)
-    in one pass; returns both posterior tables and both summed normalizers."""
-    u = w_unsup.shape[0]
-    rows, lse = _normalized_rows(np.concatenate([w_unsup, w_must]))
-    return rows[:u], rows[u:], float(lse[:u].sum()), float(lse[u:].sum())
-
-
-class _FlatEStep(NamedTuple):
-    """One flat E-step: the component log-densities of every point, the
-    posterior tables (see :class:`Responsibilities`), and the observed-data
-    log-likelihood of the model — the sum of the tables' log-normalizers."""
-
-    log_dens: np.ndarray
-    unsup: np.ndarray
-    must: np.ndarray
-    cannot_a: np.ndarray
-    cannot_b: np.ndarray
-    cannot_joint: np.ndarray
-    log_likelihood: float
-
-
-def _flat_estep(model: FlatModel, points: np.ndarray, plan: _RelationPlan) -> _FlatEStep:
-    """E-step over ``points`` with one density pass.
-
-    The normalizers are summed in the order :func:`log_likelihood` uses, so
-    the two agree bit for bit.
-    """
-    log_dens = log_density_stack(points, model.means, model.chols, model.log_dets)
-    log_alpha = _class_log_weights(model)
-    i, j = plan.must_pairs[:, 0], plan.must_pairs[:, 1]
-    unsup, must, ll_unsup, ll_must = _unsup_and_must_rows(
-        log_alpha + log_dens[plan.unsup_idx], log_alpha + log_dens[i] + log_dens[j]
-    )
-    ll_cannot = 0.0
-    if plan.cannot_pairs.shape[0]:
-        a, b = plan.cannot_pairs[:, 0], plan.cannot_pairs[:, 1]
-        wc = (
-            _cannot_log_prior(model.alpha)[None, :, :]
-            + log_dens[a][:, :, None]
-            + log_dens[b][:, None, :]
-        )
-        joint, lse = _normalized_rows(wc)
-        ll_cannot = float(lse.sum())
-    else:
-        joint = np.zeros((0, model.n_classes, model.n_classes))
-    return _FlatEStep(
-        log_dens, unsup, must, joint.sum(axis=2), joint.sum(axis=1), joint,
-        ll_unsup + ll_must + ll_cannot,
-    )
+    e = _point_estep(_flat_params(model), _CANNOT_PAIR, x_a=x_a, x_b=x_b)
+    return e.cannot_a_class[0], e.cannot_b_class[0], e.cannot_class_joint[0]
 
 
 def estep(
@@ -317,21 +83,17 @@ def estep(
 ) -> Responsibilities:
     """Vectorized E-step over the whole dataset; see the per-pair ops."""
     plan = _relation_plan(dataset, relations, count_linked_as_unsupervised)
-    e = _flat_estep(model, dataset.points, plan)
+    e = _estep(_flat_params(model), dataset.points, plan)
     return Responsibilities(
         unsup_indices=plan.unsup_idx,
-        unsup=e.unsup,
+        unsup=e.unsup_class,
         must_pairs=plan.must_pairs,
-        must=e.must,
+        must=e.must_class,
         cannot_pairs=plan.cannot_pairs,
-        cannot_a=e.cannot_a,
-        cannot_b=e.cannot_b,
-        cannot_joint=e.cannot_joint,
+        cannot_a=e.cannot_a_class,
+        cannot_b=e.cannot_b_class,
+        cannot_joint=e.cannot_class_joint,
     )
-
-
-# ---------------------------------------------------------------------------
-# M-step
 
 
 def mixing_counts(resp: Responsibilities) -> np.ndarray:
@@ -340,61 +102,10 @@ def mixing_counts(resp: Responsibilities) -> np.ndarray:
     Each must-link pair contributes its shared weight once; each
     cannot-link pair contributes both marginals.
     """
-    return _mixing_counts(resp)
-
-
-def _mixing_counts(e) -> np.ndarray:
-    return (
-        e.unsup.sum(axis=0)
-        + e.must.sum(axis=0)
-        + e.cannot_a.sum(axis=0)
-        + e.cannot_b.sum(axis=0)
+    return _class_counts(
+        resp.unsup, resp.must, resp.cannot_a, resp.cannot_b,
+        np.arange(resp.n_classes + 1),
     )
-
-
-def _moments(plan: _RelationPlan, e):
-    """Normalizers Z_m, weighted first moments, and the scatter terms.
-
-    ``e`` carries the posterior tables (a :class:`Responsibilities` or an
-    internal E-step result).  ``Z_m`` counts each must-link pair twice (two
-    points, one shared weight).  The terms are the ``(points, weights)``
-    blocks that :func:`_scatter_stack` sums.
-    """
-    z = (
-        e.unsup.sum(axis=0)
-        + 2.0 * e.must.sum(axis=0)
-        + e.cannot_a.sum(axis=0)
-        + e.cannot_b.sum(axis=0)
-    )
-    first = (
-        e.unsup.T @ plan.xu
-        + e.must.T @ (plan.xi + plan.xj)
-        + e.cannot_a.T @ plan.xa
-        + e.cannot_b.T @ plan.xb
-    )
-    terms = [
-        (pts, wts)
-        for pts, wts in ((plan.xu, e.unsup), (plan.xi, e.must), (plan.xj, e.must),
-                         (plan.xa, e.cannot_a), (plan.xb, e.cannot_b))
-        if pts.shape[0]
-    ]
-    return z, first, terms
-
-
-def _scatter_stack(terms, idx: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Weighted scatter matrices of components ``idx`` around ``centers``
-    (one row per component) → (len(idx), d, d).
-
-    Terms are summed in a fixed order, and each component's matrix equals
-    ``Σ (dev * w).T @ dev`` computed for that component alone, so results
-    are bit-reproducible.
-    """
-    d = centers.shape[1]
-    total = np.zeros((idx.size, d, d))
-    for pts, wts in terms:
-        dev = pts - centers[:, None, :]
-        total += (dev * wts[:, idx].T[:, :, None]).transpose(0, 2, 1) @ dev
-    return total
 
 
 def update_mean_cov(
@@ -407,30 +118,16 @@ def update_mean_cov(
     """Closed-form M-step for means and covariances.
 
     The covariance uses the scatter around the *new* mean and passes
-    through :func:`regularize_covariance`.  Raises
+    through :func:`regularize_covariance`.  ``Z_m`` counts each must-link
+    pair twice (two points, one shared weight).  Raises
     :class:`EmptyClassError` when a class's normalizer ``Z_m`` is ≤ 1e-12.
     """
-    if len(resp.must_pairs) != len(relations.must) or len(resp.cannot_pairs) != len(
-        relations.cannot
-    ):
-        raise LengthMismatchError(
-            "responsibilities do not align with the relation set"
-        )
-    plan = _gather_plan(
-        dataset.points, resp.unsup_indices, resp.must_pairs, resp.cannot_pairs
+    _, means, covs = _update_moments(
+        dataset, relations, resp,
+        (resp.unsup, resp.must, resp.must, resp.cannot_a, resp.cannot_b),
+        resp.n_classes, ridge_floor, EmptyClassError, shared_must=True,
     )
-    z, first, terms = _moments(plan, resp)
-    empty = np.flatnonzero(z <= Z_EPS)
-    if empty.size:
-        raise EmptyClassError(int(empty[0]))
-    means = first / z[:, None]
-    raw = _scatter_stack(terms, np.arange(z.size), means) / z[:, None, None]
-    covs, _ = regularize_covariances(raw, ridge_floor)
     return means, covs
-
-
-# ---------------------------------------------------------------------------
-# observed-data log-likelihood
 
 
 def log_likelihood(
@@ -448,77 +145,9 @@ def log_likelihood(
     to a relation enter the first sum only when
     ``count_linked_as_unsupervised`` is set.
     """
-    relations = validate_relations(relations, dataset.n)
-    if relations.cannot and model.n_classes < 2:
-        raise DegenerateNormalizerError(
-            "cannot-links require at least two classes"
-        )
-    x = dataset.points
-    log_alpha = _class_log_weights(model)
-    log_dens = log_density_stack(x, model.means, model.chols, model.log_dets)
-
-    total = 0.0
-    unsup_idx = _unsup_indices(dataset.n, relations, count_linked_as_unsupervised)
-    if unsup_idx.size:
-        total += float(np.sum(log_sum_exp(log_alpha + log_dens[unsup_idx], axis=1)))
-
-    if relations.must:
-        pairs = np.asarray(relations.must, dtype=np.int64)
-        w = log_alpha + log_dens[pairs[:, 0]] + log_dens[pairs[:, 1]]
-        total += float(np.sum(log_sum_exp(w, axis=1)))
-
-    if relations.cannot:
-        prior = cannotlink_prior(model.alpha)
-        with np.errstate(divide="ignore"):
-            log_prior = np.log(prior.table)
-        pairs = np.asarray(relations.cannot, dtype=np.int64)
-        w = (
-            log_prior[None, :, :]
-            + log_dens[pairs[:, 0]][:, :, None]
-            + log_dens[pairs[:, 1]][:, None, :]
-        )
-        total += float(np.sum(log_sum_exp(w.reshape(len(pairs), -1), axis=1)))
-    return total
-
-
-# ---------------------------------------------------------------------------
-# fit loop
-
-
-def _pooled_covariance(dataset: Dataset, ridge_floor: float) -> np.ndarray:
-    dev = dataset.points - dataset.points.mean(axis=0)
-    raw = dev.T @ dev / dataset.n
-    return regularize_covariance(raw, scaled_ridge(raw, ridge_floor))
-
-
-def _safeguarded_mixing(
-    counts: np.ndarray,
-    n_cannot: int,
-    alpha_old: np.ndarray,
-    max_steps: int,
-    warnings: list[str],
-    iteration: int,
-) -> np.ndarray:
-    """Mixing update that never decreases the concentrated objective."""
-    try:
-        alpha_new = optimize_mixing(counts, n_cannot, None, max_steps=max_steps)
-    except NoConvergenceError:
-        alpha_new = None
-    if n_cannot == 0 and alpha_new is not None:
-        return alpha_new
-    f_old = mixing_objective(alpha_old, counts, n_cannot)
-    if alpha_new is not None and mixing_objective(alpha_new, counts, n_cannot) >= f_old:
-        return alpha_new
-    try:
-        retry = optimize_mixing(counts, n_cannot, alpha_old, max_steps=max_steps)
-        if mixing_objective(retry, counts, n_cannot) >= f_old:
-            return retry
-    except NoConvergenceError:
-        pass
-    warnings.append(
-        f"iteration {iteration}: mixing update made no progress; kept previous weights"
+    return _log_likelihood(
+        _flat_params(model), dataset, relations, count_linked_as_unsupervised
     )
-    return alpha_old
 
 
 def fit_flat(
@@ -534,10 +163,9 @@ def fit_flat(
     Initialization draws seed means via k-means++ unless ``init`` supplies
     a starting model.  An empty class encountered mid-run is reseeded at
     the point the current model claims least, with the pooled data
-    covariance (recorded as a warning rather than an error).
+    covariance (recorded as a warning rather than an error); see
+    :mod:`pairmix.hier` for the reseed policy.
     """
-    from .initialize import init_flat, make_rng
-
     config = config or FitConfig()
     if n_classes < 1:
         raise InvariantViolationError("need at least one class")
@@ -545,88 +173,22 @@ def fit_flat(
         raise KTooLargeError(
             f"cannot fit {n_classes} classes to {dataset.n} points"
         )
-    relations = validate_relations(relations, dataset.n)
-    if relations.cannot and n_classes < 2:
-        raise DegenerateNormalizerError(
-            "cannot-links require at least two classes"
-        )
+    relations = _checked_relations(relations, dataset, n_classes)
     if init is None:
-        model = init_flat(dataset, n_classes, make_rng(config.seed), config.ridge_floor)
-    else:
-        if init.n_classes != n_classes:
-            raise InvariantViolationError(
-                f"init has {init.n_classes} classes, expected {n_classes}"
-            )
-        if init.dim != dataset.dim:
-            raise DimensionMismatchError(
-                f"init dimension {init.dim} does not match data dimension {dataset.dim}"
-            )
-        model = init
-
-    plan = _relation_plan(dataset, relations, config.count_linked_as_unsupervised)
-    warnings: list[str] = []
-    # each E-step also yields the log-likelihood of the model it starts from
-    e = _flat_estep(model, dataset.points, plan)
-    trace = [e.log_likelihood]
-    converged = False
-    n_iters = 0
-
-    for iteration in range(1, config.max_iters + 1):
-        z, first, terms = _moments(plan, e)
-        counts = _mixing_counts(e)
-        m, d = first.shape
-        means = np.empty((m, d))
-        covs = np.empty((m, d, d))
-        is_empty = z <= Z_EPS
-        empty, live = np.flatnonzero(is_empty), np.flatnonzero(~is_empty)
-        means[live] = first[live] / z[live, None]
-        raw = _scatter_stack(terms, live, means[live]) / z[live, None, None]
-        covs[live], ridges = regularize_covariances(raw, config.ridge_floor)
-        for k, ridge_eps in zip(live, ridges):
-            if ridge_eps > 0.0:
-                warnings.append(
-                    f"iteration {iteration}: covariance of class {k} was "
-                    f"degenerate; ridged by {ridge_eps:.2e}"
-                )
-        if empty.size:
-            # reseed each dead class at the point the model currently
-            # claims least, with the pooled covariance, and give it one
-            # unit of mixing mass so it can compete again
-            w_all = _class_log_weights(model) + e.log_dens
-            posteriors = np.exp(w_all - log_sum_exp(w_all, axis=1)[:, None])
-            claimed = posteriors.max(axis=1)
-            pooled = _pooled_covariance(dataset, config.ridge_floor)
-            order = np.argsort(claimed)
-            for rank, k in enumerate(empty):
-                target = int(order[rank % order.size])
-                means[k] = dataset.points[target]
-                covs[k] = pooled
-                counts[k] = max(counts[k], 1.0)
-                warnings.append(
-                    f"iteration {iteration}: class {k} lost all responsibility "
-                    f"mass; reseeded at point {target}"
-                )
-
-        alpha = _safeguarded_mixing(
-            counts, relations.n_cannot, model.alpha,
-            config.mixing_iters * 10, warnings, iteration,
+        init = init_flat(dataset, n_classes, make_rng(config.seed), config.ridge_floor)
+    elif init.n_classes != n_classes:
+        raise InvariantViolationError(
+            f"init has {init.n_classes} classes, expected {n_classes}"
         )
-        model = FlatModel(alpha=alpha, means=means, covs=covs)
+    elif init.dim != dataset.dim:
+        raise DimensionMismatchError(
+            f"init dimension {init.dim} does not match data dimension {dataset.dim}"
+        )
 
-        e = _flat_estep(model, dataset.points, plan)
-        ll_prev, ll = trace[-1], e.log_likelihood
-        trace.append(ll)
-        n_iters = iteration
-        if abs(ll - ll_prev) <= config.tol * (1.0 + abs(ll_prev)):
-            converged = True
-            break
-
-    return model, FitTrace(
-        log_likelihoods=tuple(trace),
-        n_iters=n_iters,
-        converged=converged,
-        warnings=tuple(warnings),
+    p, trace = _fit(
+        dataset, relations, _flat_params(init), config, lambda k: f"class {k}"
     )
+    return FlatModel(alpha=p.alpha, means=p.means, covs=p.covs), trace
 
 
 def predict_flat(model: FlatModel, x) -> np.ndarray:
@@ -636,14 +198,4 @@ def predict_flat(model: FlatModel, x) -> np.ndarray:
 
 def predict_flat_batch(model: FlatModel, points) -> np.ndarray:
     """Row-wise :func:`predict_flat` → (N, M) posterior table."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != model.dim:
-        raise DimensionMismatchError(
-            f"points have shape {points.shape}, expected (N, {model.dim})"
-        )
-    if not np.all(np.isfinite(points)):
-        raise NotFiniteError("points contain non-finite entries")
-    w = _class_log_weights(model) + log_density_stack(
-        points, model.means, model.chols, model.log_dets
-    )
-    return np.exp(w - log_sum_exp(w, axis=1)[:, None])
+    return _predict_batch(_flat_params(model), points)

@@ -1,11 +1,11 @@
-"""EM for the two-level model: every class is its own Gaussian mixture.
+"""The EM engine, and the two-level model in which every class is its own
+Gaussian mixture.
 
 A class ``m`` carries sub-clusters ``k = 1..K_m`` with weights ``π_{m_k}``,
 so one class can cover a curved, manifold-shaped region.  The pairwise
 relations continue to act at the *class* level: a must-link pair shares a
 single class label (each member keeps its own sub-cluster label), and a
-cannot-link pair uses the zero-diagonal class-pair prior.  Everything
-reduces exactly to the flat model when every class has one cluster.
+cannot-link pair uses the zero-diagonal class-pair prior.
 
 Internally the cluster axis is flattened over ``(class, cluster)`` with
 offsets (see :class:`~pairmix.types.HierResponsibilities`); the quantity
@@ -13,11 +13,23 @@ offsets (see :class:`~pairmix.types.HierResponsibilities`); the quantity
 log-likelihood — plays the role the single log-density has in the flat
 E-step, and the sub-cluster posterior ``r[n, (m,k)]`` factors every joint
 table as ``(class table) × r``.
+
+The flat model (:mod:`pairmix.flat`) is the case of one cluster per class
+with ``log π = 0``: then ``B`` is the log-density itself and ``r = 1``.
+Both models run through the one private engine here — the E-step, the
+moments, the reseed of empty components, the fit loop, the log-likelihood
+evaluator and the batch predictor.
+
+Reseed policy: a cluster whose responsibility mass falls to ≤ ``Z_EPS`` is
+moved to the point the model claims least, with the pooled data
+covariance and weight 1; a class whose mixing count falls to ≤ ``Z_EPS``
+gets count 1, so it can compete again in the mixing update.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,27 +40,22 @@ from .errors import (
     InvariantViolationError,
     KTooLargeError,
     LengthMismatchError,
+    NoConvergenceError,
     NotFiniteError,
 )
-from .flat import (
-    FitConfig,
-    FitTrace,
-    _cannot_log_prior,
-    _gather_plan,
-    _normalized_rows,
-    _pooled_covariance,
-    _RelationPlan,
-    _relation_plan,
-    _safeguarded_mixing,
-    _scatter_stack,
-    _unsup_and_must_rows,
-    _unsup_indices,
-    cannotlink_prior,
+from .gaussian import (
+    log_density_stack,
+    log_sum_exp,
+    regularize_covariance,
+    regularize_covariances,
+    scaled_ridge,
 )
-from .gaussian import log_density_stack, log_sum_exp, regularize_covariances
+from .initialize import init_hier, make_rng
+from .mixing import mixing_objective, optimize_mixing
 from .types import (
     ClassMixture,
     Dataset,
+    FlatModel,
     HierModel,
     HierResponsibilities,
     RelationSet,
@@ -58,44 +65,323 @@ from .types import (
 Z_EPS = 1e-12
 
 
-def _flatten_params(model: HierModel):
-    """Stack per-class parameters along one cluster axis."""
-    means = np.concatenate([c.means for c in model.classes])
-    chols = np.concatenate([c.chols for c in model.classes])
-    log_dets = np.concatenate([c.log_dets for c in model.classes])
+@dataclass(frozen=True)
+class CannotLinkPrior:
+    """Joint prior over the class labels of a cannot-link pair.
+
+    ``table[m, m'] = α_m α_{m'} / norm`` off the diagonal, exactly zero on
+    it, with ``norm = 1 − Σ_m α_m²`` so the table sums to one.
+    """
+
+    table: np.ndarray
+    norm: float
+
+    def __post_init__(self):
+        table = np.array(self.table, dtype=float)
+        table.setflags(write=False)
+        object.__setattr__(self, "table", table)
+
+
+def cannotlink_prior(alpha) -> CannotLinkPrior:
+    """Build the zero-diagonal pair prior for mixing weights ``alpha``.
+
+    Raises :class:`DegenerateNormalizerError` when fewer than two classes
+    exist or the weights are concentrated on one class (norm ≤ 1e-12).
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.ndim != 1:
+        raise InvariantViolationError("alpha must be a 1-D vector")
+    if alpha.size < 2:
+        raise DegenerateNormalizerError(
+            "cannot-link prior needs at least two classes"
+        )
+    if not np.isfinite(alpha).all():
+        raise NotFiniteError("alpha contains non-finite entries")
+    norm = 1.0 - float(alpha @ alpha)
+    if norm <= 1e-12:
+        raise DegenerateNormalizerError(
+            f"cannot-link prior normalizer {norm!r} is not positive; "
+            "mixing weights are concentrated on a single class"
+        )
+    table = np.outer(alpha, alpha) / norm
+    np.fill_diagonal(table, 0.0)
+    return CannotLinkPrior(table=table, norm=norm)
+
+
+@dataclass(frozen=True)
+class FitConfig:
+    """Knobs for the EM loop.
+
+    ``tol`` is the relative log-likelihood change that counts as converged;
+    ``ridge_floor`` the relative covariance ridge (scaled by mean variance);
+    ``mixing_iters`` the nominal Newton budget for the mixing-weight solver
+    (hard cap ``10 × mixing_iters``); ``seed`` drives initialization when no
+    explicit starting model is supplied.
+    """
+
+    max_iters: int = 500
+    tol: float = 1e-8
+    ridge_floor: float = 1e-6
+    mixing_iters: int = 20
+    seed: int = 0
+    count_linked_as_unsupervised: bool = False
+
+    def __post_init__(self):
+        if self.max_iters < 1:
+            raise InvariantViolationError("max_iters must be >= 1")
+        if not self.tol > 0:
+            raise InvariantViolationError("tol must be > 0")
+        if not self.ridge_floor > 0:
+            raise InvariantViolationError("ridge_floor must be > 0")
+        if self.mixing_iters < 1:
+            raise InvariantViolationError("mixing_iters must be >= 1")
+
+
+@dataclass(frozen=True)
+class FitTrace:
+    """Per-iteration observed-data log-likelihood trail.
+
+    ``log_likelihoods[0]`` is the value at initialization, followed by one
+    entry per EM iteration.  The sequence is nondecreasing except on
+    iterations that needed an empty-component reseed or covariance ridge
+    (recorded in ``warnings``, in component order within an iteration).
+    """
+
+    log_likelihoods: tuple[float, ...]
+    n_iters: int
+    converged: bool
+    warnings: tuple[str, ...] = ()
+
+
+# ---------------------------------------------------------------------------
+# model arrays and relation plan
+
+
+class _Params(NamedTuple):
+    """A model's arrays over the flattened ``(class, cluster)`` axis.
+
+    ``offsets[m] : offsets[m + 1]`` slices out class ``m`` and
+    ``class_of[c]`` is the class of cluster ``c``.  A fit carries these
+    from iteration to iteration and builds the public model once, at the
+    end.
+    """
+
+    alpha: np.ndarray
+    log_alpha: np.ndarray
+    pi: np.ndarray
+    log_pi: np.ndarray
+    means: np.ndarray
+    covs: np.ndarray
+    chols: np.ndarray
+    log_dets: np.ndarray
+    offsets: np.ndarray
+    class_of: np.ndarray
+
+
+def _log(a: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
-        log_pi = np.concatenate([np.log(c.pi) for c in model.classes])
-        log_alpha = np.log(model.alpha)
-    return means, chols, log_dets, log_pi, log_alpha
+        return np.log(a)
 
 
-def _cluster_tables(model: HierModel, points: np.ndarray):
-    """Per-point log cluster densities, within-class log-likelihoods B, and
-    sub-cluster posteriors r (flattened cluster axis)."""
-    means, chols, log_dets, log_pi, log_alpha = _flatten_params(model)
-    log_dens = log_density_stack(points, means, chols, log_dets)
-    weighted = log_pi + log_dens
-    counts = model.cluster_counts
-    class_of = np.repeat(np.arange(model.n_classes), counts)
+def _flat_params(model: FlatModel) -> _Params:
+    """A flat model read as one cluster per class with ``log π = 0``."""
+    m = model.n_classes
+    return _Params(
+        model.alpha, _log(model.alpha), np.ones(m), np.zeros(m),
+        model.means, model.covs, model.chols, model.log_dets,
+        np.arange(m + 1), np.arange(m),
+    )
+
+
+def _hier_params(model: HierModel) -> _Params:
+    def stack(name):
+        return np.concatenate([getattr(c, name) for c in model.classes])
+
+    pi = stack("pi")
+    return _Params(
+        model.alpha, _log(model.alpha), pi, _log(pi),
+        stack("means"), stack("covs"), stack("chols"), stack("log_dets"),
+        model.cluster_offsets,
+        np.repeat(np.arange(model.n_classes), model.cluster_counts),
+    )
+
+
+def _updated_params(p: _Params, alpha, pi, means, covs) -> _Params:
+    """``p`` with the parameters of a fit's M-step (``pi > 0``); one batched
+    Cholesky factors and checks every covariance."""
+    try:
+        chols = np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError as exc:
+        raise InvariantViolationError(f"covs is not positive definite: {exc}") from exc
+    log_dets = 2.0 * np.log(np.diagonal(chols, axis1=-2, axis2=-1)).sum(axis=-1)
+    return p._replace(
+        alpha=alpha, log_alpha=_log(alpha), pi=pi, log_pi=np.log(pi),
+        means=means, covs=covs, chols=chols, log_dets=log_dets,
+    )
+
+
+class _RelationPlan(NamedTuple):
+    """Index arrays and gathered point blocks of one (dataset, relations) pair.
+
+    Nothing here changes between EM iterations, so a fit builds it once.
+    ``xu`` holds the points of the independent factor, ``xi`` / ``xj`` the
+    must-link members and ``xa`` / ``xb`` the cannot-link members.
+    """
+
+    unsup_idx: np.ndarray
+    must_pairs: np.ndarray
+    cannot_pairs: np.ndarray
+    xu: np.ndarray
+    xi: np.ndarray
+    xj: np.ndarray
+    xa: np.ndarray
+    xb: np.ndarray
+
+
+def _gather_plan(points, unsup_idx, must_pairs, cannot_pairs) -> _RelationPlan:
+    return _RelationPlan(
+        unsup_idx, must_pairs, cannot_pairs,
+        points[unsup_idx],
+        points[must_pairs[:, 0]], points[must_pairs[:, 1]],
+        points[cannot_pairs[:, 0]], points[cannot_pairs[:, 1]],
+    )
+
+
+def _relation_plan(
+    dataset: Dataset, relations: RelationSet, count_linked_as_unsupervised: bool
+) -> _RelationPlan:
+    """Plan for ``relations`` as given (callers validate them first).  The
+    independent factor takes the unlinked points, or every point with
+    ``count_linked_as_unsupervised``."""
+    unlinked = np.ones(dataset.n, dtype=bool)
+    if not (count_linked_as_unsupervised or relations.is_empty()):
+        unlinked[relations.linked_indices()] = False
+    return _gather_plan(
+        dataset.points,
+        np.flatnonzero(unlinked),
+        np.asarray(relations.must, dtype=np.int64).reshape(-1, 2),
+        np.asarray(relations.cannot, dtype=np.int64).reshape(-1, 2),
+    )
+
+
+def _checked_relations(relations: RelationSet, dataset: Dataset, n_classes: int):
+    relations = validate_relations(relations, dataset.n)
+    if relations.cannot and n_classes < 2:
+        raise DegenerateNormalizerError("cannot-links require at least two classes")
+    return relations
+
+
+# ---------------------------------------------------------------------------
+# E-step
+
+
+def _cluster_tables(p: _Params, points: np.ndarray):
+    """Within-class log-likelihoods ``B`` (N, M) and sub-cluster posteriors
+    ``r`` (N, total clusters) of ``points``; ``r`` is ``None`` when every
+    class has one cluster, where ``B`` is the log-density itself (a
+    log-sum-exp over one slot returns that slot)."""
+    weighted = p.log_pi + log_density_stack(points, p.means, p.chols, p.log_dets)
+    n_classes, class_of = p.alpha.size, p.class_of
+    if class_of.size == n_classes:
+        return weighted, None
     # one log-sum-exp over a (N, M, max K_m) table whose unused slots hold
     # -inf: they add exact zeros, so each class reduces as its own slice would
-    slot = np.arange(class_of.size) - model.cluster_offsets[class_of]
-    table = np.full((points.shape[0], model.n_classes, max(counts)), -np.inf)
+    slot = np.arange(class_of.size) - p.offsets[class_of]
+    table = np.full((points.shape[0], n_classes, slot.max() + 1), -np.inf)
     table[:, class_of, slot] = weighted
     b = log_sum_exp(table, axis=2)
-    r = np.exp(weighted - b[:, class_of])
-    return weighted, b, r, log_alpha, class_of
+    return b, np.exp(weighted - b[:, class_of])
 
 
-def _check_point(model: HierModel, x, name: str = "x") -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.dim,):
-        raise DimensionMismatchError(
-            f"{name} has shape {x.shape}, expected ({model.dim},)"
+def _normalized_rows(w: np.ndarray):
+    """Posterior rows ``exp(w - lse)`` and their log-normalizers ``lse``."""
+    if not w.shape[0]:
+        return np.zeros(w.shape), np.zeros(0)
+    flat = w.reshape(w.shape[0], -1)
+    lse = log_sum_exp(flat, axis=1)
+    return np.exp(flat - lse[:, None]).reshape(w.shape), lse
+
+
+class _EStep(NamedTuple):
+    """One E-step: ``b`` / ``r`` of every point (see :func:`_cluster_tables`),
+    the posterior tables (see :class:`HierResponsibilities`; ``unsup_class``
+    is the class marginal of ``unsup``), and the observed-data
+    log-likelihood of the model — the sum of the class-level tables'
+    log-normalizers."""
+
+    b: np.ndarray
+    r: np.ndarray | None
+    unsup: np.ndarray
+    unsup_class: np.ndarray
+    must_i: np.ndarray
+    must_j: np.ndarray
+    must_class: np.ndarray
+    cannot_a: np.ndarray
+    cannot_b: np.ndarray
+    cannot_a_class: np.ndarray
+    cannot_b_class: np.ndarray
+    cannot_class_joint: np.ndarray
+    log_likelihood: float
+
+
+def _estep(p: _Params, points: np.ndarray, plan: _RelationPlan) -> _EStep:
+    """E-step over ``points`` with one density pass."""
+    n_classes, class_of = p.alpha.size, p.class_of
+    b, r = _cluster_tables(p, points)
+
+    def spread(class_table, idx):
+        # cluster-level table: class posterior × sub-cluster posterior
+        return class_table if r is None else class_table[:, class_of] * r[idx]
+
+    u = plan.unsup_idx
+    i, j = plan.must_pairs[:, 0], plan.must_pairs[:, 1]
+    # the unlinked-point rows and the must-link rows, normalized in one pass
+    rows, lse = _normalized_rows(
+        np.concatenate([p.log_alpha + b[u], p.log_alpha + b[i] + b[j]])
+    )
+    marg, must_class = rows[: u.size], rows[u.size :]
+    ll = float(lse[: u.size].sum()) + float(lse[u.size :].sum())
+
+    a_idx, b_idx = plan.cannot_pairs[:, 0], plan.cannot_pairs[:, 1]
+    if a_idx.size:
+        w = (
+            _log(cannotlink_prior(p.alpha).table)[None, :, :]
+            + b[a_idx][:, :, None]
+            + b[b_idx][:, None, :]
         )
-    if not np.all(np.isfinite(x)):
-        raise NotFiniteError(f"{name} contains non-finite entries")
-    return x
+        class_joint, lse = _normalized_rows(w)
+        ll += float(lse.sum())
+    else:
+        class_joint = np.zeros((0, n_classes, n_classes))
+    d_a_class = class_joint.sum(axis=2)
+    d_b_class = class_joint.sum(axis=1)
+    return _EStep(
+        b, r, spread(marg, u), marg,
+        spread(must_class, i), spread(must_class, j), must_class,
+        spread(d_a_class, a_idx), spread(d_b_class, b_idx),
+        d_a_class, d_b_class, class_joint,
+        ll,
+    )
+
+
+_MUST_PAIR = RelationSet(must=((0, 1),))
+_CANNOT_PAIR = RelationSet(cannot=((0, 1),))
+
+
+def _point_estep(p: _Params, relations: RelationSet, **named_points) -> _EStep:
+    """E-step over the named points alone: one independent point, or a pair
+    linked by ``relations`` (as indices 0 and 1)."""
+    dim = p.means.shape[1]
+    points = []
+    for name, x in named_points.items():
+        x = np.asarray(x, dtype=float)
+        if x.shape != (dim,):
+            raise DimensionMismatchError(f"{name} has shape {x.shape}, expected ({dim},)")
+        if not np.all(np.isfinite(x)):
+            raise NotFiniteError(f"{name} contains non-finite entries")
+        points.append(x)
+    points = np.stack(points)
+    return _estep(p, points, _relation_plan(Dataset(points), relations, False))
 
 
 def _split(model: HierModel, flat_row: np.ndarray) -> list[np.ndarray]:
@@ -110,12 +396,8 @@ def hier_resp_unsupervised(model: HierModel, x):
     ``p(z^m, y^{m_k} | x) ∝ α_m π_{m_k} N_{m_k}(x)`` and ``marginal`` its
     per-class sums.
     """
-    x = _check_point(model, x)
-    _, b, r, log_alpha, class_of = _cluster_tables(model, x[None, :])
-    w = log_alpha + b[0]
-    marginal = np.exp(w - log_sum_exp(w))
-    joint = marginal[class_of] * r[0]
-    return _split(model, joint), marginal
+    e = _point_estep(_hier_params(model), RelationSet(), x=x)
+    return _split(model, e.unsup[0]), e.unsup_class[0]
 
 
 def hier_resp_mustlink(model: HierModel, x_i, x_j):
@@ -126,14 +408,8 @@ def hier_resp_mustlink(model: HierModel, x_i, x_j):
     likelihoods, and each member's sub-cluster label is conditionally
     independent given the class.
     """
-    x_i = _check_point(model, x_i, "x_i")
-    x_j = _check_point(model, x_j, "x_j")
-    _, b, r, log_alpha, class_of = _cluster_tables(model, np.stack([x_i, x_j]))
-    w = log_alpha + b[0] + b[1]
-    shared = np.exp(w - log_sum_exp(w))
-    joint_i = shared[class_of] * r[0]
-    joint_j = shared[class_of] * r[1]
-    return _split(model, joint_i), _split(model, joint_j), shared
+    e = _point_estep(_hier_params(model), _MUST_PAIR, x_i=x_i, x_j=x_j)
+    return _split(model, e.must_i[0]), _split(model, e.must_j[0]), e.must_class[0]
 
 
 def hier_resp_cannotlink(model: HierModel, x_a, x_b):
@@ -143,78 +419,10 @@ def hier_resp_cannotlink(model: HierModel, x_a, x_b):
     class/cluster tables, their class marginals, and the M×M class-pair
     posterior.
     """
-    x_a = _check_point(model, x_a, "x_a")
-    x_b = _check_point(model, x_b, "x_b")
-    prior = cannotlink_prior(model.alpha)
-    _, b, r, _, class_of = _cluster_tables(model, np.stack([x_a, x_b]))
-    with np.errstate(divide="ignore"):
-        w = np.log(prior.table) + b[0][:, None] + b[1][None, :]
-    class_joint = np.exp(w - log_sum_exp(w.reshape(-1)))
-    d_a = class_joint.sum(axis=1)
-    d_b = class_joint.sum(axis=0)
-    joint_a = d_a[class_of] * r[0]
-    joint_b = d_b[class_of] * r[1]
-    return _split(model, joint_a), _split(model, joint_b), d_a, d_b, class_joint
-
-
-class _HierEStep(NamedTuple):
-    """One hierarchical E-step: the cluster tables ``b`` / ``r`` of every
-    point (see :func:`_cluster_tables`), the posterior tables (see
-    :class:`HierResponsibilities`), and the observed-data log-likelihood of
-    the model — the sum of the class-level tables' log-normalizers."""
-
-    b: np.ndarray
-    r: np.ndarray
-    unsup: np.ndarray
-    must_i: np.ndarray
-    must_j: np.ndarray
-    must_class: np.ndarray
-    cannot_a: np.ndarray
-    cannot_b: np.ndarray
-    cannot_a_class: np.ndarray
-    cannot_b_class: np.ndarray
-    cannot_class_joint: np.ndarray
-    log_likelihood: float
-
-
-def _hier_estep(model: HierModel, points: np.ndarray, plan: _RelationPlan) -> _HierEStep:
-    """E-step over ``points`` with one density pass.
-
-    The normalizers are summed in the order :func:`log_likelihood_hier`
-    uses, so the two agree bit for bit.
-    """
-    n_classes = model.n_classes
-    _, b, r, log_alpha, class_of = _cluster_tables(model, points)
-
-    u = plan.unsup_idx
-    i, j = plan.must_pairs[:, 0], plan.must_pairs[:, 1]
-    marg, must_class, ll_unsup, ll_must = _unsup_and_must_rows(
-        log_alpha + b[u], log_alpha + b[i] + b[j]
-    )
-    unsup = marg[:, class_of] * r[u]
-    must_i = must_class[:, class_of] * r[i]
-    must_j = must_class[:, class_of] * r[j]
-
-    a_idx, b_idx = plan.cannot_pairs[:, 0], plan.cannot_pairs[:, 1]
-    ll_cannot = 0.0
-    if a_idx.size:
-        w = (
-            _cannot_log_prior(model.alpha)[None, :, :]
-            + b[a_idx][:, :, None]
-            + b[b_idx][:, None, :]
-        )
-        class_joint, lse = _normalized_rows(w)
-        ll_cannot = float(lse.sum())
-    else:
-        class_joint = np.zeros((0, n_classes, n_classes))
-    d_a_class = class_joint.sum(axis=2)
-    d_b_class = class_joint.sum(axis=1)
-    return _HierEStep(
-        b, r, unsup, must_i, must_j, must_class,
-        d_a_class[:, class_of] * r[a_idx],
-        d_b_class[:, class_of] * r[b_idx],
-        d_a_class, d_b_class, class_joint,
-        ll_unsup + ll_must + ll_cannot,
+    e = _point_estep(_hier_params(model), _CANNOT_PAIR, x_a=x_a, x_b=x_b)
+    return (
+        _split(model, e.cannot_a[0]), _split(model, e.cannot_b[0]),
+        e.cannot_a_class[0], e.cannot_b_class[0], e.cannot_class_joint[0],
     )
 
 
@@ -227,7 +435,7 @@ def hier_estep(
 ) -> HierResponsibilities:
     """Vectorized hierarchical E-step over the whole dataset."""
     plan = _relation_plan(dataset, relations, count_linked_as_unsupervised)
-    e = _hier_estep(model, dataset.points, plan)
+    e = _estep(_hier_params(model), dataset.points, plan)
     return HierResponsibilities(
         offsets=model.cluster_offsets,
         unsup_indices=plan.unsup_idx,
@@ -249,53 +457,90 @@ def hier_estep(
 # M-step
 
 
-def hier_mixing_counts(resp: HierResponsibilities) -> np.ndarray:
-    """Class-marginal counts ``c_m`` for the mixing-weight update."""
-    return _hier_mixing_counts(resp, resp.offsets)
-
-
-def _hier_mixing_counts(e, offsets: np.ndarray) -> np.ndarray:
+def _class_counts(unsup, must_class, cannot_a_class, cannot_b_class, offsets):
+    """Class counts ``c_m`` for the mixing-weight update: each must-link
+    pair contributes its shared weight once, each cannot-link pair both
+    marginals."""
     return (
-        _class_sums(e.unsup, offsets)
-        + e.must_class.sum(axis=0)
-        + e.cannot_a_class.sum(axis=0)
-        + e.cannot_b_class.sum(axis=0)
+        np.add.reduceat(unsup.sum(axis=0), offsets[:-1])
+        + must_class.sum(axis=0)
+        + cannot_a_class.sum(axis=0)
+        + cannot_b_class.sum(axis=0)
     )
 
 
-def _class_sums(table: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    out = np.zeros(offsets.size - 1)
-    if table.size:
-        flat = table.sum(axis=0)
-        out = np.add.reduceat(flat, offsets[:-1])
-    return out
+def hier_mixing_counts(resp: HierResponsibilities) -> np.ndarray:
+    """Class-marginal counts ``c_m`` for the mixing-weight update."""
+    return _class_counts(
+        resp.unsup, resp.must_class, resp.cannot_a_class, resp.cannot_b_class,
+        resp.offsets,
+    )
 
 
-def _cluster_moments(plan: _RelationPlan, e, total: int):
+def _cluster_moments(plan: _RelationPlan, tables, total: int, shared_must: bool):
     """Per-cluster weights, first moments, and the scatter terms.
 
-    ``e`` carries the posterior tables (a :class:`HierResponsibilities` or
-    an internal E-step result) over ``total`` flattened clusters.  Unlike
-    the flat normalizer there is no factor two on must-link pairs: each
-    member carries its own cluster-level weight.
+    ``tables`` are the cluster-level posteriors of the plan's point blocks
+    ``(xu, xi, xj, xa, xb)`` over ``total`` flattened clusters.  Each
+    must-link member carries its own weight, so a flat must-link pair
+    counts twice (two points, one shared weight).  With ``shared_must``
+    (one cluster per class) both members carry the same table ``w``, and
+    the pair enters the sums once, as ``2·w`` and ``w·(x_i + x_j)``: the
+    flat model's own order of operations.
     """
-    terms = [
-        (pts, wts)
-        for pts, wts in (
-            (plan.xu, e.unsup),
-            (plan.xi, e.must_i),
-            (plan.xj, e.must_j),
-            (plan.xa, e.cannot_a),
-            (plan.xb, e.cannot_b),
-        )
-        if pts.shape[0]
-    ]
+    unsup, must_i, must_j, cannot_a, cannot_b = tables
+    blocks = (plan.xu, plan.xi, plan.xj, plan.xa, plan.xb)
+    terms = [(pts, wts) for pts, wts in zip(blocks, tables) if pts.shape[0]]
+    if shared_must:
+        sums = [(plan.xu, unsup, 1.0), (plan.xi + plan.xj, must_i, 2.0),
+                (plan.xa, cannot_a, 1.0), (plan.xb, cannot_b, 1.0)]
+    else:
+        sums = [(pts, wts, 1.0) for pts, wts in zip(blocks, tables)]
     weight = np.zeros(total)
     first = np.zeros((total, plan.xu.shape[1]))
-    for pts, wts in terms:
-        weight += wts.sum(axis=0)
-        first += wts.T @ pts
+    for pts, wts, count in sums:
+        if pts.shape[0]:
+            weight += count * wts.sum(axis=0)
+            first += wts.T @ pts
     return weight, first, terms
+
+
+def _scatter_stack(terms, idx: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Weighted scatter matrices of components ``idx`` around ``centers``
+    (one row per component) → (len(idx), d, d).
+
+    Terms are summed in a fixed order, and each component's matrix equals
+    ``Σ (dev * w).T @ dev`` computed for that component alone, so results
+    are bit-reproducible.
+    """
+    d = centers.shape[1]
+    total = np.zeros((idx.size, d, d))
+    for pts, wts in terms:
+        dev = pts - centers[:, None, :]
+        total += (dev * wts[:, idx].T[:, :, None]).transpose(0, 2, 1) @ dev
+    return total
+
+
+def _update_moments(dataset, relations, resp, tables, total, ridge_floor, empty_error,
+                    shared_must=False):
+    """Closed-form weights, means and covariances from a public
+    responsibilities value (``shared_must`` as in :func:`_cluster_moments`);
+    ``empty_error(c)`` is raised when cluster ``c``'s weight is ≤ ``Z_EPS``."""
+    if len(resp.must_pairs) != len(relations.must) or len(resp.cannot_pairs) != len(
+        relations.cannot
+    ):
+        raise LengthMismatchError("responsibilities do not align with the relation set")
+    plan = _gather_plan(
+        dataset.points, resp.unsup_indices, resp.must_pairs, resp.cannot_pairs
+    )
+    weight, first, terms = _cluster_moments(plan, tables, total, shared_must)
+    empty = np.flatnonzero(weight <= Z_EPS)
+    if empty.size:
+        raise empty_error(int(empty[0]))
+    means = first / weight[:, None]
+    raw = _scatter_stack(terms, np.arange(total), means) / weight[:, None, None]
+    covs, _ = regularize_covariances(raw, ridge_floor)
+    return weight, means, covs
 
 
 def hier_update(
@@ -310,22 +555,17 @@ def hier_update(
     Returns per-class lists aligned with the model's classes.  Raises
     :class:`EmptyClusterError` when a cluster's weight is ≤ 1e-12.
     """
-    if len(resp.must_pairs) != len(relations.must) or len(resp.cannot_pairs) != len(
-        relations.cannot
-    ):
-        raise LengthMismatchError("responsibilities do not align with the relation set")
-    plan = _gather_plan(
-        dataset.points, resp.unsup_indices, resp.must_pairs, resp.cannot_pairs
-    )
     offsets = resp.offsets
-    weight, first, terms = _cluster_moments(plan, resp, int(offsets[-1]))
-    empty = np.flatnonzero(weight <= Z_EPS)
-    if empty.size:
-        m = int(np.searchsorted(offsets, empty[0], side="right")) - 1
-        raise EmptyClusterError(m, int(empty[0] - offsets[m]))
-    means = first / weight[:, None]
-    raw = _scatter_stack(terms, np.arange(weight.size), means) / weight[:, None, None]
-    covs, _ = regularize_covariances(raw, ridge_floor)
+
+    def empty_error(c: int) -> EmptyClusterError:
+        m = int(np.searchsorted(offsets, c, side="right")) - 1
+        return EmptyClusterError(m, c - int(offsets[m]))
+
+    weight, means, covs = _update_moments(
+        dataset, relations, resp,
+        (resp.unsup, resp.must_i, resp.must_j, resp.cannot_a, resp.cannot_b),
+        int(offsets[-1]), ridge_floor, empty_error,
+    )
     bounds = list(zip(offsets[:-1], offsets[1:]))
     return (
         [means[lo:hi] for lo, hi in bounds],
@@ -338,6 +578,14 @@ def hier_update(
 # observed-data log-likelihood
 
 
+def _log_likelihood(p: _Params, dataset, relations, count_linked_as_unsupervised) -> float:
+    """The E-step's sum of log-normalizers: the log-likelihood with every
+    latent label marginalized."""
+    relations = _checked_relations(relations, dataset, p.alpha.size)
+    plan = _relation_plan(dataset, relations, count_linked_as_unsupervised)
+    return _estep(p, dataset.points, plan).log_likelihood
+
+
 def log_likelihood_hier(
     model: HierModel,
     dataset: Dataset,
@@ -347,45 +595,136 @@ def log_likelihood_hier(
 ) -> float:
     """Hierarchical analog of :func:`pairmix.flat.log_likelihood` with the
     within-class mixture likelihood in place of the single density."""
-    relations = validate_relations(relations, dataset.n)
-    if relations.cannot and model.n_classes < 2:
-        raise DegenerateNormalizerError("cannot-links require at least two classes")
-    _, b, _, log_alpha, _ = _cluster_tables(model, dataset.points)
-
-    total = 0.0
-    unsup_idx = _unsup_indices(dataset.n, relations, count_linked_as_unsupervised)
-    if unsup_idx.size:
-        total += float(np.sum(log_sum_exp(log_alpha + b[unsup_idx], axis=1)))
-
-    if relations.must:
-        pairs = np.asarray(relations.must, dtype=np.int64)
-        w = log_alpha + b[pairs[:, 0]] + b[pairs[:, 1]]
-        total += float(np.sum(log_sum_exp(w, axis=1)))
-
-    if relations.cannot:
-        prior = cannotlink_prior(model.alpha)
-        with np.errstate(divide="ignore"):
-            log_prior = np.log(prior.table)
-        pairs = np.asarray(relations.cannot, dtype=np.int64)
-        w = log_prior[None, :, :] + b[pairs[:, 0]][:, :, None] + b[pairs[:, 1]][:, None, :]
-        total += float(np.sum(log_sum_exp(w.reshape(len(pairs), -1), axis=1)))
-    return total
+    return _log_likelihood(
+        _hier_params(model), dataset, relations, count_linked_as_unsupervised
+    )
 
 
 # ---------------------------------------------------------------------------
 # fit loop
 
 
+def _pooled_covariance(dataset: Dataset, ridge_floor: float) -> np.ndarray:
+    dev = dataset.points - dataset.points.mean(axis=0)
+    raw = dev.T @ dev / dataset.n
+    return regularize_covariance(raw, scaled_ridge(raw, ridge_floor))
+
+
+def _safeguarded_mixing(
+    counts: np.ndarray,
+    n_cannot: int,
+    alpha_old: np.ndarray,
+    max_steps: int,
+    warnings: list[str],
+    iteration: int,
+) -> np.ndarray:
+    """Mixing update that never decreases the concentrated objective: a
+    cold solve, then one warm-started from the previous weights."""
+    f_old = mixing_objective(alpha_old, counts, n_cannot) if n_cannot else None
+    for start in (None, alpha_old):
+        try:
+            alpha = optimize_mixing(counts, n_cannot, start, max_steps=max_steps)
+        except NoConvergenceError:
+            continue
+        if f_old is None or mixing_objective(alpha, counts, n_cannot) >= f_old:
+            return alpha
+    warnings.append(
+        f"iteration {iteration}: mixing update made no progress; kept previous weights"
+    )
+    return alpha_old
+
+
+def _fit(dataset: Dataset, relations: RelationSet, p: _Params, config: FitConfig,
+         name_of: Callable[[int], str]) -> tuple[_Params, FitTrace]:
+    """EM from ``p`` on validated relations; ``name_of(c)`` names cluster
+    ``c`` in the warnings.  Returns the final arrays and the trace."""
+    plan = _relation_plan(dataset, relations, config.count_linked_as_unsupervised)
+    offsets, class_of = p.offsets, p.class_of
+    bounds = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
+    total, d = class_of.size, dataset.dim
+    one_cluster = total == len(bounds)
+    warnings: list[str] = []
+    # each E-step also yields the log-likelihood of the model it starts from
+    e = _estep(p, dataset.points, plan)
+    trace = [e.log_likelihood]
+    converged = False
+    n_iters = 0
+
+    for iteration in range(1, config.max_iters + 1):
+        weight, first, terms = _cluster_moments(
+            plan, (e.unsup, e.must_i, e.must_j, e.cannot_a, e.cannot_b), total,
+            shared_must=one_cluster,
+        )
+        class_counts = _class_counts(
+            e.unsup, e.must_class, e.cannot_a_class, e.cannot_b_class, offsets
+        )
+
+        is_empty = weight <= Z_EPS
+        empty, live = np.flatnonzero(is_empty), np.flatnonzero(~is_empty)
+        means = np.empty((total, d))
+        covs = np.empty((total, d, d))
+        means[live] = first[live] / weight[live, None]
+        raw = _scatter_stack(terms, live, means[live]) / weight[live, None, None]
+        covs[live], ridges = regularize_covariances(raw, config.ridge_floor)
+        # warnings keyed by flattened cluster, reported in (class, cluster) order
+        notes = {
+            c: f"covariance of {name_of(c)} was degenerate; ridged by {r:.2e}"
+            for c, r in zip(live.tolist(), ridges.tolist())
+            if r > 0.0
+        }
+        if empty.size:
+            # reseed each dead cluster at the point the model currently
+            # claims least, with the pooled covariance and unit weight
+            w_all = p.log_alpha + e.b
+            marg = np.exp(w_all - log_sum_exp(w_all, axis=1)[:, None])
+            claimed = (marg if e.r is None else marg[:, class_of] * e.r).max(axis=1)
+            order = np.argsort(claimed)
+            pooled = _pooled_covariance(dataset, config.ridge_floor)
+            for rank, c in enumerate(empty.tolist()):
+                target = int(order[rank % order.size])
+                means[c] = dataset.points[target]
+                covs[c] = pooled
+                weight[c] = 1.0
+                notes[c] = (
+                    f"{name_of(c)} lost all responsibility mass; "
+                    f"reseeded at point {target}"
+                )
+        warnings.extend(f"iteration {iteration}: {notes[c]}" for c in sorted(notes))
+
+        class_counts[class_counts <= Z_EPS] = 1.0
+        # π: each cluster's share of its class (1 with one cluster per class)
+        pi = weight / (weight if one_cluster else
+                       np.array([weight[lo:hi].sum() for lo, hi in bounds])[class_of])
+        alpha = _safeguarded_mixing(
+            class_counts, relations.n_cannot, p.alpha,
+            config.mixing_iters * 10, warnings, iteration,
+        )
+        p = _updated_params(p, alpha, pi, means, covs)
+
+        e = _estep(p, dataset.points, plan)
+        ll_prev, ll = trace[-1], e.log_likelihood
+        trace.append(ll)
+        n_iters = iteration
+        if abs(ll - ll_prev) <= config.tol * (1.0 + abs(ll_prev)):
+            converged = True
+            break
+
+    return p, FitTrace(
+        log_likelihoods=tuple(trace),
+        n_iters=n_iters,
+        converged=converged,
+        warnings=tuple(warnings),
+    )
+
+
 def _normalize_cluster_counts(n_classes: int, clusters_per_class) -> tuple[int, ...]:
     if np.isscalar(clusters_per_class):
-        k = int(clusters_per_class)
-        counts = (k,) * n_classes
-    else:
-        counts = tuple(int(k) for k in clusters_per_class)
-        if len(counts) != n_classes:
-            raise LengthMismatchError(
-                f"got {len(counts)} cluster counts for {n_classes} classes"
-            )
+        clusters_per_class = (clusters_per_class,) * n_classes
+    counts = tuple(int(k) for k in clusters_per_class)
+    if len(counts) != n_classes:
+        raise LengthMismatchError(
+            f"got {len(counts)} cluster counts for {n_classes} classes"
+        )
     if any(k < 1 for k in counts):
         raise InvariantViolationError("every class needs at least one cluster")
     return counts
@@ -406,8 +745,6 @@ def fit_hier(
     sequence.  Class mixing weights are re-optimized each iteration from
     the class-marginal counts; cluster weights π use the closed-form ratio.
     """
-    from .initialize import init_hier, make_rng
-
     config = config or FitConfig()
     if n_classes < 1:
         raise InvariantViolationError("need at least one class")
@@ -416,110 +753,48 @@ def fit_hier(
         raise KTooLargeError(
             f"cannot fit {sum(counts_per_class)} clusters to {dataset.n} points"
         )
-    relations = validate_relations(relations, dataset.n)
-    if relations.cannot and n_classes < 2:
-        raise DegenerateNormalizerError("cannot-links require at least two classes")
+    relations = _checked_relations(relations, dataset, n_classes)
     if init is None:
-        model = init_hier(
+        init = init_hier(
             dataset, n_classes, counts_per_class, make_rng(config.seed),
             config.ridge_floor,
         )
-    else:
-        if init.n_classes != n_classes or init.cluster_counts != counts_per_class:
-            raise InvariantViolationError(
-                "init does not match the requested class/cluster structure"
-            )
-        if init.dim != dataset.dim:
-            raise DimensionMismatchError(
-                f"init dimension {init.dim} does not match data dimension {dataset.dim}"
-            )
-        model = init
+    elif init.n_classes != n_classes or init.cluster_counts != counts_per_class:
+        raise InvariantViolationError(
+            "init does not match the requested class/cluster structure"
+        )
+    elif init.dim != dataset.dim:
+        raise DimensionMismatchError(
+            f"init dimension {init.dim} does not match data dimension {dataset.dim}"
+        )
 
-    plan = _relation_plan(dataset, relations, config.count_linked_as_unsupervised)
-    offsets = model.cluster_offsets
-    class_of = np.repeat(np.arange(n_classes), counts_per_class)
-    d = dataset.dim
+    offsets = init.cluster_offsets
 
     def cluster_name(c: int) -> str:
-        m = int(class_of[c])
+        m = int(np.searchsorted(offsets, c, side="right")) - 1
         return f"cluster {c - offsets[m]} of class {m}"
 
-    warnings: list[str] = []
-    # each E-step also yields the log-likelihood of the model it starts from
-    e = _hier_estep(model, dataset.points, plan)
-    trace = [e.log_likelihood]
-    converged = False
-    n_iters = 0
-
-    for iteration in range(1, config.max_iters + 1):
-        weight, first, terms = _cluster_moments(plan, e, int(offsets[-1]))
-        class_counts = _hier_mixing_counts(e, offsets)
-
-        is_empty = weight <= Z_EPS
-        empty, live = np.flatnonzero(is_empty), np.flatnonzero(~is_empty)
-        means = np.empty((weight.size, d))
-        covs = np.empty((weight.size, d, d))
-        means[live] = first[live] / weight[live, None]
-        raw = _scatter_stack(terms, live, means[live]) / weight[live, None, None]
-        covs[live], ridges = regularize_covariances(raw, config.ridge_floor)
-        # warnings keyed by flattened cluster, reported in (class, cluster) order
-        notes = {
-            c: f"covariance of {cluster_name(c)} was degenerate; ridged by {r:.2e}"
-            for c, r in zip(live.tolist(), ridges.tolist())
-            if r > 0.0
-        }
-        if empty.size:
-            # reseed each dead cluster at the point the model currently
-            # claims least, with the pooled covariance and unit weight
-            with np.errstate(divide="ignore"):
-                w_all = np.log(model.alpha) + e.b
-            marg = np.exp(w_all - log_sum_exp(w_all, axis=1)[:, None])
-            claimed = (marg[:, class_of] * e.r).max(axis=1)
-            order = np.argsort(claimed)
-            pooled = _pooled_covariance(dataset, config.ridge_floor)
-            for rank, c in enumerate(empty.tolist()):
-                target = int(order[rank % order.size])
-                means[c] = dataset.points[target]
-                covs[c] = pooled
-                weight[c] = 1.0
-                notes[c] = (
-                    f"{cluster_name(c)} lost all responsibility mass; "
-                    f"reseeded at point {target}"
-                )
-        warnings.extend(f"iteration {iteration}: {notes[c]}" for c in sorted(notes))
-
-        classes = []
-        for m in range(n_classes):
-            lo, hi = offsets[m], offsets[m + 1]
-            if class_counts[m] <= Z_EPS:
-                class_counts[m] = 1.0
-            w_cluster = weight[lo:hi]
-            classes.append(
-                ClassMixture(
-                    pi=w_cluster / w_cluster.sum(), means=means[lo:hi], covs=covs[lo:hi]
-                )
-            )
-
-        alpha = _safeguarded_mixing(
-            class_counts, relations.n_cannot, model.alpha,
-            config.mixing_iters * 10, warnings, iteration,
-        )
-        model = HierModel(alpha=alpha, classes=tuple(classes))
-
-        e = _hier_estep(model, dataset.points, plan)
-        ll_prev, ll = trace[-1], e.log_likelihood
-        trace.append(ll)
-        n_iters = iteration
-        if abs(ll - ll_prev) <= config.tol * (1.0 + abs(ll_prev)):
-            converged = True
-            break
-
-    return model, FitTrace(
-        log_likelihoods=tuple(trace),
-        n_iters=n_iters,
-        converged=converged,
-        warnings=tuple(warnings),
+    p, trace = _fit(dataset, relations, _hier_params(init), config, cluster_name)
+    classes = tuple(
+        ClassMixture(pi=p.pi[lo:hi], means=p.means[lo:hi], covs=p.covs[lo:hi])
+        for lo, hi in zip(offsets[:-1], offsets[1:])
     )
+    return HierModel(alpha=p.alpha, classes=classes), trace
+
+
+def _predict_batch(p: _Params, points) -> np.ndarray:
+    """Class-marginal posteriors of the rows of ``points`` → (N, M)."""
+    points = np.asarray(points, dtype=float)
+    dim = p.means.shape[1]
+    if points.ndim != 2 or points.shape[1] != dim:
+        raise DimensionMismatchError(
+            f"points have shape {points.shape}, expected (N, {dim})"
+        )
+    if not np.all(np.isfinite(points)):
+        raise NotFiniteError("points contain non-finite entries")
+    b, _ = _cluster_tables(p, points)
+    w = p.log_alpha + b
+    return np.exp(w - log_sum_exp(w, axis=1)[:, None])
 
 
 def predict_hier(model: HierModel, x) -> np.ndarray:
@@ -530,13 +805,4 @@ def predict_hier(model: HierModel, x) -> np.ndarray:
 
 def predict_hier_batch(model: HierModel, points) -> np.ndarray:
     """Row-wise class-marginal posteriors → (N, M) table."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != model.dim:
-        raise DimensionMismatchError(
-            f"points have shape {points.shape}, expected (N, {model.dim})"
-        )
-    if not np.all(np.isfinite(points)):
-        raise NotFiniteError("points contain non-finite entries")
-    _, b, _, log_alpha, _ = _cluster_tables(model, points)
-    w = log_alpha + b
-    return np.exp(w - log_sum_exp(w, axis=1)[:, None])
+    return _predict_batch(_hier_params(model), points)

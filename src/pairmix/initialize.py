@@ -71,14 +71,27 @@ def _nearest(points: np.ndarray, means: np.ndarray) -> np.ndarray:
     return np.argmin(d2, axis=1)
 
 
-def _assigned_moments(
-    points: np.ndarray, ridge_floor: float
+def _seeded_moments(
+    points: np.ndarray, seeds: np.ndarray, ridge_floor: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and regularized biased covariance of an assignment group."""
-    mean = points.mean(axis=0)
-    dev = points - mean
-    raw = dev.T @ dev / points.shape[0]
-    return mean, regularize_covariance(raw, scaled_ridge(raw, ridge_floor))
+    """Join every point to its nearest seed and read off each group's mean
+    and regularized biased covariance; an empty group keeps its seed and
+    gets a ``ridge_floor·I`` covariance."""
+    assign = _nearest(points, seeds)
+    k, d = seeds.shape
+    means = np.empty((k, d))
+    covs = np.empty((k, d, d))
+    for c in range(k):
+        group = points[assign == c]
+        if group.shape[0] == 0:
+            means[c] = seeds[c]
+            covs[c] = ridge_floor * np.eye(d)
+        else:
+            means[c] = group.mean(axis=0)
+            dev = group - means[c]
+            raw = dev.T @ dev / group.shape[0]
+            covs[c] = regularize_covariance(raw, scaled_ridge(raw, ridge_floor))
+    return means, covs
 
 
 def init_flat(
@@ -93,17 +106,7 @@ def init_flat(
     keeps its seed mean and gets a ``ridge_floor·I`` covariance.
     """
     seeds = kmeanspp_seeds(dataset, n_classes, rng)
-    assign = _nearest(dataset.points, seeds)
-    d = dataset.dim
-    means = np.empty((n_classes, d))
-    covs = np.empty((n_classes, d, d))
-    for m in range(n_classes):
-        members = dataset.points[assign == m]
-        if members.shape[0] == 0:
-            means[m] = seeds[m]
-            covs[m] = ridge_floor * np.eye(d)
-        else:
-            means[m], covs[m] = _assigned_moments(members, ridge_floor)
+    means, covs = _seeded_moments(dataset.points, seeds, ridge_floor)
     alpha = np.full(n_classes, 1.0 / n_classes)
     return FlatModel(alpha=alpha, means=means, covs=covs)
 
@@ -147,18 +150,8 @@ def init_hier(
             means = center + jitter * rng.standard_normal((k_m, d))
             covs = np.broadcast_to(ridge_floor * np.eye(d), (k_m, d, d)).copy()
         else:
-            sub = Dataset(points=members)
-            sub_seeds = kmeanspp_seeds(sub, k_m, rng)
-            sub_assign = _nearest(members, sub_seeds)
-            means = np.empty((k_m, d))
-            covs = np.empty((k_m, d, d))
-            for k in range(k_m):
-                group = members[sub_assign == k]
-                if group.shape[0] == 0:
-                    means[k] = sub_seeds[k]
-                    covs[k] = ridge_floor * np.eye(d)
-                else:
-                    means[k], covs[k] = _assigned_moments(group, ridge_floor)
+            sub_seeds = kmeanspp_seeds(Dataset(points=members), k_m, rng)
+            means, covs = _seeded_moments(members, sub_seeds, ridge_floor)
         classes.append(
             ClassMixture(pi=np.full(k_m, 1.0 / k_m), means=means, covs=covs)
         )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -101,9 +102,7 @@ def _run_one(
     config: FitConfig,
 ):
     rng = make_rng(seed)
-    flat = np.isscalar(clusters_per_class) and int(clusters_per_class) == 1
-    if not np.isscalar(clusters_per_class):
-        flat = all(int(c) == 1 for c in clusters_per_class)
+    flat = all(int(c) == 1 for c in np.atleast_1d(clusters_per_class))
     try:
         if flat:
             start = init_flat(dataset, n_classes, rng, config.ridge_floor)
@@ -161,22 +160,14 @@ def run_trials(
     reports = []
     for budget in budgets:
         seeds = tuple(trial_seed(base_seed, budget, t) for t in range(n_trials))
+        run = partial(
+            _run_one, dataset, n_classes, clusters_per_class, budget, mode, config=config
+        )
         if n_threads > 1:
             with ThreadPoolExecutor(max_workers=n_threads) as pool:
-                rows = list(
-                    pool.map(
-                        lambda s: _run_one(
-                            dataset, n_classes, clusters_per_class, budget, mode, s,
-                            config,
-                        ),
-                        seeds,
-                    )
-                )
+                rows = list(pool.map(run, seeds))
         else:
-            rows = [
-                _run_one(dataset, n_classes, clusters_per_class, budget, mode, s, config)
-                for s in seeds
-            ]
+            rows = [run(s) for s in seeds]
         reports.append(
             TrialReport(
                 budget=budget,

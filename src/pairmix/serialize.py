@@ -16,7 +16,7 @@ import json
 
 import numpy as np
 
-from .errors import InvariantViolationError, PairmixError, SchemaMismatchError
+from .errors import SchemaMismatchError
 from .types import ClassMixture, FlatModel, HierModel
 
 SCHEMA_VERSION = 1
@@ -101,14 +101,8 @@ def deserialize_model(doc: str) -> FlatModel | HierModel:
             raise SchemaMismatchError(
                 f"classes[{idx}].covs has shape {covs.shape}, expected ({pi.size}, {d}, {d})"
             )
-        try:
-            classes.append(ClassMixture(pi=pi, means=means, covs=covs))
-        except PairmixError:
-            raise
-    try:
-        hier = HierModel(alpha=np.asarray(alpha, dtype=float), classes=tuple(classes))
-    except PairmixError:
-        raise
+        classes.append(ClassMixture(pi=pi, means=means, covs=covs))
+    hier = HierModel(alpha=np.asarray(alpha, dtype=float), classes=tuple(classes))
     if kind == "flat":
         if not hier.is_flat_equivalent:
             raise SchemaMismatchError(

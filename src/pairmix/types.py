@@ -77,6 +77,33 @@ def _check_covariances(covs: np.ndarray, name: str) -> tuple[np.ndarray, np.ndar
     return chols, log_dets
 
 
+def _init_components(obj, weights_name: str, prefix: str) -> None:
+    """Validate and freeze the simplex weights ``obj.<weights_name>``, the
+    ``means`` and the ``covs`` of a stack of Gaussians, and cache their
+    Cholesky factors (``chols``) and log-determinants (``log_dets``).
+    ``prefix`` starts the names used in error messages."""
+    weights = np.asarray(getattr(obj, weights_name), dtype=float)
+    means = np.asarray(obj.means, dtype=float)
+    covs = np.asarray(obj.covs, dtype=float)
+    _check_simplex(weights, weights_name)
+    k = weights.size
+    if means.ndim != 2 or means.shape[0] != k:
+        raise InvariantViolationError(
+            f"{prefix}means must have shape ({k}, d), got {means.shape}"
+        )
+    d = means.shape[1]
+    if covs.shape != (k, d, d):
+        raise InvariantViolationError(
+            f"{prefix}covs must have shape ({k}, {d}, {d}), got {covs.shape}"
+        )
+    if not np.isfinite(means).all():
+        raise NotFiniteError(f"{prefix}means contain non-finite entries")
+    chols, log_dets = _check_covariances(covs, f"{prefix}covs")
+    for name, value in ((weights_name, weights), ("means", means), ("covs", covs),
+                        ("chols", chols), ("log_dets", log_dets)):
+        object.__setattr__(obj, name, _readonly(value))
+
+
 # ---------------------------------------------------------------------------
 # data
 
@@ -252,28 +279,7 @@ class FlatModel:
     log_dets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=float)
-        means = np.asarray(self.means, dtype=float)
-        covs = np.asarray(self.covs, dtype=float)
-        _check_simplex(alpha, "alpha")
-        m = alpha.size
-        if means.ndim != 2 or means.shape[0] != m:
-            raise InvariantViolationError(
-                f"means must have shape ({m}, d), got {means.shape}"
-            )
-        d = means.shape[1]
-        if covs.shape != (m, d, d):
-            raise InvariantViolationError(
-                f"covs must have shape ({m}, {d}, {d}), got {covs.shape}"
-            )
-        if not np.isfinite(means).all():
-            raise NotFiniteError("means contain non-finite entries")
-        chols, log_dets = _check_covariances(covs, "covs")
-        object.__setattr__(self, "alpha", _readonly(alpha))
-        object.__setattr__(self, "means", _readonly(means))
-        object.__setattr__(self, "covs", _readonly(covs))
-        object.__setattr__(self, "chols", _readonly(chols))
-        object.__setattr__(self, "log_dets", _readonly(log_dets))
+        _init_components(self, "alpha", "")
 
     @property
     def n_classes(self) -> int:
@@ -305,28 +311,7 @@ class ClassMixture:
     log_dets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pi = np.asarray(self.pi, dtype=float)
-        means = np.asarray(self.means, dtype=float)
-        covs = np.asarray(self.covs, dtype=float)
-        _check_simplex(pi, "pi")
-        k = pi.size
-        if means.ndim != 2 or means.shape[0] != k:
-            raise InvariantViolationError(
-                f"cluster means must have shape ({k}, d), got {means.shape}"
-            )
-        d = means.shape[1]
-        if covs.shape != (k, d, d):
-            raise InvariantViolationError(
-                f"cluster covs must have shape ({k}, {d}, {d}), got {covs.shape}"
-            )
-        if not np.isfinite(means).all():
-            raise NotFiniteError("cluster means contain non-finite entries")
-        chols, log_dets = _check_covariances(covs, "cluster covs")
-        object.__setattr__(self, "pi", _readonly(pi))
-        object.__setattr__(self, "means", _readonly(means))
-        object.__setattr__(self, "covs", _readonly(covs))
-        object.__setattr__(self, "chols", _readonly(chols))
-        object.__setattr__(self, "log_dets", _readonly(log_dets))
+        _init_components(self, "pi", "cluster ")
 
     @property
     def n_clusters(self) -> int:
@@ -430,17 +415,12 @@ class Responsibilities:
     cannot_joint: np.ndarray
 
     def __post_init__(self):
-        m = self.unsup.shape[-1] if self.unsup.ndim == 2 else None
         object.__setattr__(self, "unsup_indices", _readonly_int(self.unsup_indices))
-        object.__setattr__(self, "unsup", _readonly(self.unsup))
         object.__setattr__(self, "must_pairs", _readonly_int(self.must_pairs, (0, 2)))
-        object.__setattr__(self, "must", _readonly(self.must))
         object.__setattr__(self, "cannot_pairs", _readonly_int(self.cannot_pairs, (0, 2)))
-        object.__setattr__(self, "cannot_a", _readonly(self.cannot_a))
-        object.__setattr__(self, "cannot_b", _readonly(self.cannot_b))
-        object.__setattr__(self, "cannot_joint", _readonly(self.cannot_joint))
         for name in ("unsup", "must", "cannot_a", "cannot_b", "cannot_joint"):
-            arr = getattr(self, name)
+            arr = _readonly(getattr(self, name))
+            object.__setattr__(self, name, arr)
             if not np.all(np.isfinite(arr)):
                 raise NotFiniteError(f"{name} responsibilities are non-finite")
         _check_rows_normalized(self.unsup, "unsup")

@@ -1,5 +1,7 @@
 """Single-Gaussian-per-class model: E-step, M-step, likelihood, EM loop."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -355,6 +357,14 @@ def test_fit_recovers_empty_class():
     model, trace = fit_flat(ds, RelationSet(), 3, FitConfig(max_iters=40), init=init)
     assert any("reseed" in w or "empty" in w for w in trace.warnings)
     assert np.all(np.isfinite(model.means))
+    # a flat component is named by its class alone
+    assert any(
+        re.fullmatch(
+            r"iteration \d+: class 2 lost all responsibility mass; reseeded at point \d+", w
+        )
+        for w in trace.warnings
+    )
+    assert not any("cluster" in w for w in trace.warnings)
 
 
 def test_predict_matches_resp_unsupervised():

@@ -1,5 +1,7 @@
 """Two-level model: cluster-resolved E-step, M-step, reduction to flat."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -291,6 +293,48 @@ def test_fit_hier_mixed_cluster_counts():
     assert model.cluster_counts == (1, 3)
     lls = np.array(trace.log_likelihoods)
     assert np.all(np.diff(lls) >= -1e-8)
+
+
+def test_fit_hier_reseeds_empty_clusters():
+    # both clusters of class 1 start far from the data and attract nothing:
+    # the fit reseeds each at a data point, names it by cluster and class,
+    # and raises the class's vanished mixing count to exactly 1
+    rng = np.random.default_rng(513)
+    pts = np.vstack(
+        [
+            rng.normal(size=(25, 2)),
+            np.array([8.0, 8.0]) + 0.3 * rng.normal(size=(25, 2)),
+        ]
+    )
+    ds = Dataset(pts)
+    eye = np.eye(2)
+    init = HierModel(
+        alpha=np.array([0.5, 0.5]),
+        classes=(
+            ClassMixture(pi=np.ones(1), means=[[4.0, 4.0]], covs=[20.0 * eye]),
+            ClassMixture(
+                pi=np.array([0.5, 0.5]),
+                means=[[500.0, 500.0], [-500.0, 500.0]],
+                covs=[eye, eye],
+            ),
+        ),
+    )
+    model, trace = fit_hier(ds, RelationSet(), 2, (1, 2), FitConfig(max_iters=1), init=init)
+    assert len(trace.warnings) == 2
+    for k, warning in enumerate(trace.warnings):
+        assert re.fullmatch(
+            rf"iteration 1: cluster {k} of class 1 lost all responsibility mass; "
+            r"reseeded at point \d+",
+            warning,
+        )
+    # class counts: 50 points for class 0, the floor of 1 for class 1
+    np.testing.assert_allclose(model.alpha, [50.0 / 51.0, 1.0 / 51.0], rtol=1e-12)
+    np.testing.assert_array_equal(model.classes[1].pi, [0.5, 0.5])
+
+    model, trace = fit_hier(ds, RelationSet(), 2, (1, 2), FitConfig(max_iters=40), init=init)
+    for c in model.classes:
+        assert np.all(np.isfinite(c.means)) and np.all(np.isfinite(c.covs))
+    assert np.all(np.isfinite(trace.log_likelihoods))
 
 
 def test_fit_hier_rejects_too_many_clusters():

@@ -381,6 +381,29 @@ def test_cli_config_file_merge(workspace, tmp_path):
     assert len(trace.read_text().strip().split("\n")) == 3
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"max_iters": "abc"}, "config value 'abc' is not valid for 'max_iters'"),
+        ({"max_iter": 3}, "config key 'max_iter' is not an option of 'fit'"),
+    ],
+)
+def test_cli_config_bad_entry_exit_3(workspace, tmp_path, entry, message):
+    # a config value the flag would not parse, or a key that names no
+    # option of the command, is an input error: one error line, no output
+    root, data, rels = workspace
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    model = tmp_path / "m.json"
+    r = run_cli(
+        "fit", "--data", str(data), "--label-column", "label",
+        "--classes", "2", "--config", str(cfg), "--out", str(model),
+    )
+    assert r.returncode == 3
+    assert r.stderr == f"error: ParseError: {message}\n"
+    assert not model.exists()
+
+
 def test_cli_exit_code_2_usage():
     r = run_cli("fit", "--classes", "2")  # --data and --out missing
     assert r.returncode == 2
