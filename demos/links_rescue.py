@@ -26,7 +26,6 @@ from pairmix import (
     fit_flat,
     gen_synthetic,
     hard_assign,
-    log_likelihood,
     predict_flat_batch,
     purity,
 )
@@ -70,10 +69,11 @@ def best_restart(dataset, relations, rng, config):
     best, best_ll = None, -np.inf
     for _ in range(N_RESTARTS):
         try:
-            model, _ = fit_flat(
+            model, trace = fit_flat(
                 dataset, relations, 2, config, init=init_flat(dataset, 2, rng)
             )
-            ll = log_likelihood(model, dataset, relations)
+            # the last trace entry is the fitted model's log-likelihood
+            ll = trace.log_likelihoods[-1]
         except PairmixError:
             continue
         if ll > best_ll:

@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Commands: ``fit``, ``predict``, ``evaluate``, ``gen-relations``,
-``gen-data``, ``trials``, ``pca``.  Every command is deterministic given
-its seed flags (with ``--threads 1``), reads/writes the formats documented
+``gen-data``, ``trials``, ``pca``.  Every command runs serially and is
+deterministic given its seed flags, reads/writes the formats documented
 in the README, and on failure prints a single machine-parseable line
-``error: <ErrorName>: <detail>`` to stderr.
+``error: <ErrorName>: <detail>`` to stderr.  Every command accepts
+``--threads N`` so that existing scripts keep working, and ignores it.
 
 Exit codes: 0 success; 2 usage error; 3 invalid input (parse/validation);
 4 numerical failure; 5 filesystem error.
@@ -268,7 +269,6 @@ def _cmd_trials(args: argparse.Namespace) -> int:
         n_trials=int(opt.get("n_trials", 100)),
         base_seed=int(opt.get("base_seed", 0)),
         config=_fit_config(opt),
-        n_threads=int(opt.get("threads", 1)),
         csv_path=opt.get("out"),
     )
     for report in reports:
@@ -295,7 +295,7 @@ def _cmd_pca(args: argparse.Namespace) -> int:
 
 def _add_common(p: argparse.ArgumentParser, func) -> None:
     p.add_argument("--config", help="JSON file of default option values")
-    p.add_argument("--threads", type=int, help="parallel trial workers (default 1)")
+    p.add_argument("--threads", type=int, help="ignored; every command runs serially")
     # the flags a config file may set: every option of this command
     # except --config and --help
     p.set_defaults(func=func, config_actions=[
@@ -324,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", dest="max_iters", type=int)
     p.add_argument("--tol", type=float)
     p.add_argument("--ridge-floor", dest="ridge_floor", type=float)
-    p.add_argument("--mixing-iters", dest="mixing_iters", type=int)
     p.add_argument(
         "--count-linked-as-unsupervised",
         dest="count_linked_as_unsupervised",
@@ -373,11 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["both", "must-only", "cannot-only"])
     p.add_argument("--n-trials", dest="n_trials", type=int)
     p.add_argument("--base-seed", dest="base_seed", type=int)
-    p.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     p.add_argument("--max-iters", dest="max_iters", type=int)
     p.add_argument("--tol", type=float)
     p.add_argument("--ridge-floor", dest="ridge_floor", type=float)
-    p.add_argument("--mixing-iters", dest="mixing_iters", type=int)
     p.add_argument("--out", required=True)
     _add_common(p, _cmd_trials)
 

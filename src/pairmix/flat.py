@@ -125,7 +125,7 @@ def update_mean_cov(
     _, means, covs = _update_moments(
         dataset, relations, resp,
         (resp.unsup, resp.must, resp.must, resp.cannot_a, resp.cannot_b),
-        resp.n_classes, ridge_floor, EmptyClassError, shared_must=True,
+        resp.n_classes, ridge_floor, EmptyClassError,
     )
     return means, covs
 

@@ -206,19 +206,20 @@ def regularize_covariance_eps(
     floor = float(floor)
     if floor <= 0.0:
         raise InvariantViolationError(f"floor must be positive, got {floor!r}")
-    return _ridge_ladder(0.5 * (s + s.T), floor)
+    return _ridge_ladder(0.5 * (s + s.T), floor)[:2]
 
 
 def regularize_covariances(
     stack, rel_floor: float = DEFAULT_RIDGE
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`regularize_covariance_eps` for every matrix of a (C, d, d)
     stack, each with its scale-aware floor ``scaled_ridge(S_c, rel_floor)``.
 
-    Returns the regularized stack and the (C,) ridges.  One batched
-    Cholesky settles every matrix that needs no ridge; the rest climb the
-    ridge ladder one by one, with results identical to the single-matrix
-    function.
+    Returns the regularized stack, the (C,) ridges and the lower Cholesky
+    factors of the regularized matrices, the ones the pivot test accepted.
+    One batched Cholesky settles every matrix that needs no ridge; the rest
+    climb the ridge ladder one by one, with results identical to the
+    single-matrix function.
     """
     stack = np.asarray(stack, dtype=float)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
@@ -237,17 +238,21 @@ def regularize_covariances(
     eps = np.zeros(n)
     # the ladder's first rung, S + 0·I, for every matrix at once
     out = sym + eps[:, None, None] * np.eye(d)
+    chols = np.empty_like(out)
     try:
-        pivots = np.diagonal(np.linalg.cholesky(out), axis1=1, axis2=2)
+        chols = np.linalg.cholesky(out)
+        pivots = np.diagonal(chols, axis1=1, axis2=2)
         settled = (pivots**2 >= 0.5 * floors[:, None]).all(axis=1)
     except np.linalg.LinAlgError:
         settled = np.zeros(n, dtype=bool)
     for c in np.flatnonzero(~settled):
-        out[c], eps[c] = _ridge_ladder(sym[c], float(floors[c]))
-    return out, eps
+        out[c], eps[c], chols[c] = _ridge_ladder(sym[c], float(floors[c]))
+    return out, eps, chols
 
 
-def _ridge_ladder(sym: np.ndarray, floor: float) -> tuple[np.ndarray, float]:
+def _ridge_ladder(sym: np.ndarray, floor: float) -> tuple[np.ndarray, float, np.ndarray]:
+    """The first rung ``sym + εI`` whose pivots all clear ``floor/2``, its
+    ε and its lower Cholesky factor."""
     eye = np.eye(sym.shape[0])
     pivot_floor = 0.5 * floor
     eps = 0.0
@@ -256,7 +261,7 @@ def _ridge_ladder(sym: np.ndarray, floor: float) -> tuple[np.ndarray, float]:
         try:
             chol = np.linalg.cholesky(candidate)
             if (np.diag(chol) ** 2 >= pivot_floor).all():
-                return candidate, eps
+                return candidate, eps, chol
         except np.linalg.LinAlgError:
             pass
         eps = floor if eps == 0.0 else eps * 10.0

@@ -46,9 +46,7 @@ from .errors import (
 from .gaussian import (
     log_density_stack,
     log_sum_exp,
-    regularize_covariance,
     regularize_covariances,
-    scaled_ridge,
 )
 from .initialize import init_hier, make_rng
 from .mixing import mixing_objective, optimize_mixing
@@ -114,15 +112,14 @@ class FitConfig:
 
     ``tol`` is the relative log-likelihood change that counts as converged;
     ``ridge_floor`` the relative covariance ridge (scaled by mean variance);
-    ``mixing_iters`` the nominal Newton budget for the mixing-weight solver
-    (hard cap ``10 × mixing_iters``); ``seed`` drives initialization when no
-    explicit starting model is supplied.
+    ``seed`` drives initialization when no explicit starting model is
+    supplied; ``count_linked_as_unsupervised`` also counts relation members
+    as independent points (see :mod:`pairmix.flat`).
     """
 
     max_iters: int = 500
     tol: float = 1e-8
     ridge_floor: float = 1e-6
-    mixing_iters: int = 20
     seed: int = 0
     count_linked_as_unsupervised: bool = False
 
@@ -133,8 +130,6 @@ class FitConfig:
             raise InvariantViolationError("tol must be > 0")
         if not self.ridge_floor > 0:
             raise InvariantViolationError("ridge_floor must be > 0")
-        if self.mixing_iters < 1:
-            raise InvariantViolationError("mixing_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -206,13 +201,9 @@ def _hier_params(model: HierModel) -> _Params:
     )
 
 
-def _updated_params(p: _Params, alpha, pi, means, covs) -> _Params:
-    """``p`` with the parameters of a fit's M-step (``pi > 0``); one batched
-    Cholesky factors and checks every covariance."""
-    try:
-        chols = np.linalg.cholesky(covs)
-    except np.linalg.LinAlgError as exc:
-        raise InvariantViolationError(f"covs is not positive definite: {exc}") from exc
+def _updated_params(p: _Params, alpha, pi, means, covs, chols) -> _Params:
+    """``p`` with the parameters of a fit's M-step (``pi > 0``) and the
+    Cholesky factors of its covariances."""
     log_dets = 2.0 * np.log(np.diagonal(chols, axis1=-2, axis2=-1)).sum(axis=-1)
     return p._replace(
         alpha=alpha, log_alpha=_log(alpha), pi=pi, log_pi=np.log(pi),
@@ -477,34 +468,6 @@ def hier_mixing_counts(resp: HierResponsibilities) -> np.ndarray:
     )
 
 
-def _cluster_moments(plan: _RelationPlan, tables, total: int, shared_must: bool):
-    """Per-cluster weights, first moments, and the scatter terms.
-
-    ``tables`` are the cluster-level posteriors of the plan's point blocks
-    ``(xu, xi, xj, xa, xb)`` over ``total`` flattened clusters.  Each
-    must-link member carries its own weight, so a flat must-link pair
-    counts twice (two points, one shared weight).  With ``shared_must``
-    (one cluster per class) both members carry the same table ``w``, and
-    the pair enters the sums once, as ``2·w`` and ``w·(x_i + x_j)``: the
-    flat model's own order of operations.
-    """
-    unsup, must_i, must_j, cannot_a, cannot_b = tables
-    blocks = (plan.xu, plan.xi, plan.xj, plan.xa, plan.xb)
-    terms = [(pts, wts) for pts, wts in zip(blocks, tables) if pts.shape[0]]
-    if shared_must:
-        sums = [(plan.xu, unsup, 1.0), (plan.xi + plan.xj, must_i, 2.0),
-                (plan.xa, cannot_a, 1.0), (plan.xb, cannot_b, 1.0)]
-    else:
-        sums = [(pts, wts, 1.0) for pts, wts in zip(blocks, tables)]
-    weight = np.zeros(total)
-    first = np.zeros((total, plan.xu.shape[1]))
-    for pts, wts, count in sums:
-        if pts.shape[0]:
-            weight += count * wts.sum(axis=0)
-            first += wts.T @ pts
-    return weight, first, terms
-
-
 def _scatter_stack(terms, idx: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Weighted scatter matrices of components ``idx`` around ``centers``
     (one row per component) → (len(idx), d, d).
@@ -521,11 +484,41 @@ def _scatter_stack(terms, idx: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return total
 
 
-def _update_moments(dataset, relations, resp, tables, total, ridge_floor, empty_error,
-                    shared_must=False):
-    """Closed-form weights, means and covariances from a public
-    responsibilities value (``shared_must`` as in :func:`_cluster_moments`);
-    ``empty_error(c)`` is raised when cluster ``c``'s weight is ≤ ``Z_EPS``."""
+def _mstep(plan: _RelationPlan, tables, total: int, ridge_floor: float):
+    """Closed-form M-step from the cluster-level posteriors ``tables`` of
+    the plan's point blocks ``(xu, xi, xj, xa, xb)`` over ``total``
+    flattened clusters.  Each must-link member carries its own weight, so a
+    flat must-link pair counts twice (two points, one shared weight).
+
+    Returns ``(weight, empty, means, covs, chols, ridges)``: the weights,
+    the clusters whose weight is ≤ ``Z_EPS``, and the means, regularized
+    covariances, their Cholesky factors and ridges.  The rows of the empty
+    clusters are unset; the caller reseeds them or rejects the step.
+    """
+    blocks = (plan.xu, plan.xi, plan.xj, plan.xa, plan.xb)
+    terms = [(pts, wts) for pts, wts in zip(blocks, tables) if pts.shape[0]]
+    d = plan.xu.shape[1]
+    weight = np.zeros(total)
+    first = np.zeros((total, d))
+    for pts, wts in terms:
+        weight += wts.sum(axis=0)
+        first += wts.T @ pts
+    is_empty = weight <= Z_EPS
+    live = np.flatnonzero(~is_empty)
+    means = np.empty((total, d))
+    covs = np.empty((total, d, d))
+    chols = np.empty((total, d, d))
+    ridges = np.zeros(total)
+    means[live] = first[live] / weight[live, None]
+    raw = _scatter_stack(terms, live, means[live]) / weight[live, None, None]
+    covs[live], ridges[live], chols[live] = regularize_covariances(raw, ridge_floor)
+    return weight, np.flatnonzero(is_empty), means, covs, chols, ridges
+
+
+def _update_moments(dataset, relations, resp, tables, total, ridge_floor, empty_error):
+    """:func:`_mstep` from a public responsibilities value: weights, means
+    and covariances; ``empty_error(c)`` is raised when cluster ``c``'s
+    weight is ≤ ``Z_EPS``."""
     if len(resp.must_pairs) != len(relations.must) or len(resp.cannot_pairs) != len(
         relations.cannot
     ):
@@ -533,13 +526,9 @@ def _update_moments(dataset, relations, resp, tables, total, ridge_floor, empty_
     plan = _gather_plan(
         dataset.points, resp.unsup_indices, resp.must_pairs, resp.cannot_pairs
     )
-    weight, first, terms = _cluster_moments(plan, tables, total, shared_must)
-    empty = np.flatnonzero(weight <= Z_EPS)
+    weight, empty, means, covs, _, _ = _mstep(plan, tables, total, ridge_floor)
     if empty.size:
         raise empty_error(int(empty[0]))
-    means = first / weight[:, None]
-    raw = _scatter_stack(terms, np.arange(total), means) / weight[:, None, None]
-    covs, _ = regularize_covariances(raw, ridge_floor)
     return weight, means, covs
 
 
@@ -604,17 +593,17 @@ def log_likelihood_hier(
 # fit loop
 
 
-def _pooled_covariance(dataset: Dataset, ridge_floor: float) -> np.ndarray:
+def _pooled_covariance(dataset: Dataset, ridge_floor: float):
+    """The regularized pooled data covariance and its Cholesky factor."""
     dev = dataset.points - dataset.points.mean(axis=0)
-    raw = dev.T @ dev / dataset.n
-    return regularize_covariance(raw, scaled_ridge(raw, ridge_floor))
+    covs, _, chols = regularize_covariances((dev.T @ dev / dataset.n)[None], ridge_floor)
+    return covs[0], chols[0]
 
 
 def _safeguarded_mixing(
     counts: np.ndarray,
     n_cannot: int,
     alpha_old: np.ndarray,
-    max_steps: int,
     warnings: list[str],
     iteration: int,
 ) -> np.ndarray:
@@ -623,7 +612,7 @@ def _safeguarded_mixing(
     f_old = mixing_objective(alpha_old, counts, n_cannot) if n_cannot else None
     for start in (None, alpha_old):
         try:
-            alpha = optimize_mixing(counts, n_cannot, start, max_steps=max_steps)
+            alpha = optimize_mixing(counts, n_cannot, start)
         except NoConvergenceError:
             continue
         if f_old is None or mixing_objective(alpha, counts, n_cannot) >= f_old:
@@ -641,7 +630,7 @@ def _fit(dataset: Dataset, relations: RelationSet, p: _Params, config: FitConfig
     plan = _relation_plan(dataset, relations, config.count_linked_as_unsupervised)
     offsets, class_of = p.offsets, p.class_of
     bounds = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
-    total, d = class_of.size, dataset.dim
+    total = class_of.size
     one_cluster = total == len(bounds)
     warnings: list[str] = []
     # each E-step also yields the log-likelihood of the model it starts from
@@ -651,25 +640,17 @@ def _fit(dataset: Dataset, relations: RelationSet, p: _Params, config: FitConfig
     n_iters = 0
 
     for iteration in range(1, config.max_iters + 1):
-        weight, first, terms = _cluster_moments(
+        weight, empty, means, covs, chols, ridges = _mstep(
             plan, (e.unsup, e.must_i, e.must_j, e.cannot_a, e.cannot_b), total,
-            shared_must=one_cluster,
+            config.ridge_floor,
         )
         class_counts = _class_counts(
             e.unsup, e.must_class, e.cannot_a_class, e.cannot_b_class, offsets
         )
-
-        is_empty = weight <= Z_EPS
-        empty, live = np.flatnonzero(is_empty), np.flatnonzero(~is_empty)
-        means = np.empty((total, d))
-        covs = np.empty((total, d, d))
-        means[live] = first[live] / weight[live, None]
-        raw = _scatter_stack(terms, live, means[live]) / weight[live, None, None]
-        covs[live], ridges = regularize_covariances(raw, config.ridge_floor)
         # warnings keyed by flattened cluster, reported in (class, cluster) order
         notes = {
             c: f"covariance of {name_of(c)} was degenerate; ridged by {r:.2e}"
-            for c, r in zip(live.tolist(), ridges.tolist())
+            for c, r in enumerate(ridges.tolist())
             if r > 0.0
         }
         if empty.size:
@@ -679,11 +660,11 @@ def _fit(dataset: Dataset, relations: RelationSet, p: _Params, config: FitConfig
             marg = np.exp(w_all - log_sum_exp(w_all, axis=1)[:, None])
             claimed = (marg if e.r is None else marg[:, class_of] * e.r).max(axis=1)
             order = np.argsort(claimed)
-            pooled = _pooled_covariance(dataset, config.ridge_floor)
+            pooled, pooled_chol = _pooled_covariance(dataset, config.ridge_floor)
             for rank, c in enumerate(empty.tolist()):
                 target = int(order[rank % order.size])
                 means[c] = dataset.points[target]
-                covs[c] = pooled
+                covs[c], chols[c] = pooled, pooled_chol
                 weight[c] = 1.0
                 notes[c] = (
                     f"{name_of(c)} lost all responsibility mass; "
@@ -696,10 +677,9 @@ def _fit(dataset: Dataset, relations: RelationSet, p: _Params, config: FitConfig
         pi = weight / (weight if one_cluster else
                        np.array([weight[lo:hi].sum() for lo, hi in bounds])[class_of])
         alpha = _safeguarded_mixing(
-            class_counts, relations.n_cannot, p.alpha,
-            config.mixing_iters * 10, warnings, iteration,
+            class_counts, relations.n_cannot, p.alpha, warnings, iteration
         )
-        p = _updated_params(p, alpha, pi, means, covs)
+        p = _updated_params(p, alpha, pi, means, covs, chols)
 
         e = _estep(p, dataset.points, plan)
         ll_prev, ll = trace[-1], e.log_likelihood

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -137,14 +135,13 @@ def run_trials(
     base_seed: int = 0,
     config: FitConfig | None = None,
     *,
-    n_threads: int = 1,
     csv_path=None,
 ) -> list[TrialReport]:
     """Repeated (init, sample-relations, fit, purity) pipelines per budget.
 
     Every trial owns a child seed derived from ``(base_seed, budget,
-    trial_index)``, so results do not depend on scheduling; failed trials
-    are recorded as missing values without aborting the sweep.  When
+    trial_index)``, so its result does not depend on the other trials; failed
+    trials are recorded as missing values without aborting the sweep.  When
     ``csv_path`` is given the sweep is also written as CSV (one row per
     trial: budget, trial_index, seed, purity, iterations, converged).
     """
@@ -160,14 +157,10 @@ def run_trials(
     reports = []
     for budget in budgets:
         seeds = tuple(trial_seed(base_seed, budget, t) for t in range(n_trials))
-        run = partial(
-            _run_one, dataset, n_classes, clusters_per_class, budget, mode, config=config
-        )
-        if n_threads > 1:
-            with ThreadPoolExecutor(max_workers=n_threads) as pool:
-                rows = list(pool.map(run, seeds))
-        else:
-            rows = [run(s) for s in seeds]
+        rows = [
+            _run_one(dataset, n_classes, clusters_per_class, budget, mode, s, config)
+            for s in seeds
+        ]
         reports.append(
             TrialReport(
                 budget=budget,

@@ -194,12 +194,20 @@ def test_regularize_stack_matches_single_matrix():
         a @ a.T + np.diag([0.0, 1e-3, 0.0]),   # asymmetric below
     ])
     stack[4, 0, 1] += 1e-4
-    out, eps = regularize_covariances(stack, 1e-6)
+    out, eps, chols = regularize_covariances(stack, 1e-6)
     for c in range(stack.shape[0]):
         want, want_eps = regularize_covariance_eps(stack[c], scaled_ridge(stack[c], 1e-6))
         np.testing.assert_array_equal(out[c], want)
         assert eps[c] == want_eps
+        # the factor the pivot test accepted, bit for bit
+        np.testing.assert_array_equal(chols[c], np.linalg.cholesky(out[c]))
     assert np.count_nonzero(eps) == 3
+    # a stack the one batched Cholesky settles returns that call's factors
+    healthy, healthy_eps, healthy_chols = regularize_covariances(stack[[0, 4]], 1e-6)
+    assert not healthy_eps.any()
+    np.testing.assert_array_equal(healthy, out[[0, 4]])
+    for c in range(2):
+        np.testing.assert_array_equal(healthy_chols[c], np.linalg.cholesky(healthy[c]))
     with pytest.raises(DimensionMismatchError):
         regularize_covariances(np.zeros((2, 3)))
     with pytest.raises(NotFiniteError):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from pairmix import (
     save_dataset_csv,
     save_relations,
 )
+from pairmix.cli import build_parser
 from pairmix.io import atomic_write_text, save_posteriors_csv, save_trace_csv
 
 
@@ -341,6 +343,23 @@ def test_cli_trials_command(workspace, tmp_path):
     assert r.stdout.count("budget=") == 2
 
 
+def test_cli_trials_threads_flag_does_not_change_output(workspace, tmp_path):
+    # --threads still parses but is ignored: the sweep file is the same bytes
+    root, data, rels = workspace
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"sweep_{threads}.csv"
+        r = run_cli(
+            "trials", "--data", str(data), "--label-column", "label",
+            "--classes", "2", "--budgets", "0,4", "--n-trials", "3",
+            "--base-seed", "2", "--max-iters", "40", "--threads", threads,
+            "--out", str(out),
+        )
+        assert r.returncode == 0, r.stderr
+        outs.append((out.read_bytes(), r.stdout))
+    assert outs[0] == outs[1]
+
+
 def test_cli_pca_command(workspace, tmp_path):
     root, data, rels = workspace
     out_data = tmp_path / "proj.csv"
@@ -386,6 +405,7 @@ def test_cli_config_file_merge(workspace, tmp_path):
     [
         ({"max_iters": "abc"}, "config value 'abc' is not valid for 'max_iters'"),
         ({"max_iter": 3}, "config key 'max_iter' is not an option of 'fit'"),
+        ({"mixing_iters": 20}, "config key 'mixing_iters' is not an option of 'fit'"),
     ],
 )
 def test_cli_config_bad_entry_exit_3(workspace, tmp_path, entry, message):
@@ -402,6 +422,32 @@ def test_cli_config_bad_entry_exit_3(workspace, tmp_path, entry, message):
     assert r.returncode == 3
     assert r.stderr == f"error: ParseError: {message}\n"
     assert not model.exists()
+
+
+def test_cli_fit_has_an_option_for_every_fit_config_field(workspace, tmp_path):
+    # the CLI builds FitConfig field by field from same-named options and
+    # falls back to the default for a field with none, so each needs a flag
+    ns = build_parser().parse_args(["fit", "--data", "d", "--classes", "2", "--out", "o"])
+    options = {a.dest for a in ns.config_actions}
+    assert {f.name for f in fields(FitConfig)} <= options
+    root, data, rels = workspace
+    r = run_cli(
+        "fit", "--data", str(data), "--classes", "2", "--mixing-iters", "20",
+        "--out", str(tmp_path / "m.json"),
+    )
+    assert r.returncode == 2
+    # trials seeds every trial itself and takes no --seed, on the command
+    # line or in a config file
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 1}))
+    trials = ["trials", "--data", str(data), "--label-column", "label",
+              "--classes", "2", "--budgets", "0", "--out", str(tmp_path / "t.csv")]
+    r = run_cli(*trials, "--seed", "1")
+    assert r.returncode == 2
+    r = run_cli(*trials, "--config", str(cfg))
+    assert r.returncode == 3
+    assert r.stderr == "error: ParseError: config key 'seed' is not an option of 'trials'\n"
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_cli_exit_code_2_usage():

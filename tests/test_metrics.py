@@ -90,18 +90,6 @@ def test_run_trials_basic_report():
         assert r.errors == ("",) * 5
 
 
-def test_run_trials_thread_count_does_not_change_results():
-    ds = small_dataset()
-    cfg = FitConfig(max_iters=40)
-    serial = run_trials(ds, 2, 1, [6], n_trials=6, base_seed=3, config=cfg)
-    threaded = run_trials(
-        ds, 2, 1, [6], n_trials=6, base_seed=3, config=cfg, n_threads=4
-    )
-    np.testing.assert_array_equal(serial[0].purities, threaded[0].purities)
-    np.testing.assert_array_equal(serial[0].iterations, threaded[0].iterations)
-    assert serial[0].seeds == threaded[0].seeds
-
-
 def test_run_trials_per_trial_seeds_are_stable():
     # adding trials extends the seed list without changing earlier entries
     ds = small_dataset()
