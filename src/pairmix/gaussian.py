@@ -2,7 +2,7 @@
 
 Everything here works in log space; densities are exponentiated only after
 normalization by the callers.  Covariances are handled through Cholesky
-factors and triangular solves — the inverse is never formed.
+factors ``L``; every density is ``‖L⁻¹(x-μ)‖²`` from :func:`log_density_stack`.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dtrtrs
 
 from .errors import (
     DimensionMismatchError,
@@ -80,7 +78,7 @@ class CholeskyGaussian:
 
 
 def log_density(g: CholeskyGaussian, x) -> float:
-    """Gaussian log-density via triangular solve.
+    """Gaussian log-density of one point.
 
     Returns ``-d/2 log(2π) - 1/2 log|Σ| - 1/2 (x-μ)ᵀ Σ⁻¹ (x-μ)`` where the
     quadratic form is ``‖L⁻¹(x-μ)‖²`` for the stored factor ``L``.
@@ -90,9 +88,7 @@ def log_density(g: CholeskyGaussian, x) -> float:
         raise DimensionMismatchError(f"x has shape {x.shape}, expected ({g.dim},)")
     if not np.all(np.isfinite(x)):
         raise NotFiniteError("x contains non-finite entries")
-    z = solve_triangular(g.chol, x - g.mean, lower=True, check_finite=False)
-    quad = float(z @ z)
-    return -0.5 * (g.dim * LOG_2PI + g.log_det + quad)
+    return float(log_density_batch(g, x[None, :])[0])
 
 
 def log_density_batch(g: CholeskyGaussian, points: np.ndarray) -> np.ndarray:
@@ -102,9 +98,7 @@ def log_density_batch(g: CholeskyGaussian, points: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"points have shape {points.shape}, expected (N, {g.dim})"
         )
-    z = solve_triangular(g.chol, (points - g.mean).T, lower=True, check_finite=False)
-    quad = np.einsum("dn,dn->n", z, z)
-    return -0.5 * (g.dim * LOG_2PI + g.log_det + quad)
+    return log_density_stack(points, g.mean[None], g.chol[None], [g.log_det])[:, 0]
 
 
 def log_density_stack(
@@ -116,23 +110,21 @@ def log_density_stack(
     """Log-densities of N points under a stack of C Gaussians → (N, C).
 
     ``means`` is (C, d), ``chols`` (C, d, d) lower factors, ``log_dets`` (C,).
-    Each triangular solve goes straight to LAPACK ``dtrtrs``; the factor is
-    passed as its transpose (an upper factor in Fortran order), exactly as
-    :func:`scipy.linalg.solve_triangular` does for a C-ordered lower factor.
+    One batched inverse gives every ``L_c⁻¹``; the quadratic form is the
+    row-wise squared norm of ``(X - μ_c) L_c⁻ᵀ``, one component at a time so
+    that no temporary is larger than the (N, d) points.
     """
     points = np.asarray(points, dtype=float)
     n, d = points.shape
     c = means.shape[0]
     quad = np.empty((n, c))
-    if n == 0:
-        return quad
+    try:
+        inv_t = np.linalg.inv(chols).swapaxes(1, 2)
+    except np.linalg.LinAlgError as exc:
+        raise InvariantViolationError(f"Cholesky factor is singular: {exc}") from exc
     for m in range(c):
-        z, info = dtrtrs(chols[m].T, (points - means[m]).T, lower=0, trans=1)
-        if info != 0:
-            raise InvariantViolationError(
-                f"triangular solve failed for component {m} (LAPACK info {info})"
-            )
-        quad[:, m] = np.einsum("dn,dn->n", z, z)
+        z = (points - means[m]) @ inv_t[m]
+        quad[:, m] = np.einsum("nd,nd->n", z, z)
     return -0.5 * ((d * LOG_2PI + np.asarray(log_dets, dtype=float)) + quad)
 
 

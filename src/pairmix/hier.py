@@ -95,15 +95,21 @@ def cannotlink_prior(alpha) -> CannotLinkPrior:
         )
     if not np.isfinite(alpha).all():
         raise NotFiniteError("alpha contains non-finite entries")
+    norm = _cannot_norm(alpha)
+    table = np.outer(alpha, alpha) / norm
+    np.fill_diagonal(table, 0.0)
+    return CannotLinkPrior(table=table, norm=norm)
+
+
+def _cannot_norm(alpha: np.ndarray) -> float:
+    """The pair prior's normalizer ``1 − Σ_m α_m²``, which must clear 1e-12."""
     norm = 1.0 - float(alpha @ alpha)
     if norm <= 1e-12:
         raise DegenerateNormalizerError(
             f"cannot-link prior normalizer {norm!r} is not positive; "
             "mixing weights are concentrated on a single class"
         )
-    table = np.outer(alpha, alpha) / norm
-    np.fill_diagonal(table, 0.0)
-    return CannotLinkPrior(table=table, norm=norm)
+    return norm
 
 
 @dataclass(frozen=True)
@@ -335,8 +341,11 @@ def _estep(p: _Params, points: np.ndarray, plan: _RelationPlan) -> _EStep:
 
     a_idx, b_idx = plan.cannot_pairs[:, 0], plan.cannot_pairs[:, 1]
     if a_idx.size:
+        # log cannotlink_prior(alpha).table, from the carried log α
+        log_prior = p.log_alpha[:, None] + p.log_alpha - np.log(_cannot_norm(p.alpha))
+        np.fill_diagonal(log_prior, -np.inf)
         w = (
-            _log(cannotlink_prior(p.alpha).table)[None, :, :]
+            log_prior[None, :, :]
             + b[a_idx][:, :, None]
             + b[b_idx][:, None, :]
         )

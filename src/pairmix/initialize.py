@@ -22,7 +22,7 @@ from .errors import (
     InvariantViolationError,
     KTooLargeError,
 )
-from .gaussian import regularize_covariance, scaled_ridge
+from .gaussian import regularize_covariances
 from .types import ClassMixture, Dataset, FlatModel, HierModel, RelationSet
 
 
@@ -79,18 +79,15 @@ def _seeded_moments(
     gets a ``ridge_floor·I`` covariance."""
     assign = _nearest(points, seeds)
     k, d = seeds.shape
-    means = np.empty((k, d))
-    covs = np.empty((k, d, d))
-    for c in range(k):
+    means = seeds.copy()
+    covs = np.broadcast_to(ridge_floor * np.eye(d), (k, d, d)).copy()
+    filled = np.bincount(assign, minlength=k) > 0
+    for c in np.flatnonzero(filled):
         group = points[assign == c]
-        if group.shape[0] == 0:
-            means[c] = seeds[c]
-            covs[c] = ridge_floor * np.eye(d)
-        else:
-            means[c] = group.mean(axis=0)
-            dev = group - means[c]
-            raw = dev.T @ dev / group.shape[0]
-            covs[c] = regularize_covariance(raw, scaled_ridge(raw, ridge_floor))
+        means[c] = group.mean(axis=0)
+        dev = group - means[c]
+        covs[c] = dev.T @ dev / group.shape[0]
+    covs[filled] = regularize_covariances(covs[filled], ridge_floor)[0]
     return means, covs
 
 

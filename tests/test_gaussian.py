@@ -52,24 +52,36 @@ def test_log_density_batch_rows_match_single():
     batch = log_density_batch(g, pts)
     for i in range(40):
         assert abs(batch[i] - log_density(g, pts[i])) < 1e-13
+        assert abs(batch[i] - dense_logpdf(pts[i], g.mean, g.chol @ g.chol.T)) < 1e-12
 
 
 def test_log_density_stack_matches_per_class():
+    # every component against the dense oracle, for d = 1..16; the last
+    # component is rank-deficient, so regularize_covariances ridges it.  Its
+    # floor of 1e-4 keeps that matrix conditioned near 1e5: at the fits'
+    # 1e-6, factoring it alone moves log p by about 1e-10 relative, in the
+    # oracle and the kernel alike
     rng = np.random.default_rng(103)
-    d, m, n = 3, 4, 25
-    means = rng.normal(size=(m, d))
-    covs = np.empty((m, d, d))
-    for k in range(m):
-        a = rng.normal(size=(d, d))
-        covs[k] = a @ a.T + 0.5 * np.eye(d)
-    chols = np.linalg.cholesky(covs)
-    log_dets = 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
-    pts = rng.normal(size=(n, d))
-    stack = log_density_stack(pts, means, chols, log_dets)
-    assert stack.shape == (n, m)
-    for k in range(m):
-        g = CholeskyGaussian.from_covariance(means[k], covs[k])
-        np.testing.assert_allclose(stack[:, k], log_density_batch(g, pts), atol=1e-12)
+    n = 25
+    for d in range(1, 17):
+        m = 2 + d % 3
+        raws = np.empty((m, d, d))
+        for k in range(m - 1):
+            a = rng.normal(size=(d, d))
+            raws[k] = a @ a.T + 0.5 * np.eye(d)
+        a = rng.normal(size=(d, d - 1))
+        raws[-1] = a @ a.T
+        covs, eps, chols = regularize_covariances(raws, 1e-4)
+        assert eps[-1] > 0.0
+        log_dets = 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
+        means = rng.normal(size=(m, d))
+        pts = rng.normal(size=(n, d)) * 3.0
+        stack = log_density_stack(pts, means, chols, log_dets)
+        assert stack.shape == (n, m)
+        for k in range(m):
+            for i in range(n):
+                want = dense_logpdf(pts[i], means[k], covs[k])
+                assert abs(stack[i, k] - want) <= 1e-10 * max(1.0, abs(want))
 
 
 def test_log_density_never_overflows_far_from_mean():

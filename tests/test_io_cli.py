@@ -504,3 +504,17 @@ def test_cli_version():
     r = run_cli("--version")
     assert r.returncode == 0
     assert r.stdout.startswith("pairmix ")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # the package depends on numpy alone; scipy's import would double the
+    # start-up time of every CLI command
+    r = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pairmix.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+        capture_output=True,
+        text=True,
+        env=package_env(),
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
