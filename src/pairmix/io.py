@@ -1,17 +1,21 @@
 """File ingestion and emission: CSV datasets, relation files, result CSVs.
 
-All indices in files are 0-based.  Writers go through a temp-file +
-atomic-rename path so malformed runs never leave partial outputs, and
-floats are rendered with ``repr`` so identical inputs produce byte-identical
-files.
+All indices in files are 0-based.  A dataset CSV is read in one
+``np.loadtxt`` pass; the line-by-line strict parser is the reference for
+its result and runs whenever that pass cannot vouch for it, so every parse
+error (class, message, line and column) comes from the strict parser.
+Writers go through a temp-file + atomic-rename path so malformed runs never
+leave partial outputs, and floats are rendered with ``repr``, row by row,
+so identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import csv
-import io as _io
+import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -21,6 +25,9 @@ from .errors import (
     RaggedRowsError,
 )
 from .types import Dataset, RelationSet, validate_relations
+
+# A label cell must read as an integer of smaller magnitude (int64 range).
+_LABEL_LIMIT = 2.0**63
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -49,11 +56,38 @@ def _parse_float(cell: str, line_no: int, col: int) -> float:
 
 def _parse_label(cell: str, line_no: int, col: int) -> int:
     value = _parse_float(cell, line_no, col)
-    if value != int(value):
+    if not (math.isfinite(value) and abs(value) < _LABEL_LIMIT and value == int(value)):
         raise ParseError(
             f"line {line_no}, column {col}: label {cell!r} is not an integer"
         )
     return int(value)
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _label_index(label_column, header: list[str] | None, width: int) -> int | None:
+    if label_column is None:
+        return None
+    if isinstance(label_column, str) and not label_column.isdigit():
+        if header is None:
+            raise ParseError(
+                f"label column {label_column!r} given but the file has no header"
+            )
+        if label_column not in header:
+            raise ParseError(
+                f"label column {label_column!r} not in header {header}"
+            )
+        return header.index(label_column)
+    label_idx = int(label_column)
+    if not 0 <= label_idx < width:
+        raise ParseError(f"label column index {label_idx} outside [0, {width})")
+    return label_idx
 
 
 def load_csv(path, label_column=None) -> Dataset:
@@ -61,8 +95,76 @@ def load_csv(path, label_column=None) -> Dataset:
 
     ``label_column`` may be a 0-based column index or a header name (the
     latter requires a header row).  A header is detected when any cell of
-    the first row fails to parse as a number.
+    the first non-blank row fails to parse as a number.  Cells are read as
+    Python's ``float()`` reads them; a label cell must be a finite integer
+    below 2**63 in magnitude (``1`` and ``1.0`` both read as 1).
+
+    The body is parsed in one streaming ``np.loadtxt`` pass.  Whenever that
+    pass cannot vouch for its result (any error or warning, a column count
+    other than the header row's, a label that breaks the rule above, a quote
+    up to the header row), the file is parsed again line by line by the
+    strict parser, which returns the same dataset bit for bit or raises the
+    documented error with its line and column.  ``#`` starts no comment.
     """
+    fast = _load_csv_fast(path, label_column)
+    if fast is not None:
+        points, labels = fast
+    else:
+        points, labels = _load_csv_strict(path, label_column)
+    return Dataset(points=points, labels=labels)
+
+
+def _first_row(path) -> tuple[int, list[str]] | None:
+    """Lines before the first non-blank line, and that line's cells; None
+    when a quote could make the csv module split or count them otherwise."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for skipped, line in enumerate(fh):
+            if '"' in line:
+                return None
+            cells = line.rstrip("\r\n").split(",")
+            if any(c.strip() for c in cells):
+                return skipped, cells
+    return None
+
+
+def _load_csv_fast(path, label_column):
+    """``(points, labels)`` bit for bit as the strict parser returns them,
+    or None when the strict parser must decide."""
+    try:
+        head = _first_row(path)
+        if head is None:
+            return None
+        skipped, first = head
+        header = None if all(map(_is_number, first)) else [c.strip() for c in first]
+        width = len(first)
+        label_idx = _label_index(label_column, header, width)
+        # A file handle, not the path: np.loadtxt would open a path through
+        # numpy's DataSource, which decompresses by file extension and
+        # fetches URLs.  The handle splits lines as the strict parser's does.
+        with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                fh, delimiter=",", comments=None, quotechar='"',
+                skiprows=skipped + (header is not None), ndmin=2, dtype=float,
+            )
+    except (OSError, ValueError, ParseError, Warning):
+        return None
+    if table.shape[0] == 0 or table.shape[1] != width:
+        return None
+    if label_idx is None:
+        return table, None
+    if width == 1:
+        return None
+    labels = table[:, label_idx]
+    if not np.all(np.isfinite(labels) & (np.abs(labels) < _LABEL_LIMIT)
+                  & (labels == np.trunc(labels))):
+        return None
+    return np.delete(table, label_idx, axis=1), labels.astype(np.int64)
+
+
+def _load_csv_strict(path, label_column):
+    """The line-by-line parser: the reference for every result and the only
+    code that raises a parse error."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh))]
     rows = [(no, row) for no, row in rows if row and any(c.strip() for c in row)]
@@ -78,38 +180,13 @@ def load_csv(path, label_column=None) -> Dataset:
 
     header: list[str] | None = None
     first = rows[0][1]
-    numeric_first = True
-    for cell in first:
-        try:
-            float(cell)
-        except ValueError:
-            numeric_first = False
-            break
-    if not numeric_first:
+    if not all(map(_is_number, first)):
         header = [c.strip() for c in first]
         rows = rows[1:]
         if not rows:
             raise ParseError(f"{path}: header but no data rows")
 
-    label_idx: int | None = None
-    if label_column is not None:
-        if isinstance(label_column, str) and not label_column.isdigit():
-            if header is None:
-                raise ParseError(
-                    f"label column {label_column!r} given but the file has no header"
-                )
-            if label_column not in header:
-                raise ParseError(
-                    f"label column {label_column!r} not in header {header}"
-                )
-            label_idx = header.index(label_column)
-        else:
-            label_idx = int(label_column)
-            if not 0 <= label_idx < width:
-                raise ParseError(
-                    f"label column index {label_idx} outside [0, {width})"
-                )
-
+    label_idx = _label_index(label_column, header, width)
     feature_cols = [c for c in range(width) if c != label_idx]
     if not feature_cols:
         raise ParseError("no feature columns remain after removing the label column")
@@ -120,22 +197,17 @@ def load_csv(path, label_column=None) -> Dataset:
             points[r, c_out] = _parse_float(row[c_in].strip(), no, c_in)
         if labels is not None:
             labels[r] = _parse_label(row[label_idx].strip(), no, label_idx)
-    return Dataset(points=points, labels=labels)
+    return points, labels
 
 
 def save_dataset_csv(dataset: Dataset, path, label_name: str = "label") -> None:
     """Write a dataset as CSV with an ``x0..x{d-1}`` header (+ label column)."""
-    buf = _io.StringIO()
     cols = [f"x{i}" for i in range(dataset.dim)]
+    rows = (",".join(map(repr, row)) for row in dataset.points.tolist())
     if dataset.labels is not None:
         cols.append(label_name)
-    buf.write(",".join(cols) + "\n")
-    for r in range(dataset.n):
-        cells = [repr(float(v)) for v in dataset.points[r]]
-        if dataset.labels is not None:
-            cells.append(str(int(dataset.labels[r])))
-        buf.write(",".join(cells) + "\n")
-    atomic_write_text(path, buf.getvalue())
+        rows = (f"{row},{label}" for row, label in zip(rows, dataset.labels.tolist()))
+    atomic_write_text(path, "\n".join([",".join(cols), *rows]) + "\n")
 
 
 def load_relations(path) -> RelationSet:
@@ -191,14 +263,13 @@ def save_posteriors_csv(posteriors: np.ndarray, path) -> None:
     hard assignment column ``assigned``."""
     posteriors = np.asarray(posteriors, dtype=float)
     m = posteriors.shape[1]
-    buf = _io.StringIO()
-    buf.write(",".join([f"p{k}" for k in range(m)] + ["assigned"]) + "\n")
-    hard = np.argmax(posteriors, axis=1)
-    for r in range(posteriors.shape[0]):
-        cells = [repr(float(v)) for v in posteriors[r]]
-        cells.append(str(int(hard[r])))
-        buf.write(",".join(cells) + "\n")
-    atomic_write_text(path, buf.getvalue())
+    header = ",".join([f"p{k}" for k in range(m)] + ["assigned"])
+    hard = np.argmax(posteriors, axis=1).tolist()
+    rows = (
+        f"{','.join(map(repr, row))},{k}"
+        for row, k in zip(posteriors.tolist(), hard)
+    )
+    atomic_write_text(path, "\n".join([header, *rows]) + "\n")
 
 
 def save_trace_csv(trace, path) -> None:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -28,7 +29,13 @@ from pairmix import (
     save_relations,
 )
 from pairmix.cli import build_parser
-from pairmix.io import atomic_write_text, save_posteriors_csv, save_trace_csv
+from pairmix.io import (
+    _load_csv_fast,
+    _load_csv_strict,
+    atomic_write_text,
+    save_posteriors_csv,
+    save_trace_csv,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +132,168 @@ def test_dataset_csv_round_trip_exact(tmp_path):
     back2 = load_csv(q)
     np.testing.assert_array_equal(back2.points, unlabeled.points)
     assert back2.labels is None
+
+
+def test_load_csv_rejects_non_finite_and_out_of_range_labels(tmp_path):
+    p = tmp_path / "l.csv"
+    for cell in ("nan", "inf", "-inf", "1e30", "9223372036854775808"):
+        p.write_text(f"x,label\n1,0\n2,{cell}\n")
+        with pytest.raises(ParseError) as info:
+            load_csv(p, label_column="label")
+        assert str(info.value) == f"line 3, column 1: label {cell!r} is not an integer"
+
+
+# (file text, label column): each file is read by load_csv and by the
+# line-by-line parser, which must agree on every bit or on the error.
+LOAD_CSV_CORPUS = {
+    "plain": ("1.0,2.0\n3.5,-4.0\n", None),
+    "underscore_first_row": ("1_000,2\n3,4\n", None),
+    "underscore_body": ("x,y\n1,2\n1_000,2\n", None),
+    "special_floats": ("x,y\ninfinity,-inf\nNaN,1\n-nan,+Infinity\n", None),
+    "padded_cells": ("x,y\n 1.5 , 2\t\n3, 4 \n\x0b5\x0c,6\n", None),
+    "quoted_cells": ('x,y\n"1.5","2"\n3,"4"\n', None),
+    "quoted_header": ('"x","y"\n1,2\n', None),
+    "quoted_numeric_first_row": ('"1","2"\n3,4\n', None),
+    "quoted_comma": ('x,y\n"1,5",2\n', None),
+    "quote_inside_cell": ('x,y\n1"2",3\n', None),
+    "quote_then_digit": ('x,y\n"1"2,3\n', None),
+    "space_then_quote": ('x,y\n "1",3\n', None),
+    "doubled_quote": ('x,y\n"1""2",3\n', None),
+    "unterminated_quote_last_row": ('x,y\n1," 2\n', None),
+    "unterminated_quote_mid": ('x,y\n1,"2\n3,4\n', None),
+    "blank_lines": ("\n\nx,y\n\n1,2\n\n3,4\n\n", None),
+    "whitespace_line": ("x,y\n1,2\n   \n3,4\n", None),
+    "whitespace_line_first": ("   \nx,y\n1,2\n", None),
+    "comma_space_line": ("x,y\n1,2\n, ,\n3,4\n", None),
+    "comma_space_line_first": (", \n1,2\n", None),
+    "hash_line": ("x,y\n1,2\n# c\n3,4\n", None),
+    "hash_header": ("# c,d\n1,2\n", None),
+    "hash_cell": ("x,y\n1,2\n#,1\n", None),
+    "crlf": ("x,y\r\n1,2\r\n\r\n3,4\r\n", None),
+    "cr_only": ("x,y\r1,2\r3,4\r", None),
+    "cr_in_body": ("x,y\n1,2\r3,4\n", None),
+    "bom_numeric": ("\ufeff1,2\n3,4\n", None),
+    "bom_header": ("\ufeffx,y\n1,2\n", None),
+    "bom_alone": ("\ufeff\n1,2\n", None),
+    "arabic_indic_body": ("x,y\n\u0663,2\n4,5\n", None),
+    "arabic_indic_first_row": ("\u0663,\u0664\n1,2\n", None),
+    "fullwidth_digit": ("x,y\n\uff11,2\n", None),
+    "superscript_digit": ("x,y\n\u00b2,2\n", None),
+    "line_separators_in_cells": ("x,y\n1,2\u2028\n3\x85,4\n", None),
+    "nul": ("x\x00,y\n1,2\x00\n", None),
+    "quoted_newline_header": ('"x\ny",z\n1,2\n', None),
+    "quoted_newline_body": ('x,y\n"1\n",2\n3,4\n', None),
+    "quoted_newline_splits_number": ('x,y\n"1\n2",2\n3,4\n', None),
+    "blank_lines_before_header": ("\n\n\nx,y\n1,2\n", None),
+    "header_only": ("x,y\n", None),
+    "header_then_blanks": ("x,y\n\n\n", None),
+    "empty": ("", None),
+    "blank_only": ("\n \n", None),
+    "ragged_long": ("x,y\n1,2\n3,4,5\n", None),
+    "ragged_short": ("x,y\n1,2\n3\n", None),
+    "trailing_comma": ("x,y\n1,2,\n3,4,\n", None),
+    "trailing_comma_everywhere": ("x,y,\n1,2,\n3,4,\n", None),
+    "empty_cell": ("x,y\n1,\n3,4\n", None),
+    "hex_and_complex": ("x,y\n0x10,1j\n", None),
+    "exponents": ("x,y\n1e500,-1e-400\n1E5,.5\n+1,5.\n", None),
+    "other_delimiters": ("x\ty;z\n1\t2;3\n", None),
+    "single_column": ("1\n2\n3\n", None),
+    "label_by_name": ("x0,x1,label\n1,2,0\n3,4,1\n", "label"),
+    "label_by_padded_name": ("x, label \n1,0\n", "label"),
+    "label_by_index": ("0,1.5,2.5\n1,3.5,4.5\n", 0),
+    "label_by_index_text": ("0,1.5,2.5\n1,3.5,4.5\n", "0"),
+    "label_float_spellings": ("x,label\n1,1.0\n2,1e0\n3,-0.0\n4,2.00\n", "label"),
+    "label_large_integer": ("x,label\n1,4611686018427387904\n", "label"),
+    "label_half": ("x,label\n1,0.5\n", "label"),
+    "label_nan": ("x,label\n1,nan\n", "label"),
+    "label_inf": ("x,label\n1,-inf\n", "label"),
+    "label_1e30": ("x,label\n1,1e30\n", "label"),
+    "label_2_pow_63": ("x,label\n1,-9223372036854775808\n", "label"),
+    "label_negative": ("x,label\n1,-1\n", "label"),
+    "label_missing_name": ("x,y\n1,2\n", "label"),
+    "label_name_without_header": ("1,2\n", "label"),
+    "label_index_outside": ("1,2\n", 5),
+    "label_only_column": ("l\n0\n1\n", "l"),
+}
+
+# files the one-pass reader must take without falling back
+FAST_PATH_FILES = (
+    "plain", "special_floats", "padded_cells", "quoted_cells", "blank_lines",
+    "crlf", "bom_header", "blank_lines_before_header", "single_column",
+    "label_by_name", "label_by_index", "label_float_spellings",
+)
+
+
+def _outcome(read):
+    try:
+        points, labels = read()
+    except Exception as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc)
+    lab = None if labels is None else (labels.dtype, labels.tobytes())
+    return points.shape, points.dtype, points.tobytes(), lab
+
+
+@pytest.mark.parametrize("name", sorted(LOAD_CSV_CORPUS))
+def test_load_csv_matches_strict_parser(tmp_path, name):
+    text, label_column = LOAD_CSV_CORPUS[name]
+    p = tmp_path / f"{name}.csv"
+    p.write_bytes(text.encode("utf-8"))
+
+    def loaded():
+        ds = load_csv(p, label_column)
+        return ds.points, ds.labels
+
+    def strict():
+        ds = Dataset(*_load_csv_strict(p, label_column))
+        return ds.points, ds.labels
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _outcome(loaded) == _outcome(strict)
+        fast = _load_csv_fast(p, label_column)
+    assert caught == []
+    if fast is not None:  # compared before Dataset rejects NaN and inf
+        assert _outcome(lambda: fast) == _outcome(lambda: _load_csv_strict(p, label_column))
+    assert fast is not None or name not in FAST_PATH_FILES
+
+
+def _reference_dataset_csv(points, labels, label_name="label"):
+    cols = [f"x{i}" for i in range(points.shape[1])]
+    if labels is not None:
+        cols.append(label_name)
+    lines = [",".join(cols)]
+    for r in range(points.shape[0]):
+        cells = [repr(float(v)) for v in points[r]]
+        if labels is not None:
+            cells.append(str(int(labels[r])))
+        lines.append(",".join(cells))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+WRITER_VALUES = np.array(
+    [[-0.0, 1e-05], [1e16, 5e-324], [0.1 + 0.2, -1.7976931348623157e308],
+     [123456789.125, -2.5e-300], [1.0, 0.0]]
+)
+
+
+def test_writers_match_per_cell_repr_bytes(tmp_path):
+    labels = np.array([0, 7, 1, 12, 3])
+    p = tmp_path / "d.csv"
+    for points, lab in ((WRITER_VALUES, labels), (WRITER_VALUES, None),
+                        (WRITER_VALUES[:, :1], labels), (WRITER_VALUES[:, 1:], None)):
+        save_dataset_csv(Dataset(points, labels=lab), p)
+        assert p.read_bytes() == _reference_dataset_csv(points, lab)
+    save_dataset_csv(Dataset(WRITER_VALUES, labels=labels), p, label_name="class")
+    assert p.read_bytes() == _reference_dataset_csv(WRITER_VALUES, labels, "class")
+
+    post = np.abs(WRITER_VALUES) / np.abs(WRITER_VALUES).sum(axis=1, keepdims=True)
+    post[2] = [0.1 + 0.2, 0.7]
+    save_posteriors_csv(post, p)
+    lines = ["p0,p1,assigned"] + [
+        ",".join([repr(float(v)) for v in row] + [str(int(np.argmax(row)))])
+        for row in post
+    ]
+    assert p.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +645,21 @@ def test_cli_exit_code_3_bad_input(workspace, tmp_path):
     )
     assert r.returncode == 3
     assert r.stderr.startswith("error: ConflictingPairError:")
+
+
+def test_cli_bad_label_cell_exit_3(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x0,x1,label\n1,2,0\n3,4,nan\n")
+    out = tmp_path / "rels.txt"
+    r = run_cli(
+        "gen-relations", "--data", str(bad), "--label-column", "label",
+        "--n-pairs", "1", "--seed", "0", "--out", str(out),
+    )
+    assert r.returncode == 3
+    assert r.stderr == (
+        "error: ParseError: line 3, column 2: label 'nan' is not an integer\n"
+    )
+    assert not out.exists()
 
 
 def test_cli_exit_code_4_numeric(workspace, tmp_path):
