@@ -61,6 +61,8 @@ from .types import (
 )
 
 Z_EPS = 1e-12
+# float64 values in one M-step scatter temporary (16 MiB); see _scatter_stack
+_BLOCK_FLOATS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -484,12 +486,24 @@ def _scatter_stack(terms, idx: np.ndarray, centers: np.ndarray) -> np.ndarray:
     Terms are summed in a fixed order, and each component's matrix equals
     ``Σ (dev * w).T @ dev`` computed for that component alone, so results
     are bit-reproducible.
+
+    Components are processed in blocks, with one batched product per block
+    and term.  A block holds as many components as keep its
+    ``(block, rows, d)`` deviations and their weighted copy within
+    ``_BLOCK_FLOATS`` values each for the longest term, and at least one, so
+    the temporaries stay bounded as N and the component count grow while a
+    small fit takes a single block.
     """
     d = centers.shape[1]
     total = np.zeros((idx.size, d, d))
-    for pts, wts in terms:
-        dev = pts - centers[:, None, :]
-        total += (dev * wts[:, idx].T[:, :, None]).transpose(0, 2, 1) @ dev
+    rows = max((pts.shape[0] for pts, _ in terms), default=1)
+    step = max(1, _BLOCK_FLOATS // (rows * d))
+    for lo in range(0, idx.size, step):
+        block = slice(lo, lo + step)
+        for pts, wts in terms:
+            dev = pts - centers[block, None, :]
+            w = wts[:, idx[block]].T[:, :, None]
+            total[block] += (dev * w).transpose(0, 2, 1) @ dev
     return total
 
 

@@ -66,9 +66,15 @@ def kmeanspp_seeds(dataset: Dataset, k: int, rng: np.random.Generator) -> np.nda
 
 
 def _nearest(points: np.ndarray, means: np.ndarray) -> np.ndarray:
-    # argmin returns the lowest index on ties
-    d2 = ((points[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
-    return np.argmin(d2, axis=1)
+    """Index of each point's nearest mean, the lowest index on ties: a
+    running argmin over the means, one (N, d) temporary at a time."""
+    best = ((points - means[0]) ** 2).sum(axis=1)
+    assign = np.zeros(points.shape[0], dtype=np.intp)
+    for m in range(1, means.shape[0]):
+        d2 = ((points - means[m]) ** 2).sum(axis=1)
+        assign[d2 < best] = m
+        np.minimum(best, d2, out=best)
+    return assign
 
 
 def _seeded_moments(
@@ -164,10 +170,42 @@ def _pair_capacity(labels: np.ndarray) -> tuple[int, int]:
     """(number of same-label pairs, number of different-label pairs)."""
     n = labels.size
     total = n * (n - 1) // 2
-    same = 0
-    for count in np.bincount(labels):
-        same += int(count) * (int(count) - 1) // 2
+    # np.unique, not np.bincount: memory grows with n, not with the largest label
+    counts = np.unique(labels, return_counts=True)[1].tolist()
+    same = sum(c * (c - 1) // 2 for c in counts)
     return same, total - same
+
+
+def _remaining_pairs(labels: np.ndarray, mode: str, chosen) -> np.ndarray:
+    """The pairs ``i < j`` of ``mode``'s kind that are not in ``chosen``, in
+    lexicographic order → (R, 2).
+
+    Pairs are enumerated label group by label group: each point ``i`` pairs
+    with the later points of its own group (``must-only``), of the other
+    groups (``cannot-only``) or of the whole vector (``both``), so the cost
+    is O(n + qualifying pairs), not O(n²).
+    """
+    n = labels.size
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(labels[order][1:] != labels[order][:-1]) + 1
+    groups = [np.arange(n)] if mode == "both" else np.split(order, starts)
+    if mode == "must-only":  # a group of one has no pair
+        groups = [group for group in groups if group.size > 1]
+    keys = [np.zeros(0, dtype=np.int64)]
+    for group in groups:  # indices ascending within a group
+        if mode == "cannot-only":
+            partners = np.flatnonzero(labels != labels[group[0]])
+        else:
+            partners = group
+        start = np.searchsorted(partners, group, side="right")
+        counts = partners.size - start
+        offset = np.repeat(np.cumsum(counts) - counts - start, counts)
+        j = partners[np.arange(offset.size) - offset]
+        keys.append(np.repeat(group, counts).astype(np.int64) * n + j)
+    keys = np.sort(np.concatenate(keys))
+    taken = np.array([i * n + j for i, j in chosen], dtype=np.int64)
+    keys = keys[~np.isin(keys, taken)]
+    return np.stack([keys // n, keys % n], axis=1)
 
 
 def sample_relations(
@@ -223,16 +261,11 @@ def sample_relations(
         if attempts >= max_attempts:
             # rejection sampling has become inefficient (qualifying pairs
             # nearly exhausted): enumerate the remainder and draw directly
-            remaining = [
-                (i, j)
-                for i in range(n)
-                for j in range(i + 1, n)
-                if (i, j) not in chosen and qualifies(i, j)
-            ]
+            remaining = _remaining_pairs(labels, mode, chosen)
             take = n_pairs - len(chosen)
             idx = rng.choice(len(remaining), size=take, replace=False)
             for t in sorted(int(i) for i in idx):
-                pair = remaining[t]
+                pair = (int(remaining[t, 0]), int(remaining[t, 1]))
                 chosen.add(pair)
                 (must if labels[pair[0]] == labels[pair[1]] else cannot).append(pair)
             break

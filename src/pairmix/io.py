@@ -166,7 +166,11 @@ def _load_csv_strict(path, label_column):
     """The line-by-line parser: the reference for every result and the only
     code that raises a parse error."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh))]
+        reader = csv.reader(fh)
+        try:
+            rows = [(i + 1, row) for i, row in enumerate(reader)]
+        except csv.Error as exc:  # e.g. a cell over the csv module's field limit
+            raise ParseError(f"line {reader.line_num}: {exc}") from None
     rows = [(no, row) for no, row in rows if row and any(c.strip() for c in row)]
     if not rows:
         raise ParseError(f"{path}: no data rows")

@@ -1,6 +1,7 @@
 """Two-level model: cluster-resolved E-step, M-step, reduction to flat."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from pairmix import (
     predict_hier,
     predict_hier_batch,
 )
+from pairmix import hier
 from pairmix.hier import hier_resp_cannotlink, hier_resp_mustlink, hier_resp_unsupervised
 from pairmix.initialize import init_flat, init_hier, make_rng
 
@@ -248,6 +250,48 @@ def test_hier_update_empty_cluster_raises():
     with pytest.raises(EmptyClusterError) as err:
         hier_update(ds, RelationSet(), broken)
     assert err.value.class_index == 0 and err.value.cluster_index == 1
+
+
+def _scatter_reference(terms, idx, centers):
+    # one component at a time, terms summed in order
+    return np.stack([
+        sum(((pts - centers[k]) * wts[:, c, None]).T @ (pts - centers[k])
+            for pts, wts in terms)
+        for k, c in enumerate(idx.tolist())
+    ])
+
+
+@pytest.mark.parametrize("blocks", ["one", "split"])
+def test_scatter_stack_blocks_match_per_component_bits(monkeypatch, blocks):
+    rng = np.random.default_rng(510)
+    d, rows = 3, (40, 7, 7, 5)
+    terms = [(rng.normal(size=(n, d)), rng.random((n, 7))) for n in rows]
+    idx = np.array([0, 2, 3, 5, 6])  # five live components of seven
+    centers = rng.normal(size=(idx.size, d))
+    if blocks == "split":
+        # room for two components of the longest term: blocks of 2, 2 and 1
+        monkeypatch.setattr(hier, "_BLOCK_FLOATS", 2 * max(rows) * d + 1)
+    got = hier._scatter_stack(terms, idx, centers)
+    assert np.array_equal(got, _scatter_reference(terms, idx, centers))
+
+
+def test_mstep_peak_memory_is_bounded():
+    # N = 1e5, d = 16, C = 8: one stacked (C, N, d) temporary alone is 102 MB
+    n, d, c = 100_000, 16, 8
+    rng = np.random.default_rng(511)
+    ds = Dataset(rng.normal(size=(n, d)))
+    rel = RelationSet(must=[(2 * k, 2 * k + 1) for k in range(500)],
+                      cannot=[(1000 + 2 * k, 1001 + 2 * k) for k in range(500)])
+    plan = hier._relation_plan(ds, rel, False)
+    blocks = (plan.xu, plan.xi, plan.xj, plan.xa, plan.xb)
+    tables = tuple(rng.dirichlet(np.ones(c), size=pts.shape[0]) for pts in blocks)
+    tracemalloc.start()
+    try:
+        hier._mstep(plan, tables, c, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48e6
 
 
 # ---------------------------------------------------------------------------

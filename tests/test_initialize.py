@@ -1,5 +1,7 @@
 """Seeding, model initialization, and simulated-relation sampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from pairmix import (
 )
 from pairmix.datasets import gen_synthetic
 from pairmix.initialize import (
+    _nearest,
+    _remaining_pairs,
     init_flat,
     init_hier,
     kmeanspp_seeds,
@@ -123,6 +127,34 @@ def test_init_flat_separates_two_blobs():
         )
         hits += sides == [0, 1]
     assert hits >= 95
+
+
+def test_nearest_matches_dense_argmin_with_ties():
+    rng = np.random.default_rng(0)
+    for case in range(200):
+        n, m, d = rng.integers(1, 40), rng.integers(1, 9), rng.integers(1, 5)
+        if case % 2:  # integer grids: many equal distances
+            points = rng.integers(-2, 3, size=(n, d)).astype(float)
+            means = rng.integers(-2, 3, size=(m, d)).astype(float)
+        else:
+            points, means = rng.normal(size=(n, d)), rng.normal(size=(m, d))
+        dense = ((points[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+        np.testing.assert_array_equal(_nearest(points, means), np.argmin(dense, axis=1))
+    # exact ties go to the lowest index
+    means = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]])
+    np.testing.assert_array_equal(_nearest(np.zeros((1, 2)), means), [0])
+
+
+def test_init_flat_peak_memory_is_bounded():
+    # N = 1e5, d = 16, M = 8: an (N, M, d) distance table alone is 102 MB
+    ds = Dataset(np.random.default_rng(1).normal(size=(100_000, 16)))
+    tracemalloc.start()
+    try:
+        init_flat(ds, 8, make_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32e6
 
 
 def test_init_flat_deterministic():
@@ -258,6 +290,51 @@ def test_sample_relations_exhaustion():
         sample_relations(labels, 2, make_rng(0), mode="must-only")
     full = sample_relations(labels, 2, make_rng(0), mode="cannot-only")
     assert sorted(full.cannot) == [(0, 2), (1, 2)]
+
+
+@pytest.mark.parametrize("mode", ["both", "must-only", "cannot-only"])
+def test_remaining_pairs_match_enumeration(mode):
+    def qualifies(i, j):
+        if mode == "must-only":
+            return labels[i] == labels[j]
+        if mode == "cannot-only":
+            return labels[i] != labels[j]
+        return True
+
+    rng = np.random.default_rng(2)
+    for case in range(100):
+        n = int(rng.integers(1, 25))
+        labels = rng.integers(-1, rng.integers(1, 6), size=n)
+        all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        chosen = {p for p in all_pairs if qualifies(*p) and rng.random() < 0.3}
+        # the enumeration the fallback used to make
+        reference = [
+            (i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if (i, j) not in chosen and qualifies(i, j)
+        ]
+        got = _remaining_pairs(labels, mode, chosen)
+        assert got.shape == (len(reference), 2)
+        assert [tuple(p) for p in got.tolist()] == reference
+
+
+def test_sample_relations_fallback_at_scale():
+    # one same-label pair among 100 000 points: rejection sampling gives up
+    # and the fallback must find the pair without listing every pair
+    labels = np.arange(100_000)
+    labels[73_210] = labels[4_051]
+    rel = sample_relations(labels, 1, make_rng(0), mode="must-only")
+    assert rel.must == ((4_051, 73_210),) and rel.cannot == ()
+
+
+def test_sample_relations_large_label_values():
+    # pair counting must not allocate a table indexed by label value
+    labels = np.array([0, 0, 2**62, 2**62, 2**62])
+    rel = sample_relations(labels, 4, make_rng(0), mode="must-only")
+    assert len(rel.must) == 4 and rel.cannot == ()
+    with pytest.raises(ExhaustedPairsError):
+        sample_relations(labels, 7, make_rng(0), mode="cannot-only")
 
 
 def test_sample_relations_zero_and_validation():

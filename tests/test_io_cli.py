@@ -143,6 +143,22 @@ def test_load_csv_rejects_non_finite_and_out_of_range_labels(tmp_path):
         assert str(info.value) == f"line 3, column 1: label {cell!r} is not an integer"
 
 
+def _oversized_cell_csv(path):
+    # a quoted header sends the file to the line-by-line parser, whose csv
+    # module caps a field at 131 072 characters
+    path.write_text('"x0","x1"\n1,1.' + "0" * 140_000 + "\n")
+    return path
+
+
+def test_load_csv_oversized_cell_is_parse_error(tmp_path):
+    p = _oversized_cell_csv(tmp_path / "wide.csv")
+    message = "line 2: field larger than field limit (131072)"
+    for read in (load_csv, lambda path: _load_csv_strict(path, None)):
+        with pytest.raises(ParseError) as info:
+            read(p)
+        assert str(info.value) == message
+
+
 # (file text, label column): each file is read by load_csv and by the
 # line-by-line parser, which must agree on every bit or on the error.
 LOAD_CSV_CORPUS = {
@@ -660,6 +676,20 @@ def test_cli_bad_label_cell_exit_3(tmp_path):
         "error: ParseError: line 3, column 2: label 'nan' is not an integer\n"
     )
     assert not out.exists()
+
+
+def test_cli_oversized_cell_exit_3(tmp_path):
+    wide = _oversized_cell_csv(tmp_path / "wide.csv")
+    out_data, out_tr = tmp_path / "proj.csv", tmp_path / "pca.json"
+    r = run_cli(
+        "pca", "--data", str(wide), "--k", "1",
+        "--out-data", str(out_data), "--out-transform", str(out_tr),
+    )
+    assert r.returncode == 3
+    assert r.stderr == (
+        "error: ParseError: line 2: field larger than field limit (131072)\n"
+    )
+    assert not out_data.exists() and not out_tr.exists()
 
 
 def test_cli_exit_code_4_numeric(workspace, tmp_path):
