@@ -7,7 +7,8 @@ in the README, and on failure prints a single machine-parseable line
 ``error: <ErrorName>: <detail>`` to stderr.  Every command accepts
 ``--threads N`` so that existing scripts keep working, and ignores it.
 
-Exit codes: 0 success; 2 usage error; 3 invalid input (parse/validation);
+Exit codes: 0 success; 2 usage error; 3 invalid input (every
+:class:`~pairmix.errors.PairmixError` outside the numerical family);
 4 numerical failure; 5 filesystem error.
 
 An optional ``--config FILE`` (JSON object keyed by long option names with
@@ -27,20 +28,11 @@ import numpy as np
 from . import __version__
 from .datasets import DEFAULT_NOISE, gen_synthetic
 from .errors import (
-    ConflictingPairError,
     DegenerateNormalizerError,
-    DimensionMismatchError,
     EmptyClassError,
-    EmptyInputError,
-    ExhaustedPairsError,
-    IndexOutOfRangeError,
-    InvariantViolationError,
-    KTooLargeError,
-    LengthMismatchError,
     NoConvergenceError,
-    NotFiniteError,
+    PairmixError,
     ParseError,
-    SelfPairError,
 )
 from .flat import FitConfig, fit_flat, predict_flat_batch
 from .hier import fit_hier, predict_hier_batch
@@ -49,6 +41,7 @@ from .io import (
     atomic_write_text,
     load_csv,
     load_relations,
+    read_text,
     save_dataset_csv,
     save_posteriors_csv,
     save_relations,
@@ -59,19 +52,6 @@ from .pca import apply_pca, fit_pca
 from .serialize import load_model, save_model, serialize_pca
 from .types import Dataset, FlatModel, RelationSet, validate_relations
 
-_INPUT_ERRORS = (
-    ParseError,
-    InvariantViolationError,
-    IndexOutOfRangeError,
-    SelfPairError,
-    ConflictingPairError,
-    LengthMismatchError,
-    DimensionMismatchError,
-    KTooLargeError,
-    ExhaustedPairsError,
-    EmptyInputError,
-    NotFiniteError,
-)
 _NUMERIC_ERRORS = (DegenerateNormalizerError, NoConvergenceError, EmptyClassError)
 
 
@@ -107,7 +87,7 @@ class _Options:
         self._file = {}
         config_path = self._args.get("config")
         if config_path:
-            with open(config_path, "r", encoding="utf-8") as fh:
+            with read_text(config_path) as fh:
                 try:
                     payload = json.load(fh)
                 except json.JSONDecodeError as exc:
@@ -397,7 +377,7 @@ def main(argv=None) -> int:
     except _NUMERIC_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
-    except _INPUT_ERRORS as exc:
+    except PairmixError as exc:  # every other error of the package is an input error
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

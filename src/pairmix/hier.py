@@ -24,6 +24,9 @@ Reseed policy: a cluster whose responsibility mass falls to ≤ ``Z_EPS`` is
 moved to the point the model claims least, with the pooled data
 covariance and weight 1; a class whose mixing count falls to ≤ ``Z_EPS``
 gets count 1, so it can compete again in the mixing update.
+
+Mixing update: one solve per iteration from the previous weights, whose
+line search only ascends; a solve that fails keeps them, with a warning.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .gaussian import (
     regularize_covariances,
 )
 from .initialize import init_hier, make_rng
-from .mixing import mixing_objective, optimize_mixing
+from .mixing import optimize_mixing
 from .types import (
     ClassMixture,
     Dataset,
@@ -623,27 +626,18 @@ def _pooled_covariance(dataset: Dataset, ridge_floor: float):
     return covs[0], chols[0]
 
 
-def _safeguarded_mixing(
-    counts: np.ndarray,
-    n_cannot: int,
-    alpha_old: np.ndarray,
-    warnings: list[str],
-    iteration: int,
-) -> np.ndarray:
-    """Mixing update that never decreases the concentrated objective: a
-    cold solve, then one warm-started from the previous weights."""
-    f_old = mixing_objective(alpha_old, counts, n_cannot) if n_cannot else None
-    for start in (None, alpha_old):
-        try:
-            alpha = optimize_mixing(counts, n_cannot, start)
-        except NoConvergenceError:
-            continue
-        if f_old is None or mixing_objective(alpha, counts, n_cannot) >= f_old:
-            return alpha
-    warnings.append(
-        f"iteration {iteration}: mixing update made no progress; kept previous weights"
-    )
-    return alpha_old
+def _safeguarded_mixing(counts: np.ndarray, n_cannot: int, alpha_old: np.ndarray,
+                        warnings: list[str], iteration: int) -> np.ndarray:
+    """Mixing update that never decreases the concentrated objective: one
+    solve started from the previous weights, whose line search accepts
+    only ascent steps.  A solve that cannot converge keeps the previous
+    weights and logs it."""
+    try:
+        return optimize_mixing(counts, n_cannot, alpha_old)
+    except NoConvergenceError:
+        warnings.append(f"iteration {iteration}: mixing update made no progress; "
+                        "kept previous weights")
+        return alpha_old
 
 
 def _fit(dataset: Dataset, relations: RelationSet, p: _Params, config: FitConfig,

@@ -255,8 +255,10 @@ def sample_relations(
     chosen: set[tuple[int, int]] = set()
     must: list[tuple[int, int]] = []
     cannot: list[tuple[int, int]] = []
-    attempts = 0
     max_attempts = max(10_000, 1_000 * n_pairs)
+    # a draw qualifies with probability 2·capacity/n²: when max_attempts
+    # draws would not yield n_pairs in expectation, enumerate at once
+    attempts = max_attempts if n_pairs * n * n > 2 * capacity * max_attempts else 0
     while len(chosen) < n_pairs:
         if attempts >= max_attempts:
             # rejection sampling has become inefficient (qualifying pairs

@@ -16,6 +16,7 @@ import math
 import os
 import tempfile
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -43,6 +44,16 @@ def atomic_write_text(path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+@contextmanager
+def read_text(path, newline=None):
+    """Open ``path`` as UTF-8 text; an undecodable byte is a ParseError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _parse_float(cell: str, line_no: int, col: int) -> float:
@@ -165,7 +176,7 @@ def _load_csv_fast(path, label_column):
 def _load_csv_strict(path, label_column):
     """The line-by-line parser: the reference for every result and the only
     code that raises a parse error."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with read_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             rows = [(i + 1, row) for i, row in enumerate(reader)]
@@ -225,7 +236,7 @@ def load_relations(path) -> RelationSet:
     must: list[tuple[int, int]] = []
     cannot: list[tuple[int, int]] = []
     max_index = 0
-    with open(path, "r", encoding="utf-8") as fh:
+    with read_text(path) as fh:
         for no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

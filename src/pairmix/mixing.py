@@ -15,7 +15,9 @@ safeguarded projected-Newton method on the simplex:
 
 * Newton step from the equality-constrained KKT system, with a projected-
   gradient fallback whenever the step is not an ascent direction;
-* Armijo backtracking so every accepted step increases ``f``;
+* Armijo backtracking so every accepted step increases ``f``; a solve never
+  ends below its start, the one guarantee EM needs, since the EM engine
+  starts each solve from the previous weights;
 * a fraction-to-boundary cap plus a hard floor (``ALPHA_FLOOR``) keeping
   all weights strictly positive.
 
@@ -43,6 +45,8 @@ from .errors import (
 
 ALPHA_FLOOR = 1e-10
 _ACTIVE_THRESH = 10.0 * ALPHA_FLOOR
+_TOL = 1e-8  # scaled KKT residual at which a solve stops
+_MAX_STEPS = 200  # Newton steps a solve may take
 
 
 def _check_counts(counts: np.ndarray) -> np.ndarray:
@@ -149,21 +153,17 @@ def _kkt_residual(alpha: np.ndarray, grad: np.ndarray) -> float:
     return resid / max(1.0, abs(nu))
 
 
-def optimize_mixing_info(
-    counts,
-    n_cannot: int,
-    alpha_init=None,
-    *,
-    tol: float = 1e-8,
-    max_steps: int = 200,
-) -> tuple[np.ndarray, MixingInfo]:
+def optimize_mixing_info(counts, n_cannot: int,
+                         alpha_init=None) -> tuple[np.ndarray, MixingInfo]:
     """Maximize f(α) on the simplex; returns ``(alpha, diagnostics)``.
 
     ``alpha_init`` defaults to the linear-part closed form ``c / Σc``.
     Classes with ``c_m = 0`` are pinned to weight 0.  Raises
     :class:`DegenerateNormalizerError` when cannot-links are present but
     fewer than two classes carry mass, and :class:`NoConvergenceError` if
-    the safeguarded iteration exhausts ``max_steps``.
+    the safeguarded iteration stops (after 200 Newton steps, or with no
+    admissible ascent step) with its KKT residual above 1e-6 and no weight
+    at the floor.
     """
     counts = _check_counts(counts)
     m = counts.size
@@ -199,7 +199,7 @@ def optimize_mixing_info(
     grad = mixing_gradient(a, c, n_cannot)
     resid = _kkt_residual(a, grad)
     steps = 0
-    while resid > tol and steps < max_steps:
+    while resid > _TOL and steps < _MAX_STEPS:
         steps += 1
         # Newton direction from the equality-constrained KKT system
         try:
@@ -240,7 +240,7 @@ def optimize_mixing_info(
         resid = _kkt_residual(a, grad)
 
     railed = bool((a <= _ACTIVE_THRESH).any())
-    if resid > tol and not railed:
+    if resid > _TOL and not railed:
         # allow a near-converged return when progress is machine-limited
         if resid > 1e-6:
             raise NoConvergenceError(
@@ -252,10 +252,7 @@ def optimize_mixing_info(
     return alpha, MixingInfo(steps, resid, f_cur, railed)
 
 
-def optimize_mixing(counts, n_cannot: int, alpha_init=None, *, tol: float = 1e-8,
-                    max_steps: int = 200) -> np.ndarray:
+def optimize_mixing(counts, n_cannot: int, alpha_init=None) -> np.ndarray:
     """Maximizer of the concentrated mixing objective (see module docstring)."""
-    alpha, _ = optimize_mixing_info(
-        counts, n_cannot, alpha_init, tol=tol, max_steps=max_steps
-    )
+    alpha, _ = optimize_mixing_info(counts, n_cannot, alpha_init)
     return alpha

@@ -17,6 +17,7 @@ import json
 import numpy as np
 
 from .errors import SchemaMismatchError
+from .io import atomic_write_text, read_text
 from .types import ClassMixture, FlatModel, HierModel
 
 SCHEMA_VERSION = 1
@@ -58,6 +59,18 @@ def _require(doc: dict, key: str, types) -> object:
     return value
 
 
+def _numbers(doc: dict, key: str, where: str = "") -> np.ndarray:
+    """Field ``key`` as a float array; SchemaMismatchError if it is none."""
+    value = _require(doc, key, list)
+    try:
+        array = np.asarray(value)
+        if array.dtype.kind in "iuf":  # not strings, booleans, nulls or objects
+            return np.asarray(array, dtype=float)
+    except ValueError:  # ragged nesting
+        pass
+    raise SchemaMismatchError(f"{where}{key} is not a rectangular array of numbers")
+
+
 def deserialize_model(doc: str) -> FlatModel | HierModel:
     """Parse a model document; inverse of :func:`serialize_model`.
 
@@ -79,7 +92,7 @@ def deserialize_model(doc: str) -> FlatModel | HierModel:
         raise SchemaMismatchError(f"unknown model kind {kind!r}")
     m = _require(payload, "M", int)
     d = _require(payload, "d", int)
-    alpha = _require(payload, "alpha", list)
+    alpha = _numbers(payload, "alpha")
     classes_doc = _require(payload, "classes", list)
     if len(classes_doc) != m or len(alpha) != m:
         raise SchemaMismatchError(
@@ -90,9 +103,10 @@ def deserialize_model(doc: str) -> FlatModel | HierModel:
     for idx, entry in enumerate(classes_doc):
         if not isinstance(entry, dict):
             raise SchemaMismatchError(f"classes[{idx}] is not an object")
-        pi = np.asarray(_require(entry, "pi", list), dtype=float)
-        means = np.asarray(_require(entry, "means", list), dtype=float)
-        covs = np.asarray(_require(entry, "covs", list), dtype=float)
+        where = f"classes[{idx}]."
+        pi = _numbers(entry, "pi", where)
+        means = _numbers(entry, "means", where)
+        covs = _numbers(entry, "covs", where)
         if means.ndim != 2 or means.shape != (pi.size, d):
             raise SchemaMismatchError(
                 f"classes[{idx}].means has shape {means.shape}, expected ({pi.size}, {d})"
@@ -102,7 +116,7 @@ def deserialize_model(doc: str) -> FlatModel | HierModel:
                 f"classes[{idx}].covs has shape {covs.shape}, expected ({pi.size}, {d}, {d})"
             )
         classes.append(ClassMixture(pi=pi, means=means, covs=covs))
-    hier = HierModel(alpha=np.asarray(alpha, dtype=float), classes=tuple(classes))
+    hier = HierModel(alpha=alpha, classes=tuple(classes))
     if kind == "flat":
         if not hier.is_flat_equivalent:
             raise SchemaMismatchError(
@@ -113,13 +127,11 @@ def deserialize_model(doc: str) -> FlatModel | HierModel:
 
 
 def save_model(model: FlatModel | HierModel, path) -> None:
-    from .io import atomic_write_text
-
     atomic_write_text(path, serialize_model(model))
 
 
 def load_model(path) -> FlatModel | HierModel:
-    with open(path, "r", encoding="utf-8") as fh:
+    with read_text(path) as fh:
         return deserialize_model(fh.read())
 
 
@@ -156,7 +168,7 @@ def deserialize_pca(doc: str):
     if _require(payload, "kind", str) != "pca":
         raise SchemaMismatchError('transform document must have kind "pca"')
     return PcaTransform(
-        mean=np.asarray(_require(payload, "mean", list), dtype=float),
-        components=np.asarray(_require(payload, "components", list), dtype=float),
-        eigenvalues=np.asarray(_require(payload, "eigenvalues", list), dtype=float),
+        mean=_numbers(payload, "mean"),
+        components=_numbers(payload, "components"),
+        eigenvalues=_numbers(payload, "eigenvalues"),
     )

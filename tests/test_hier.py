@@ -17,6 +17,7 @@ from pairmix import (
     RelationSet,
     fit_flat,
     fit_hier,
+    gen_synthetic,
     hier_estep,
     hier_mixing_counts,
     hier_update,
@@ -25,7 +26,7 @@ from pairmix import (
     predict_hier,
     predict_hier_batch,
 )
-from pairmix import hier
+from pairmix import hier, mixing
 from pairmix.hier import hier_resp_cannotlink, hier_resp_mustlink, hier_resp_unsupervised
 from pairmix.initialize import init_flat, init_hier, make_rng
 
@@ -311,6 +312,35 @@ def test_fit_hier_monotone_and_deterministic():
     np.testing.assert_array_equal(m1.alpha, m2.alpha)
     for c1, c2 in zip(m1.classes, m2.classes):
         np.testing.assert_array_equal(c1.means, c2.means)
+
+
+@pytest.mark.parametrize("two_level", [False, True])
+def test_one_warm_mixing_solve_per_em_iteration(monkeypatch, two_level):
+    # the solver's line search is the fit's only ascent check: every EM
+    # iteration makes one solve, started from the previous weights, and
+    # the fit never evaluates the objective itself
+    solves = []
+    solve = hier.optimize_mixing
+
+    def counted(counts, n_cannot, alpha_init):
+        solves.append(alpha_init)
+        return solve(counts, n_cannot, alpha_init)
+
+    def forbidden(*args):
+        raise AssertionError("the fit evaluated the mixing objective")
+
+    monkeypatch.setattr(hier, "optimize_mixing", counted)
+    monkeypatch.setattr(mixing, "mixing_objective", forbidden)
+    monkeypatch.setattr(hier, "mixing_objective", forbidden, raising=False)
+    ds = gen_synthetic("two-moons", 100, 0.05, seed=11)
+    rel = RelationSet(must=[(0, 99), (100, 199)], cannot=[(0, 100), (99, 199)])
+    if two_level:
+        _, trace = fit_hier(ds, rel, 2, (2, 2), FitConfig(seed=6))
+    else:
+        _, trace = fit_flat(ds, rel, 2, FitConfig(seed=6))
+    assert trace.n_iters > 1
+    assert len(solves) == trace.n_iters
+    assert all(alpha is not None for alpha in solves)
 
 
 @pytest.mark.parametrize("count_linked", [False, True])

@@ -328,6 +328,21 @@ def test_sample_relations_fallback_at_scale():
     assert rel.must == ((4_051, 73_210),) and rel.cannot == ()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sample_relations_enumerates_when_rejection_cannot_finish(seed):
+    # 6 qualifying pairs among 3 000 points: a draw qualifies with
+    # probability 2·6/3000², so 10 000 draws would not find 2 pairs in
+    # expectation; the fallback runs first, on the untouched generator
+    labels = np.arange(3_000)
+    labels[[1_000, 2_000]] = 7
+    labels[[1_500, 2_500]] = 9
+    pairs = _remaining_pairs(labels, "must-only", set())
+    picked = make_rng(seed).choice(len(pairs), 2, replace=False)
+    rel = sample_relations(labels, 2, make_rng(seed), mode="must-only")
+    assert rel.must == tuple(sorted(map(tuple, pairs[picked].tolist())))
+    assert rel.cannot == ()
+
+
 def test_sample_relations_large_label_values():
     # pair counting must not allocate a table indexed by label value
     labels = np.array([0, 0, 2**62, 2**62, 2**62])

@@ -15,8 +15,13 @@ import pairmix
 from pairmix import (
     ConflictingPairError,
     Dataset,
+    DegenerateNormalizerError,
+    EmptyClassError,
     FitConfig,
+    FlatModel,
+    NoConvergenceError,
     NonNumericFeatureError,
+    PairmixError,
     ParseError,
     RaggedRowsError,
     RelationSet,
@@ -28,7 +33,9 @@ from pairmix import (
     save_dataset_csv,
     save_relations,
 )
+from pairmix import cli
 from pairmix.cli import build_parser
+from pairmix.serialize import save_model
 from pairmix.io import (
     _load_csv_fast,
     _load_csv_strict,
@@ -690,6 +697,90 @@ def test_cli_oversized_cell_exit_3(tmp_path):
         "error: ParseError: line 2: field larger than field limit (131072)\n"
     )
     assert not out_data.exists() and not out_tr.exists()
+
+
+def _undecodable(path, text: str):
+    # valid UTF-8 text with one 0xff byte inserted after the first line
+    head, tail = text.split("\n", 1)
+    path.write_bytes(head.encode() + b"\n\xff" + tail.encode())
+    return path
+
+
+def _model_doc(tmp_path, **fields):
+    """A valid flat model document with ``fields`` replaced at top level or,
+    for ``means``, in the first class."""
+    path = tmp_path / "model.json"
+    save_model(FlatModel(alpha=[0.5, 0.5], means=[[0.0, 0.0], [3.0, 3.0]],
+                         covs=[np.eye(2), np.eye(2)]), path)
+    doc = json.loads(path.read_text())
+    for key, value in fields.items():
+        (doc["classes"][0] if key == "means" else doc)[key] = value
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("kind", ["data", "relations", "config", "alpha", "means"])
+def test_cli_malformed_input_file_exit_3(workspace, tmp_path, kind):
+    # a file that is not UTF-8 text, or a model document whose arrays are
+    # not arrays of numbers, is an input error: one error line, no output
+    root, data, rels = workspace
+    outs = [tmp_path / "out.json"]
+    if kind == "data":
+        bad = _undecodable(tmp_path / "d.csv", data.read_text())
+        outs = [tmp_path / "proj.csv", tmp_path / "pca.json"]
+        argv = ["pca", "--data", str(bad), "--k", "1",
+                "--out-data", str(outs[0]), "--out-transform", str(outs[1])]
+        want = f"error: ParseError: {bad}: not UTF-8 text (invalid start byte)\n"
+    elif kind in ("relations", "config"):
+        if kind == "relations":
+            bad = _undecodable(tmp_path / "r.txt", rels.read_text())
+        else:
+            bad = _undecodable(tmp_path / "c.json", '{"seed": 1,\n"max_iters": 5}')
+        argv = ["fit", "--data", str(data), "--label-column", "label",
+                "--classes", "2", f"--{kind}", str(bad), "--out", str(outs[0])]
+        want = f"error: ParseError: {bad}: not UTF-8 text (invalid start byte)\n"
+    else:
+        if kind == "alpha":
+            bad = _model_doc(tmp_path, alpha=["half", 0.5])
+            want = "alpha"
+        else:
+            bad = _model_doc(tmp_path, means=[[0.0, 0.0], [1.0]])
+            want = "classes[0].means"
+        outs = [tmp_path / "post.csv"]
+        argv = ["predict", "--model", str(bad), "--data", str(data),
+                "--label-column", "label", "--out", str(outs[0])]
+        want = f"error: SchemaMismatchError: {want} is not a rectangular array of numbers\n"
+    r = run_cli(*argv)
+    assert r.returncode == 3
+    assert r.stderr == want
+    assert not any(out.exists() for out in outs)
+
+
+def _error_classes(base=PairmixError):
+    for sub in base.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+@pytest.mark.parametrize("error", sorted(set(_error_classes()), key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_cli_exit_code_by_error_family(monkeypatch, capsys, tmp_path, error):
+    # numerical failures exit 4 and every other error of the package exits
+    # 3, so a new error class can never end in a traceback
+    try:
+        exc = error("detail")
+    except TypeError:  # EmptyClusterError takes a class and a cluster index
+        exc = error(0, 1)
+
+    def command(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_gen_data", command)
+    code = cli.main(["gen-data", "--kind", "two-cluster", "--n-per-class", "2",
+                     "--out", str(tmp_path / "d.csv")])
+    numeric = (DegenerateNormalizerError, NoConvergenceError, EmptyClassError)
+    assert code == (4 if issubclass(error, numeric) else 3)
+    assert capsys.readouterr().err == f"error: {error.__name__}: {exc}\n"
 
 
 def test_cli_exit_code_4_numeric(workspace, tmp_path):

@@ -156,3 +156,34 @@ def test_optimizer_deterministic():
     a2, i2 = optimize_mixing_info(counts, 3)
     np.testing.assert_array_equal(a1, a2)
     assert i1.n_steps == i2.n_steps
+
+
+def _estep_counts(rng, m, n_unlinked, n_cannot):
+    """Class counts as an E-step forms them: the posteriors of unlinked
+    points plus both marginals of each cannot-link pair's zero-diagonal
+    joint, so every class's complement mass is at least ``n_cannot``."""
+    counts = rng.dirichlet(np.ones(m), size=n_unlinked).sum(axis=0)
+    for _ in range(n_cannot):
+        joint = rng.dirichlet(np.ones(m * m)).reshape(m, m)
+        np.fill_diagonal(joint, 0.0)
+        joint /= joint.sum()
+        counts = counts + joint.sum(axis=0) + joint.sum(axis=1)
+    return counts
+
+
+def test_warm_start_never_descends_and_matches_cold_solve():
+    # the EM engine starts each solve from the previous weights and relies
+    # on the line search alone to keep the mixing update from lowering f;
+    # at least one unlinked point keeps the maximizer unique (two classes
+    # with cannot-links alone give c = (n, n), where f is constant)
+    rng = np.random.default_rng(317)
+    for _ in range(400):
+        m = int(rng.integers(2, 9))
+        n_cannot = int(rng.integers(1, 30))
+        counts = _estep_counts(rng, m, int(rng.integers(1, 60)), n_cannot)
+        alpha_old = rng.dirichlet(np.ones(m))
+        f_old = mixing_objective(alpha_old, counts, n_cannot)
+        warm = optimize_mixing(counts, n_cannot, alpha_old)
+        f_warm = mixing_objective(warm, counts, n_cannot)
+        assert f_warm >= f_old - 1e-12 * max(1.0, abs(f_old))
+        np.testing.assert_allclose(warm, optimize_mixing(counts, n_cannot), rtol=0, atol=1e-6)
