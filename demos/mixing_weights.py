@@ -3,9 +3,11 @@
 Without cannot-links the class weights α are just normalized counts.
 Each cannot-link divides its pair prior by (1 − Σα²), so the concentrated
 objective gains a −n_cannot·log(1 − Σα²) term that *rewards concentrated*
-weights — a rich-get-richer force.  The projected-Newton solver handles
-it, and when the force wins outright (tiny counts, many links) it rails
-the weights to a simplex vertex and says so.
+weights — a rich-get-richer force.  With two classes 1 − Σα² = 2α₁α₂, so
+the optimum has a closed form, α ∝ c − n_cannot, reported as steps=0.
+Three or more classes take the projected-Newton solver.  When the force
+wins outright (tiny counts, many links: some c_m ≤ n_cannot) the optimum
+is a simplex vertex; projected Newton rails the weights there and says so.
 
 Run:  python demos/mixing_weights.py
 """
@@ -30,23 +32,27 @@ def main():
     show([30.0, 10.0], 0)
     print()
 
-    print("adding cannot-links pulls weight toward the largest class:")
+    print("adding cannot-links pulls weight toward the largest class")
+    print("(two classes: closed form alpha ~ counts - cannot-links, steps=0):")
     for n_cannot in (1, 2, 4, 6):
         show([30.0, 10.0], n_cannot)
     print()
 
-    print("three classes, same effect — the smallest class pays first:")
+    print("three classes, same effect — the smallest class pays first")
+    print("(projected Newton once there are cannot-links):")
     for n_cannot in (0, 4, 8):
         show([24.0, 12.0, 4.0], n_cannot)
     print()
 
-    print("when links dominate the counts, the optimum leaves the interior:")
+    print("when links dominate the counts, the optimum leaves the interior;")
+    print("the two-class closed form does not apply and Newton rails:")
     show([30.0, 10.0], 40)
     show([0.5, 0.3], 25)
     print()
     print("Inside EM the counts are responsibility masses (hundreds of")
-    print("points), so the interior case with a handful of Newton steps is")
-    print("the one that occurs in practice.")
+    print("points), so the interior case is the one that occurs in practice:")
+    print("two-class fits take the closed form (steps=0) except when they")
+    print("rail, and fits with more classes a handful of Newton steps.")
 
 
 if __name__ == "__main__":

@@ -73,7 +73,7 @@ def _check_config_entry(action: argparse.Action, value) -> None:
         try:
             action.type(str(value))
             return
-        except ValueError:
+        except (ValueError, argparse.ArgumentTypeError):
             ok = False
     if not ok:
         raise ParseError(f"config value {value!r} is not valid for {action.dest!r}")
@@ -110,6 +110,14 @@ class _Options:
         if name in self._file:
             return self._file[name]
         return default
+
+
+def _seed(text: str) -> int:
+    """Type of the seed flags: numpy seeds only with non-negative integers."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
 
 
 def _parse_int_list(text) -> list[int]:
@@ -300,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clusters-per-class", dest="clusters_per_class")
     p.add_argument("--out", required=True)
     p.add_argument("--trace")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--max-iters", dest="max_iters", type=int)
     p.add_argument("--tol", type=float)
     p.add_argument("--ridge-floor", dest="ridge_floor", type=float)
@@ -331,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label-column", dest="label_column")
     p.add_argument("--n-pairs", dest="n_pairs", type=int, required=True)
     p.add_argument("--mode", choices=["both", "must-only", "cannot-only"])
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--out", required=True)
     _add_common(p, _cmd_gen_relations)
 
@@ -339,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["two-cluster", "two-moons"], required=True)
     p.add_argument("--n-per-class", dest="n_per_class", type=int, required=True)
     p.add_argument("--noise", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--out", required=True)
     _add_common(p, _cmd_gen_data)
 
@@ -351,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budgets", required=True)
     p.add_argument("--mode", choices=["both", "must-only", "cannot-only"])
     p.add_argument("--n-trials", dest="n_trials", type=int)
-    p.add_argument("--base-seed", dest="base_seed", type=int)
+    p.add_argument("--base-seed", dest="base_seed", type=_seed)
     p.add_argument("--max-iters", dest="max_iters", type=int)
     p.add_argument("--tol", type=float)
     p.add_argument("--ridge-floor", dest="ridge_floor", type=float)

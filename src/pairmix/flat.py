@@ -4,8 +4,8 @@ The model couples three data factors: independent points, must-link pairs
 (the two members share a single latent class variable), and cannot-link
 pairs (a joint prior over the two class labels with zero same-class mass).
 The E-step computes the corresponding posterior tables; the M-step updates
-means and covariances in closed form and the mixing weights through
-:func:`pairmix.mixing.optimize_mixing`.
+means and covariances in closed form and the mixing weights with the
+solver of :mod:`pairmix.mixing` (see :func:`pairmix.mixing.optimize_mixing`).
 
 By default a point that appears in any relation is *not* additionally
 counted as an independent point: relation membership is treated as

@@ -52,7 +52,7 @@ from .gaussian import (
     regularize_covariances,
 )
 from .initialize import init_hier, make_rng
-from .mixing import optimize_mixing
+from .mixing import _solve_mixing
 from .types import (
     ClassMixture,
     Dataset,
@@ -630,10 +630,11 @@ def _safeguarded_mixing(counts: np.ndarray, n_cannot: int, alpha_old: np.ndarray
                         warnings: list[str], iteration: int) -> np.ndarray:
     """Mixing update that never decreases the concentrated objective: one
     solve started from the previous weights, whose line search accepts
-    only ascent steps.  A solve that cannot converge keeps the previous
-    weights and logs it."""
+    only ascent steps (two classes take the exact maximizer).  A solve that
+    cannot converge keeps the previous weights and logs it.  The counts come
+    from the fit's own E-step, so the solver's argument checks are skipped."""
     try:
-        return optimize_mixing(counts, n_cannot, alpha_old)
+        return _solve_mixing(counts, n_cannot, alpha_old)[0]
     except NoConvergenceError:
         warnings.append(f"iteration {iteration}: mixing update made no progress; "
                         "kept previous weights")

@@ -32,18 +32,22 @@ _LABEL_LIMIT = 2.0**63
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file and atomic rename."""
+    """Write ``text`` to ``path`` via a temp file and atomic rename.  An
+    ``OSError`` names ``path``, not the temp file, which never outlives the
+    call."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "wb") as fh:
             fh.write(text.encode("utf-8"))
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 @contextmanager

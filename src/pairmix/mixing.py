@@ -9,17 +9,32 @@ the concentrated objective
 
 over the probability simplex, where ``c_m`` is the total responsibility
 mass of class ``m`` (unsupervised points + one shared weight per must-link
-pair + both marginals of each cannot-link pair).  Without cannot-links the
-maximizer is the classical closed form ``c / Σc``; otherwise we run a
-safeguarded projected-Newton method on the simplex:
+pair + both marginals of each cannot-link pair).  The maximizer is found
+by one of three routes:
 
-* Newton step from the equality-constrained KKT system, with a projected-
-  gradient fallback whenever the step is not an ascent direction;
-* Armijo backtracking so every accepted step increases ``f``; a solve never
-  ends below its start, the one guarantee EM needs, since the EM engine
-  starts each solve from the previous weights;
-* a fraction-to-boundary cap plus a hard floor (``ALPHA_FLOOR``) keeping
-  all weights strictly positive.
+* without cannot-links, the classical closed form ``c / Σc``;
+* with two classes that both have ``c_m > n_cannot``, the closed form
+  ``α = (c − n_cannot) / (c₁ + c₂ − 2·n_cannot)``: on the simplex
+  ``1 − α₁² − α₂² = 2α₁α₂``, so f is
+  ``(c₁ − n_cannot)·log α₁ + (c₂ − n_cannot)·log α₂ + const``;
+* otherwise (three or more classes, or two with some ``c_m ≤ n_cannot``,
+  where the maximum lies at a vertex) a safeguarded projected-Newton
+  method on the simplex:
+
+  - Newton step from the equality-constrained KKT system, with a
+    projected-gradient fallback whenever the step is not an ascent
+    direction;
+  - Armijo backtracking so every accepted step increases ``f``; a solve
+    never ends below its start, the one guarantee EM needs, since the EM
+    engine starts each solve from the previous weights (the closed forms
+    are exact maximizers and cannot end below it either);
+  - a fraction-to-boundary cap plus a hard floor (``ALPHA_FLOOR``, which
+    also clamps the two-class closed form) keeping all weights strictly
+    positive.
+
+:func:`optimize_mixing_info` checks its arguments and hands them to
+``_solve_mixing``; the EM engine, whose counts come from its own E-step,
+calls ``_solve_mixing`` directly.
 
 The objective is unbounded exactly when some class's complement mass
 ``Σ_{m'≠m} c_{m'}`` is smaller than ``n_cannot`` (the supremum is +∞ at the
@@ -158,21 +173,39 @@ def optimize_mixing_info(counts, n_cannot: int,
     """Maximize f(α) on the simplex; returns ``(alpha, diagnostics)``.
 
     ``alpha_init`` defaults to the linear-part closed form ``c / Σc``.
-    Classes with ``c_m = 0`` are pinned to weight 0.  Raises
-    :class:`DegenerateNormalizerError` when cannot-links are present but
-    fewer than two classes carry mass, and :class:`NoConvergenceError` if
-    the safeguarded iteration stops (after 200 Newton steps, or with no
+    Classes with ``c_m = 0`` are pinned to weight 0.  Two supported classes
+    that both have ``c_m > n_cannot`` take the closed form
+    ``(c − n_cannot) / (c₁ + c₂ − 2·n_cannot)`` with ``n_steps = 0``.
+    Raises :class:`DegenerateNormalizerError` when cannot-links are present
+    but fewer than two classes carry mass, and :class:`NoConvergenceError`
+    if the safeguarded iteration stops (after 200 Newton steps, or with no
     admissible ascent step) with its KKT residual above 1e-6 and no weight
     at the floor.
     """
     counts = _check_counts(counts)
-    m = counts.size
     n_cannot = int(n_cannot)
     if n_cannot < 0:
         raise InvariantViolationError("n_cannot must be nonnegative")
+    if alpha_init is not None:
+        alpha_init = np.asarray(alpha_init, dtype=float)
+        if alpha_init.shape != counts.shape:
+            raise InvariantViolationError(
+                f"alpha_init has shape {alpha_init.shape}, expected ({counts.size},)"
+            )
+        if not np.all(np.isfinite(alpha_init)) or np.any(alpha_init < 0):
+            raise InvariantViolationError("alpha_init must be finite and nonnegative")
+    return _solve_mixing(counts, n_cannot, alpha_init)
 
+
+def _solve_mixing(counts: np.ndarray, n_cannot: int,
+                 start) -> tuple[np.ndarray, MixingInfo]:
+    """:func:`optimize_mixing_info` on arguments it has already checked:
+    finite nonnegative float counts with positive mass, ``n_cannot ≥ 0``,
+    and ``start`` either None or a finite nonnegative vector of the same
+    length.  The EM engine calls it directly with its own E-step counts."""
     if n_cannot == 0:
-        return counts / counts.sum(), MixingInfo(0, 0.0, mixing_objective(counts / counts.sum(), counts, 0), False)
+        alpha = counts / counts.sum()
+        return alpha, MixingInfo(0, 0.0, mixing_objective(alpha, counts, 0), False)
 
     support = counts > 0
     if support.sum() < 2:
@@ -182,17 +215,22 @@ def optimize_mixing_info(counts, n_cannot: int,
 
     c = counts[support]
     k = c.size
-    if alpha_init is None:
+    if k == 2 and c.min() > n_cannot:
+        # 1 − α₁² − α₂² = 2α₁α₂ on the simplex, so f is
+        # (c₁ − n)·log α₁ + (c₂ − n)·log α₂ + const, maximized at α ∝ c − n
+        a = c - n_cannot
+        a = np.maximum(a / a.sum(), ALPHA_FLOOR)
+        a /= a.sum()
+        resid = _kkt_residual(a, mixing_gradient(a, c, n_cannot))
+        alpha = np.zeros(counts.size)
+        alpha[support] = a
+        return alpha, MixingInfo(0, resid, _support_objective(a, c, n_cannot),
+                                 bool((a <= _ACTIVE_THRESH).any()))
+
+    if start is None:
         a = c / c.sum()
     else:
-        alpha_init = np.asarray(alpha_init, dtype=float)
-        if alpha_init.shape != (m,):
-            raise InvariantViolationError(
-                f"alpha_init has shape {alpha_init.shape}, expected ({m},)"
-            )
-        if not np.all(np.isfinite(alpha_init)) or np.any(alpha_init < 0):
-            raise InvariantViolationError("alpha_init must be finite and nonnegative")
-        a = np.maximum(alpha_init[support], 1e-12)
+        a = np.maximum(start[support], 1e-12)
         a = a / a.sum()
 
     f_cur = _support_objective(a, c, n_cannot)
@@ -247,7 +285,7 @@ def optimize_mixing_info(counts, n_cannot: int,
                 f"mixing optimization stalled at KKT residual {resid:.3e} "
                 f"after {steps} steps"
             )
-    alpha = np.zeros(m)
+    alpha = np.zeros(counts.size)
     alpha[support] = a / a.sum()
     return alpha, MixingInfo(steps, resid, f_cur, railed)
 

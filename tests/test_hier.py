@@ -318,9 +318,10 @@ def test_fit_hier_monotone_and_deterministic():
 def test_one_warm_mixing_solve_per_em_iteration(monkeypatch, two_level):
     # the solver's line search is the fit's only ascent check: every EM
     # iteration makes one solve, started from the previous weights, and
-    # the fit never evaluates the objective itself
+    # the fit never evaluates the objective itself nor re-checks the
+    # counts its own E-step made
     solves = []
-    solve = hier.optimize_mixing
+    solve = hier._solve_mixing
 
     def counted(counts, n_cannot, alpha_init):
         solves.append(alpha_init)
@@ -329,8 +330,12 @@ def test_one_warm_mixing_solve_per_em_iteration(monkeypatch, two_level):
     def forbidden(*args):
         raise AssertionError("the fit evaluated the mixing objective")
 
-    monkeypatch.setattr(hier, "optimize_mixing", counted)
+    def unchecked(*args):
+        raise AssertionError("the fit validated its own mixing counts")
+
+    monkeypatch.setattr(hier, "_solve_mixing", counted)
     monkeypatch.setattr(mixing, "mixing_objective", forbidden)
+    monkeypatch.setattr(mixing, "_check_counts", unchecked)
     monkeypatch.setattr(hier, "mixing_objective", forbidden, raising=False)
     ds = gen_synthetic("two-moons", 100, 0.05, seed=11)
     rel = RelationSet(must=[(0, 99), (100, 199)], cannot=[(0, 100), (99, 199)])

@@ -408,6 +408,23 @@ def test_atomic_write_overwrites_and_leaves_no_temp(tmp_path):
     assert leftovers == []
 
 
+def test_atomic_write_error_names_the_given_path(tmp_path):
+    # a missing directory, and a failed rename onto a directory, are
+    # reported with the path asked for, and leave no temporary file
+    missing = tmp_path / "nope" / "out.txt"
+    with pytest.raises(FileNotFoundError) as info:
+        atomic_write_text(missing, "text")
+    assert info.value.filename == str(missing)
+    assert str(missing) in str(info.value)
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    with pytest.raises(IsADirectoryError) as info:
+        atomic_write_text(taken, "text")
+    assert info.value.filename == str(taken)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["taken"]
+    assert list(taken.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # command-line pipeline (subprocess level)
 
@@ -803,6 +820,51 @@ def test_cli_exit_code_5_missing_file(tmp_path):
     )
     assert r.returncode == 5
     assert r.stderr.startswith("error: FileNotFoundError:")
+
+
+def test_cli_missing_output_directory_exit_5(workspace, tmp_path):
+    root, data, rels = workspace
+    out = tmp_path / "nope" / "m.json"
+    r = run_cli("fit", "--data", str(data), "--classes", "2", "--out", str(out))
+    assert r.returncode == 5
+    assert r.stderr == (
+        f"error: FileNotFoundError: [Errno 2] No such file or directory: '{out}'\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+@pytest.mark.parametrize("command", ["gen-data", "gen-relations", "fit", "trials"])
+def test_cli_negative_seed_is_rejected(workspace, tmp_path, command, route):
+    # numpy seeds only with non-negative integers: a negative seed is a
+    # usage error on the command line and an input error in a config file
+    root, data, rels = workspace
+    out = tmp_path / "out"
+    dest = "base_seed" if command == "trials" else "seed"
+    flag = "--" + dest.replace("_", "-")
+    argv = {
+        "gen-data": ["--kind", "two-cluster", "--n-per-class", "5"],
+        "gen-relations": ["--data", str(data), "--label-column", "label",
+                          "--n-pairs", "2"],
+        "fit": ["--data", str(data), "--classes", "2"],
+        "trials": ["--data", str(data), "--label-column", "label", "--classes", "2",
+                   "--budgets", "0", "--n-trials", "1"],
+    }[command]
+    if route == "flag":
+        r = run_cli(command, *argv, flag, "-1", "--out", str(out))
+        assert r.returncode == 2
+        assert r.stderr.splitlines()[-1] == (
+            f"pairmix {command}: error: argument {flag}: "
+            "must be a non-negative integer, got -1"
+        )
+        assert r.stderr.count("error:") == 1
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({dest: -1}))
+        r = run_cli(command, *argv, "--config", str(cfg), "--out", str(out))
+        assert r.returncode == 3
+        assert r.stderr == f"error: ParseError: config value -1 is not valid for '{dest}'\n"
+    assert not out.exists()
 
 
 def test_cli_version():

@@ -5,11 +5,14 @@ import pytest
 
 from pairmix import (
     DegenerateNormalizerError,
+    InvariantViolationError,
+    NotFiniteError,
     mixing_gradient,
     mixing_objective,
     optimize_mixing,
     optimize_mixing_info,
 )
+from pairmix.mixing import ALPHA_FLOOR
 
 from oracles import grid_argmax_two_class, mixing_objective_reference
 
@@ -187,3 +190,80 @@ def test_warm_start_never_descends_and_matches_cold_solve():
         f_warm = mixing_objective(warm, counts, n_cannot)
         assert f_warm >= f_old - 1e-12 * max(1.0, abs(f_old))
         np.testing.assert_allclose(warm, optimize_mixing(counts, n_cannot), rtol=0, atol=1e-6)
+
+
+def test_two_class_interior_takes_closed_form():
+    # with two classes 1 − Σα² = 2α₁α₂, so f is maximized at α ∝ c − n
+    # whenever both counts exceed the cannot-link count
+    rng = np.random.default_rng(318)
+    for _ in range(300):
+        n_cannot = int(rng.integers(1, 30))
+        counts = _estep_counts(rng, 2, int(rng.integers(1, 60)), n_cannot)
+        start = rng.dirichlet(np.ones(2)) if rng.random() < 0.5 else None
+        alpha, info = optimize_mixing_info(counts, n_cannot, start)
+        excess = counts - n_cannot
+        want = excess / excess.sum()
+        np.testing.assert_allclose(alpha, want, rtol=0, atol=1e-15)
+        assert info.n_steps == 0
+        assert info.kkt_residual <= 1e-12
+        assert not info.railed
+        assert info.objective == mixing_objective(alpha, counts, n_cannot)
+
+
+def test_two_class_closed_form_on_two_class_support():
+    # a class without mass is pinned to 0; the other two take the formula
+    counts = np.array([30.0, 0.0, 10.0])
+    alpha, info = optimize_mixing_info(counts, 4)
+    np.testing.assert_allclose(alpha, [26 / 32, 0.0, 6 / 32], rtol=0, atol=1e-15)
+    assert info.n_steps == 0 and alpha[1] == 0.0
+
+
+def test_two_class_closed_form_clamps_at_floor():
+    # a count barely above n gives a weight below the floor: it is clamped
+    # and renormalized as the railed Newton path is, and reported railed
+    alpha, info = optimize_mixing_info(np.array([50.0, 5.0 + 1e-13]), 5)
+    assert info.n_steps == 0 and info.railed
+    assert alpha[1] == pytest.approx(ALPHA_FLOOR, rel=1e-12)
+    assert alpha.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("counts, n_cannot", [
+    ([30.0, 10.0], 40),  # both counts below n
+    ([0.5, 0.3], 25),
+    ([4.0, 1.0], 2),  # one count below n
+    ([12.0, 5.0], 5),  # c₂ = n: f = 7·log α₁ + const rises toward e₁
+    ([30.0, 10.0], 10),
+])
+def test_two_class_at_or_below_cannot_count_takes_newton_to_vertex(counts, n_cannot):
+    # where some c_m ≤ n the formula would give a wrong interior point (or
+    # divide by zero); projected Newton heads for the vertex instead
+    counts = np.asarray(counts)
+    alpha, info = optimize_mixing_info(counts, n_cannot)
+    assert info.n_steps > 0
+    assert alpha.max() > 1.0 - 1e-8
+    assert int(np.argmax(alpha)) == int(np.argmax(counts))
+    # below n it reaches the floor; at c₂ = n the KKT test, whose residual
+    # is about α₂, stops it a few 1e-9 short of the floor
+    assert info.railed == bool(counts.min() < n_cannot)
+
+
+def test_three_classes_keep_newton_steps():
+    alpha, info = optimize_mixing_info(np.array([24.0, 12.0, 4.0]), 4)
+    assert info.n_steps > 0
+    assert not info.railed
+    assert info.kkt_residual <= 1e-8
+
+
+@pytest.mark.parametrize("counts, alpha_init, error", [
+    ([3.0, 2.0], [0.5, 0.3, 0.2], InvariantViolationError),  # wrong shape
+    ([3.0, 2.0], [np.nan, 1.0], InvariantViolationError),
+    ([3.0, 2.0], [-0.1, 1.1], InvariantViolationError),
+    ([3.0, -2.0], None, InvariantViolationError),
+    ([3.0, np.inf], None, NotFiniteError),
+    ([0.0, 0.0], None, InvariantViolationError),
+    ([[3.0, 2.0]], None, InvariantViolationError),
+])
+def test_public_solver_still_checks_its_arguments(counts, alpha_init, error):
+    # the two-class closed form needs no start, but a bad one is still an error
+    with pytest.raises(error):
+        optimize_mixing_info(np.asarray(counts), 2, alpha_init)
