@@ -2,7 +2,9 @@
 
 Everything here works in log space; densities are exponentiated only after
 normalization by the callers.  Covariances are handled through Cholesky
-factors ``L``; every density is ``‖L⁻¹(x-μ)‖²`` from :func:`log_density_stack`.
+factors ``L``; every density is ``‖L⁻¹(x-μ)‖²`` from :func:`log_density_stack`,
+which sweeps the points in row blocks of a fixed size, so its temporaries do
+not grow with N.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ from .errors import (
 LOG_2PI = math.log(2.0 * math.pi)
 
 DEFAULT_RIDGE = 1e-6
+
+# float64 values in one row block of the density sweep; see log_density_stack
+_ROW_FLOATS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -111,8 +116,13 @@ def log_density_stack(
 
     ``means`` is (C, d), ``chols`` (C, d, d) lower factors, ``log_dets`` (C,).
     One batched inverse gives every ``L_c⁻¹``; the quadratic form is the
-    row-wise squared norm of ``(X - μ_c) L_c⁻ᵀ``, one component at a time so
-    that no temporary is larger than the (N, d) points.
+    row-wise squared norm of ``(X - μ_c) L_c⁻ᵀ``.  The rows are swept in
+    blocks of ``_ROW_FLOATS // d``: each block makes one (C, rows, d)
+    deviation array, one batched product and one reduction, so the
+    temporaries stay the same size whatever N is.  Every block holds
+    ``min(N, _ROW_FLOATS // d)`` rows, the last one overlapping the one
+    before it, so each product takes the BLAS path of a whole-N product and
+    the values equal those of one whole-N product per component bit for bit.
     """
     points = np.asarray(points, dtype=float)
     n, d = points.shape
@@ -122,10 +132,20 @@ def log_density_stack(
         inv_t = np.linalg.inv(chols).swapaxes(1, 2)
     except np.linalg.LinAlgError as exc:
         raise InvariantViolationError(f"Cholesky factor is singular: {exc}") from exc
-    for m in range(c):
-        z = (points - means[m]) @ inv_t[m]
-        quad[:, m] = np.einsum("nd,nd->n", z, z)
-    return -0.5 * ((d * LOG_2PI + np.asarray(log_dets, dtype=float)) + quad)
+    rows = max(1, min(n, _ROW_FLOATS // d))
+    # each mean repeated once per row, so that the subtraction below runs
+    # over a whole flattened block instead of d values at a time
+    tiled = np.tile(means, (1, rows))
+    for lo in range(0, n, rows):
+        # the last block ends at row n and may overlap the one before it:
+        # a short tail would take another BLAS path with other roundings
+        lo = min(lo, n - rows)
+        block = points[lo:lo + rows].reshape(1, -1)
+        z = (block - tiled).reshape(c, rows, d) @ inv_t
+        quad[lo:lo + rows] = np.einsum("crd,crd->cr", z, z).T
+    quad += d * LOG_2PI + np.asarray(log_dets, dtype=float)
+    quad *= -0.5
+    return quad
 
 
 def log_sum_exp(v, axis=None):

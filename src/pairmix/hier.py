@@ -66,6 +66,8 @@ from .types import (
 Z_EPS = 1e-12
 # float64 values in one M-step scatter temporary (16 MiB); see _scatter_stack
 _BLOCK_FLOATS = 1 << 21
+# float64 values in one row block of a component's scatter sum; see _scatter_stack
+_ROW_FLOATS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -486,27 +488,39 @@ def _scatter_stack(terms, idx: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Weighted scatter matrices of components ``idx`` around ``centers``
     (one row per component) → (len(idx), d, d).
 
-    Terms are summed in a fixed order, and each component's matrix equals
-    ``Σ (dev * w).T @ dev`` computed for that component alone, so results
-    are bit-reproducible.
+    Each component's matrix is ``Σ (dev * w).T @ dev`` over the rows of
+    every term, summed in row blocks of ``_ROW_FLOATS // d`` rows in one
+    fixed order, row block, then term, so results are bit-reproducible.
+    A term of at most one block adds its whole-term product, as a
+    component computed alone would.
 
-    Components are processed in blocks, with one batched product per block
-    and term.  A block holds as many components as keep its
-    ``(block, rows, d)`` deviations and their weighted copy within
-    ``_BLOCK_FLOATS`` values each for the longest term, and at least one, so
-    the temporaries stay bounded as N and the component count grow while a
-    small fit takes a single block.
+    Components are processed in groups, with one batched product per group,
+    row block and term.  A group holds as many components as keep its
+    ``(group, rows, d)`` deviations and their weighted copy within
+    ``_BLOCK_FLOATS`` values each, and at least one, so the temporaries
+    stay bounded as N and the component count grow while a small fit takes
+    a single group.
     """
     d = centers.shape[1]
     total = np.zeros((idx.size, d, d))
-    rows = max((pts.shape[0] for pts, _ in terms), default=1)
+    span = max(1, _ROW_FLOATS // d)
+    longest = max((pts.shape[0] for pts, _ in terms), default=1)
+    rows = min(span, longest)
     step = max(1, _BLOCK_FLOATS // (rows * d))
     for lo in range(0, idx.size, step):
-        block = slice(lo, lo + step)
-        for pts, wts in terms:
-            dev = pts - centers[block, None, :]
-            w = wts[:, idx[block]].T[:, :, None]
-            total[block] += (dev * w).transpose(0, 2, 1) @ dev
+        group = slice(lo, lo + step)
+        cols = idx[group]
+        # each centre repeated once per row: the subtraction then runs over
+        # a whole flattened block instead of d values at a time
+        tiled = np.tile(centers[group], (1, rows))
+        for start in range(0, longest, span):
+            for pts, wts in terms:
+                part = pts[start:start + span]
+                k = part.shape[0]
+                if k:
+                    dev = (part.reshape(1, -1) - tiled[:, :k * d]).reshape(-1, k, d)
+                    w = wts[start:start + span, cols].T[:, :, None]
+                    total[group] += (dev * w).transpose(0, 2, 1) @ dev
     return total
 
 

@@ -1,5 +1,7 @@
 """Density, log-sum-exp, and covariance-repair checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,9 @@ from pairmix import (
     log_sum_exp,
     regularize_covariance,
 )
+from pairmix import gaussian
 from pairmix.gaussian import (
+    LOG_2PI,
     log_density_stack,
     regularize_covariance_eps,
     regularize_covariances,
@@ -82,6 +86,60 @@ def test_log_density_stack_matches_per_class():
             for i in range(n):
                 want = dense_logpdf(pts[i], means[k], covs[k])
                 assert abs(stack[i, k] - want) <= 1e-10 * max(1.0, abs(want))
+
+
+def _whole_rows_reference(points, means, chols, log_dets):
+    # one component at a time over all N rows, with one product each
+    inv_t = np.linalg.inv(chols).swapaxes(1, 2)
+    quad = np.empty((points.shape[0], means.shape[0]))
+    for m in range(means.shape[0]):
+        z = (points - means[m]) @ inv_t[m]
+        quad[:, m] = np.einsum("nd,nd->n", z, z)
+    return -0.5 * ((points.shape[1] * LOG_2PI + log_dets) + quad)
+
+
+@pytest.mark.parametrize("tight", [False, True])
+@pytest.mark.parametrize("c", [1, 8])
+@pytest.mark.parametrize("d", [1, 2, 16])
+def test_log_density_stack_row_blocks_match_whole_rows(d, c, tight):
+    # the row blocks, their boundaries and a ragged tail change no bit;
+    # "tight" puts narrow components (covariance scale 1e-6) about 1e3
+    # from the origin, where the deviations cancel most digits
+    rng = np.random.default_rng(104)
+    rows = max(1, gaussian._ROW_FLOATS // d)
+    a = rng.normal(size=(c, d, d))
+    covs = a @ a.swapaxes(1, 2) + 0.5 * np.eye(d)
+    means = rng.normal(size=(c, d))
+    if tight:
+        covs *= 1e-6
+        means += 1e3
+    chols = np.linalg.cholesky(covs)
+    log_dets = 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
+    for n in (1, rows - 1, rows, rows + 1, 3 * rows + 17):
+        if tight:
+            pts = means[rng.integers(c, size=n)] + 1e-3 * rng.normal(size=(n, d))
+        else:
+            pts = 3.0 * rng.normal(size=(n, d))
+        got = log_density_stack(pts, means, chols, log_dets)
+        assert np.array_equal(got, _whole_rows_reference(pts, means, chols, log_dets))
+
+
+def test_log_density_stack_peak_memory_is_bounded():
+    # N = 1e5, d = 16, C = 8: one (N, d) temporary is 12.8 MB and the
+    # (N, C) result 6.4 MB
+    n, d, c = 100_000, 16, 8
+    rng = np.random.default_rng(105)
+    pts = rng.normal(size=(n, d))
+    means = rng.normal(size=(c, d))
+    chols = np.tile(np.eye(d), (c, 1, 1))
+    log_dets = np.zeros(c)
+    tracemalloc.start()
+    try:
+        log_density_stack(pts, means, chols, log_dets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
 
 
 def test_log_density_never_overflows_far_from_mean():

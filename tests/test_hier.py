@@ -28,7 +28,7 @@ from pairmix import (
 )
 from pairmix import hier, mixing
 from pairmix.hier import hier_resp_cannotlink, hier_resp_mustlink, hier_resp_unsupervised
-from pairmix.initialize import init_flat, init_hier, make_rng
+from pairmix.initialize import init_flat, init_hier, make_rng, sample_relations
 
 from oracles import enum_hier_cannot, enum_hier_must, enum_hier_unsup
 
@@ -274,6 +274,87 @@ def test_scatter_stack_blocks_match_per_component_bits(monkeypatch, blocks):
         monkeypatch.setattr(hier, "_BLOCK_FLOATS", 2 * max(rows) * d + 1)
     got = hier._scatter_stack(terms, idx, centers)
     assert np.array_equal(got, _scatter_reference(terms, idx, centers))
+
+
+def _scatter_row_block_reference(terms, idx, centers, span):
+    # one component at a time, summed over row blocks of ``span`` rows in
+    # (row block, term) order
+    total = np.zeros((idx.size, centers.shape[1], centers.shape[1]))
+    longest = max(pts.shape[0] for pts, _ in terms)
+    for k, c in enumerate(idx.tolist()):
+        for start in range(0, longest, span):
+            for pts, wts in terms:
+                dev = pts[start:start + span] - centers[k]
+                if dev.shape[0]:
+                    total[k] += (dev * wts[start:start + span, c, None]).T @ dev
+    return total
+
+
+@pytest.mark.parametrize("blocks", ["one", "split"])
+def test_scatter_stack_row_blocks(monkeypatch, blocks):
+    rng = np.random.default_rng(512)
+    d, span, rows = 3, 4, (41, 11, 9, 6)  # every term ends in a ragged block
+    terms = [(rng.normal(size=(n, d)), rng.random((n, 7))) for n in rows]
+    idx = np.array([0, 2, 3, 5, 6])
+    centers = rng.normal(size=(idx.size, d))
+    monkeypatch.setattr(hier, "_ROW_FLOATS", span * d)
+    if blocks == "split":
+        # room for two components of one row block: groups of 2, 2 and 1
+        monkeypatch.setattr(hier, "_BLOCK_FLOATS", 2 * span * d + 1)
+    got = hier._scatter_stack(terms, idx, centers)
+    assert np.array_equal(got, _scatter_row_block_reference(terms, idx, centers, span))
+    whole = _scatter_reference(terms, idx, centers)
+    assert np.abs(got - whole).max() <= 1e-13 * np.abs(whole).max()
+
+
+@pytest.fixture(scope="module")
+def a1_fixture():
+    ds = gen_synthetic("two-cluster", 200, 0.25, seed=0)
+    rel = sample_relations(ds.labels, 20, make_rng(513))
+    return ds, rel
+
+
+def _fit_with_span(monkeypatch, a1_fixture, span):
+    ds, rel = a1_fixture
+    if span is not None:
+        monkeypatch.setattr(hier, "_ROW_FLOATS", span * ds.dim)
+    return fit_flat(ds, rel, 2, FitConfig(seed=0))
+
+
+def test_fit_does_not_depend_on_scatter_row_blocks(monkeypatch, a1_fixture):
+    # N = 400: with the default span every term is one row block, as it is
+    # with a span longer than N, so the fit is the same to the bit
+    n = a1_fixture[0].n
+    model, trace = _fit_with_span(monkeypatch, a1_fixture, None)
+    assert n <= hier._ROW_FLOATS // a1_fixture[0].dim
+    wide_model, wide_trace = _fit_with_span(monkeypatch, a1_fixture, n + 1)
+    assert wide_trace == trace
+    for name in ("alpha", "means", "covs"):
+        assert np.array_equal(getattr(wide_model, name), getattr(model, name))
+    # blocks of 7 rows split every term: a change of summation order only
+    _, short_trace = _fit_with_span(monkeypatch, a1_fixture, 7)
+    assert short_trace.n_iters == trace.n_iters
+    want = np.array(trace.log_likelihoods)
+    got = np.array(short_trace.log_likelihoods)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def test_scatter_stack_peak_memory_is_bounded():
+    # M-step-shaped terms at N = 1e5, d = 16, C = 8: one (C, N, d)
+    # deviation array alone would be 102 MB
+    n, d, c = 100_000, 16, 8
+    rng = np.random.default_rng(514)
+    rows = (n - 2000, 500, 500, 500, 500)
+    terms = [(rng.normal(size=(k, d)), rng.dirichlet(np.ones(c), size=k)) for k in rows]
+    idx = np.arange(c)
+    centers = rng.normal(size=(c, d))
+    tracemalloc.start()
+    try:
+        hier._scatter_stack(terms, idx, centers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
 
 
 def test_mstep_peak_memory_is_bounded():
