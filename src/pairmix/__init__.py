@@ -1,15 +1,13 @@
 """Gaussian mixture clustering guided by pairwise must-link / cannot-link
 relations, with optional multi-cluster (manifold-shaped) classes."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .datasets import gen_synthetic
 from .errors import (
     ConflictingPairError,
     DegenerateNormalizerError,
     DimensionMismatchError,
-    EmptyClassError,
-    EmptyClusterError,
     EmptyInputError,
     ExhaustedPairsError,
     IndexOutOfRangeError,
@@ -30,33 +28,20 @@ from .flat import (
     FitConfig,
     FitTrace,
     cannotlink_prior,
-    estep,
     fit_flat,
     log_likelihood,
-    mixing_counts,
     predict_flat,
     predict_flat_batch,
     resp_cannotlink,
     resp_mustlink,
     resp_unsupervised,
-    update_mean_cov,
 )
-from .gaussian import (
-    CholeskyGaussian,
-    log_density,
-    log_density_batch,
-    log_sum_exp,
-    regularize_covariance,
-    regularize_covariance_eps,
-)
+from .gaussian import log_sum_exp
 from .hier import (
     fit_hier,
-    hier_estep,
-    hier_mixing_counts,
     hier_resp_cannotlink,
     hier_resp_mustlink,
     hier_resp_unsupervised,
-    hier_update,
     log_likelihood_hier,
     predict_hier,
     predict_hier_batch,
@@ -92,9 +77,7 @@ from .types import (
     Dataset,
     FlatModel,
     HierModel,
-    HierResponsibilities,
     RelationSet,
-    Responsibilities,
     validate_relations,
 )
 

@@ -29,7 +29,6 @@ from . import __version__
 from .datasets import DEFAULT_NOISE, gen_synthetic
 from .errors import (
     DegenerateNormalizerError,
-    EmptyClassError,
     NoConvergenceError,
     PairmixError,
     ParseError,
@@ -52,7 +51,7 @@ from .pca import apply_pca, fit_pca
 from .serialize import load_model, save_model, serialize_pca
 from .types import Dataset, FlatModel, RelationSet, validate_relations
 
-_NUMERIC_ERRORS = (DegenerateNormalizerError, NoConvergenceError, EmptyClassError)
+_NUMERIC_ERRORS = (DegenerateNormalizerError, NoConvergenceError)
 
 
 # config entries that may also be a JSON list of integers

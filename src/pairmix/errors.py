@@ -82,24 +82,5 @@ class EmptyInputError(PairmixError):
     """An operation that needs at least one element received none."""
 
 
-class EmptyClassError(PairmixError):
-    """A class collected (numerically) zero responsibility mass."""
-
-    def __init__(self, class_index: int, message: str | None = None):
-        self.class_index = class_index
-        super().__init__(message or f"class {class_index} has no responsibility mass")
-
-
-class EmptyClusterError(EmptyClassError):
-    """A within-class cluster collected zero responsibility mass."""
-
-    def __init__(self, class_index: int, cluster_index: int):
-        self.cluster_index = cluster_index
-        super().__init__(
-            class_index,
-            f"cluster {cluster_index} of class {class_index} has no responsibility mass",
-        )
-
-
 class NoConvergenceError(PairmixError):
     """An iterative solver exhausted its step budget without converging."""

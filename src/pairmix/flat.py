@@ -3,9 +3,13 @@
 The model couples three data factors: independent points, must-link pairs
 (the two members share a single latent class variable), and cannot-link
 pairs (a joint prior over the two class labels with zero same-class mass).
-The E-step computes the corresponding posterior tables; the M-step updates
+:func:`fit_flat` runs EM over them: the E-step computes each factor's
+posterior table (the per-pair formulas are :func:`resp_unsupervised`,
+:func:`resp_mustlink` and :func:`resp_cannotlink`); the M-step updates
 means and covariances in closed form and the mixing weights with the
 solver of :mod:`pairmix.mixing` (see :func:`pairmix.mixing.optimize_mixing`).
+:func:`log_likelihood` scores a model and :func:`predict_flat` /
+:func:`predict_flat_batch` label new points.
 
 By default a point that appears in any relation is *not* additionally
 counted as an independent point: relation membership is treated as
@@ -24,12 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    EmptyClassError,
-    InvariantViolationError,
-    KTooLargeError,
-)
+from .errors import DimensionMismatchError, InvariantViolationError, KTooLargeError
 from .hier import (  # the public names here are re-exported
     CannotLinkPrior,
     FitConfig,
@@ -37,19 +36,15 @@ from .hier import (  # the public names here are re-exported
     _CANNOT_PAIR,
     _MUST_PAIR,
     _checked_relations,
-    _class_counts,
-    _estep,
     _fit,
     _flat_params,
     _log_likelihood,
     _point_estep,
     _predict_batch,
-    _relation_plan,
-    _update_moments,
     cannotlink_prior,
 )
 from .initialize import init_flat, make_rng
-from .types import Dataset, FlatModel, RelationSet, Responsibilities
+from .types import Dataset, FlatModel, RelationSet
 
 
 def resp_unsupervised(model: FlatModel, x) -> np.ndarray:
@@ -72,62 +67,6 @@ def resp_cannotlink(model: FlatModel, x_a, x_b):
     """
     e = _point_estep(_flat_params(model), _CANNOT_PAIR, x_a=x_a, x_b=x_b)
     return e.cannot_a_class[0], e.cannot_b_class[0], e.cannot_class_joint[0]
-
-
-def estep(
-    model: FlatModel,
-    dataset: Dataset,
-    relations: RelationSet,
-    *,
-    count_linked_as_unsupervised: bool = False,
-) -> Responsibilities:
-    """Vectorized E-step over the whole dataset; see the per-pair ops."""
-    plan = _relation_plan(dataset, relations, count_linked_as_unsupervised)
-    e = _estep(_flat_params(model), dataset.points, plan)
-    return Responsibilities(
-        unsup_indices=plan.unsup_idx,
-        unsup=e.unsup_class,
-        must_pairs=plan.must_pairs,
-        must=e.must_class,
-        cannot_pairs=plan.cannot_pairs,
-        cannot_a=e.cannot_a_class,
-        cannot_b=e.cannot_b_class,
-        cannot_joint=e.cannot_class_joint,
-    )
-
-
-def mixing_counts(resp: Responsibilities) -> np.ndarray:
-    """Per-class responsibility mass ``c_m`` for the mixing-weight update.
-
-    Each must-link pair contributes its shared weight once; each
-    cannot-link pair contributes both marginals.
-    """
-    return _class_counts(
-        resp.unsup, resp.must, resp.cannot_a, resp.cannot_b,
-        np.arange(resp.n_classes + 1),
-    )
-
-
-def update_mean_cov(
-    dataset: Dataset,
-    relations: RelationSet,
-    resp: Responsibilities,
-    *,
-    ridge_floor: float = 1e-6,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form M-step for means and covariances.
-
-    The covariance uses the scatter around the *new* mean and passes
-    through :func:`regularize_covariance`.  ``Z_m`` counts each must-link
-    pair twice (two points, one shared weight).  Raises
-    :class:`EmptyClassError` when a class's normalizer ``Z_m`` is ≤ 1e-12.
-    """
-    _, means, covs = _update_moments(
-        dataset, relations, resp,
-        (resp.unsup, resp.must, resp.must, resp.cannot_a, resp.cannot_b),
-        resp.n_classes, ridge_floor, EmptyClassError,
-    )
-    return means, covs
 
 
 def log_likelihood(

@@ -1,16 +1,18 @@
-"""Stable multivariate-Gaussian log-densities and log-space reductions.
+"""The Gaussian layer of the EM engine: one log-density kernel, a log-space
+reduction and the covariance repair of the M-step.
 
 Everything here works in log space; densities are exponentiated only after
 normalization by the callers.  Covariances are handled through Cholesky
 factors ``L``; every density is ``‖L⁻¹(x-μ)‖²`` from :func:`log_density_stack`,
-which sweeps the points in row blocks of a fixed size, so its temporaries do
-not grow with N.
+which evaluates a whole stack of Gaussians and sweeps the points in row
+blocks of a fixed size, so its temporaries do not grow with N.
+:func:`log_sum_exp` reduces in log space, and :func:`regularize_covariances`
+ridges a stack of covariances until each is positive definite.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,83 +29,6 @@ DEFAULT_RIDGE = 1e-6
 
 # float64 values in one row block of the density sweep; see log_density_stack
 _ROW_FLOATS = 1 << 14
-
-
-@dataclass(frozen=True)
-class CholeskyGaussian:
-    """A Gaussian stored as mean + lower Cholesky factor of its covariance.
-
-    ``log_det`` is ``log|Σ| = 2 Σ_k log L_kk``, fixed at construction.
-    """
-
-    mean: np.ndarray
-    chol: np.ndarray
-    log_det: float = field(init=False)
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        chol = np.asarray(self.chol, dtype=float)
-        if mean.ndim != 1:
-            raise InvariantViolationError("mean must be a 1-D vector")
-        d = mean.size
-        if chol.shape != (d, d):
-            raise DimensionMismatchError(
-                f"chol has shape {chol.shape}, expected ({d}, {d})"
-            )
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(chol))):
-            raise NotFiniteError("CholeskyGaussian parameters are non-finite")
-        if np.any(np.triu(chol, k=1) != 0.0):
-            raise InvariantViolationError("chol must be lower-triangular")
-        diag = np.diag(chol)
-        if np.any(diag <= 0.0):
-            raise InvariantViolationError("chol must have positive diagonal")
-        mean = mean.copy()
-        chol = chol.copy()
-        mean.setflags(write=False)
-        chol.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "chol", chol)
-        object.__setattr__(self, "log_det", 2.0 * float(np.log(diag).sum()))
-
-    @classmethod
-    def from_covariance(cls, mean, cov) -> "CholeskyGaussian":
-        """Factor ``cov`` once; raises if it is not positive definite."""
-        cov = np.asarray(cov, dtype=float)
-        try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
-            raise InvariantViolationError(
-                f"covariance is not positive definite: {exc}"
-            ) from exc
-        return cls(mean=mean, chol=chol)
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size
-
-
-def log_density(g: CholeskyGaussian, x) -> float:
-    """Gaussian log-density of one point.
-
-    Returns ``-d/2 log(2π) - 1/2 log|Σ| - 1/2 (x-μ)ᵀ Σ⁻¹ (x-μ)`` where the
-    quadratic form is ``‖L⁻¹(x-μ)‖²`` for the stored factor ``L``.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (g.dim,):
-        raise DimensionMismatchError(f"x has shape {x.shape}, expected ({g.dim},)")
-    if not np.all(np.isfinite(x)):
-        raise NotFiniteError("x contains non-finite entries")
-    return float(log_density_batch(g, x[None, :])[0])
-
-
-def log_density_batch(g: CholeskyGaussian, points: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`log_density` over the rows of ``points`` (N, d)."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != g.dim:
-        raise DimensionMismatchError(
-            f"points have shape {points.shape}, expected (N, {g.dim})"
-        )
-    return log_density_stack(points, g.mean[None], g.chol[None], [g.log_det])[:, 0]
 
 
 def log_density_stack(
@@ -176,62 +101,26 @@ def log_sum_exp(v, axis=None):
     return out.squeeze(axis=axis)
 
 
-def scaled_ridge(s: np.ndarray, rel_floor: float = DEFAULT_RIDGE) -> float:
-    """Scale-aware ridge: ``rel_floor · trace(S)/d``, or ``rel_floor`` itself
-    when the trace is not positive (e.g. a zero scatter matrix)."""
-    s = np.asarray(s, dtype=float)
-    tr = float(np.trace(s))
-    d = s.shape[0]
-    if tr > 0.0:
-        return rel_floor * tr / d
-    return rel_floor
-
-
-def regularize_covariance(s, floor: float | None = None) -> np.ndarray:
-    """Symmetrize ``S`` and add the smallest ridge that makes it SPD.
-
-    Tries ``ε ∈ {0, floor, 10·floor, 100·floor, ...}`` until a Cholesky
-    factorization succeeds *at the working scale* — every pivot must clear
-    ``floor/2``, so a rank-deficient matrix that sneaks through a raw
-    factorization on rounding noise is still repaired (a mixture component
-    collapsed onto too few points would otherwise alternate between spiked
-    and ridged states from one M-step to the next).  Returns
-    ``(S + Sᵀ)/2 + εI``.  When ``floor`` is omitted it defaults to the
-    scale-aware value ``1e-6 · trace(S)/d`` (plain ``1e-6`` for a traceless
-    matrix).
-    """
-    cov, _ = regularize_covariance_eps(s, floor)
-    return cov
-
-
-def regularize_covariance_eps(
-    s, floor: float | None = None
-) -> tuple[np.ndarray, float]:
-    """:func:`regularize_covariance` plus the ridge ε it applied (0 if none)."""
-    s = np.asarray(s, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {s.shape}")
-    if not np.isfinite(s).all():
-        raise NotFiniteError("covariance contains non-finite entries")
-    if floor is None:
-        floor = scaled_ridge(s)
-    floor = float(floor)
-    if floor <= 0.0:
-        raise InvariantViolationError(f"floor must be positive, got {floor!r}")
-    return _ridge_ladder(0.5 * (s + s.T), floor)[:2]
-
-
 def regularize_covariances(
     stack, rel_floor: float = DEFAULT_RIDGE
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`regularize_covariance_eps` for every matrix of a (C, d, d)
-    stack, each with its scale-aware floor ``scaled_ridge(S_c, rel_floor)``.
+    """Symmetrize every matrix ``S_c`` of a (C, d, d) stack and add the
+    smallest ridge that makes it SPD.
 
-    Returns the regularized stack, the (C,) ridges and the lower Cholesky
-    factors of the regularized matrices, the ones the pivot test accepted.
-    One batched Cholesky settles every matrix that needs no ridge; the rest
-    climb the ridge ladder one by one, with results identical to the
-    single-matrix function.
+    Each matrix climbs the ladder ``ε ∈ {0, f_c, 10·f_c, 100·f_c, ...}``
+    until a Cholesky factorization succeeds *at the working scale*: every
+    pivot must clear ``f_c/2``, so a rank-deficient matrix that sneaks
+    through a raw factorization on rounding noise is still repaired (a
+    mixture component collapsed onto too few points would otherwise
+    alternate between spiked and ridged states from one M-step to the
+    next).  The floor is scale-aware: ``f_c = rel_floor · trace(S_c)/d``,
+    or ``rel_floor`` itself when the trace is not positive.
+
+    Returns the regularized stack ``(S_c + S_cᵀ)/2 + ε_c I``, the (C,)
+    ridges ``ε_c`` and the lower Cholesky factors of the regularized
+    matrices, the ones the pivot test accepted.  One batched Cholesky
+    settles every matrix that needs no ridge; the rest climb the ladder one
+    by one, so each matrix gets what it would get in a stack of its own.
     """
     stack = np.asarray(stack, dtype=float)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:

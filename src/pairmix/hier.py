@@ -8,7 +8,7 @@ single class label (each member keeps its own sub-cluster label), and a
 cannot-link pair uses the zero-diagonal class-pair prior.
 
 Internally the cluster axis is flattened over ``(class, cluster)`` with
-offsets (see :class:`~pairmix.types.HierResponsibilities`); the quantity
+offsets (see :class:`_Params`); the quantity
 ``B[n, m] = log Σ_k π_{m_k} N_{m_k}(x_n)`` — the within-class mixture
 log-likelihood — plays the role the single log-density has in the flat
 E-step, and the sub-cluster posterior ``r[n, (m,k)]`` factors every joint
@@ -39,7 +39,6 @@ import numpy as np
 from .errors import (
     DegenerateNormalizerError,
     DimensionMismatchError,
-    EmptyClusterError,
     InvariantViolationError,
     KTooLargeError,
     LengthMismatchError,
@@ -58,7 +57,6 @@ from .types import (
     Dataset,
     FlatModel,
     HierModel,
-    HierResponsibilities,
     RelationSet,
     validate_relations,
 )
@@ -242,15 +240,6 @@ class _RelationPlan(NamedTuple):
     xb: np.ndarray
 
 
-def _gather_plan(points, unsup_idx, must_pairs, cannot_pairs) -> _RelationPlan:
-    return _RelationPlan(
-        unsup_idx, must_pairs, cannot_pairs,
-        points[unsup_idx],
-        points[must_pairs[:, 0]], points[must_pairs[:, 1]],
-        points[cannot_pairs[:, 0]], points[cannot_pairs[:, 1]],
-    )
-
-
 def _relation_plan(
     dataset: Dataset, relations: RelationSet, count_linked_as_unsupervised: bool
 ) -> _RelationPlan:
@@ -260,11 +249,14 @@ def _relation_plan(
     unlinked = np.ones(dataset.n, dtype=bool)
     if not (count_linked_as_unsupervised or relations.is_empty()):
         unlinked[relations.linked_indices()] = False
-    return _gather_plan(
-        dataset.points,
-        np.flatnonzero(unlinked),
-        np.asarray(relations.must, dtype=np.int64).reshape(-1, 2),
-        np.asarray(relations.cannot, dtype=np.int64).reshape(-1, 2),
+    points, unsup_idx = dataset.points, np.flatnonzero(unlinked)
+    must_pairs = np.asarray(relations.must, dtype=np.int64).reshape(-1, 2)
+    cannot_pairs = np.asarray(relations.cannot, dtype=np.int64).reshape(-1, 2)
+    return _RelationPlan(
+        unsup_idx, must_pairs, cannot_pairs,
+        points[unsup_idx],
+        points[must_pairs[:, 0]], points[must_pairs[:, 1]],
+        points[cannot_pairs[:, 0]], points[cannot_pairs[:, 1]],
     )
 
 
@@ -308,10 +300,17 @@ def _normalized_rows(w: np.ndarray):
 
 class _EStep(NamedTuple):
     """One E-step: ``b`` / ``r`` of every point (see :func:`_cluster_tables`),
-    the posterior tables (see :class:`HierResponsibilities`; ``unsup_class``
-    is the class marginal of ``unsup``), and the observed-data
-    log-likelihood of the model — the sum of the class-level tables'
-    log-normalizers."""
+    the posterior tables, one row per entry of the plan, and the
+    observed-data log-likelihood of the model — the sum of the class-level
+    tables' log-normalizers.
+
+    ``unsup``, ``must_i`` / ``must_j`` and ``cannot_a`` / ``cannot_b`` are
+    cluster-level tables over the flattened ``(class, cluster)`` axis, for
+    the unlinked points, the must-link members and the cannot-link members;
+    each ``*_class`` table is the class marginal of its cluster-level table
+    (``must_class`` is the one shared by both members of a pair), and
+    ``cannot_class_joint`` is the M×M class-pair posterior of a cannot-link
+    pair, zero on its diagonal."""
 
     b: np.ndarray
     r: np.ndarray | None
@@ -433,33 +432,6 @@ def hier_resp_cannotlink(model: HierModel, x_a, x_b):
     )
 
 
-def hier_estep(
-    model: HierModel,
-    dataset: Dataset,
-    relations: RelationSet,
-    *,
-    count_linked_as_unsupervised: bool = False,
-) -> HierResponsibilities:
-    """Vectorized hierarchical E-step over the whole dataset."""
-    plan = _relation_plan(dataset, relations, count_linked_as_unsupervised)
-    e = _estep(_hier_params(model), dataset.points, plan)
-    return HierResponsibilities(
-        offsets=model.cluster_offsets,
-        unsup_indices=plan.unsup_idx,
-        unsup=e.unsup,
-        must_pairs=plan.must_pairs,
-        must_i=e.must_i,
-        must_j=e.must_j,
-        must_class=e.must_class,
-        cannot_pairs=plan.cannot_pairs,
-        cannot_a=e.cannot_a,
-        cannot_b=e.cannot_b,
-        cannot_a_class=e.cannot_a_class,
-        cannot_b_class=e.cannot_b_class,
-        cannot_class_joint=e.cannot_class_joint,
-    )
-
-
 # ---------------------------------------------------------------------------
 # M-step
 
@@ -473,14 +445,6 @@ def _class_counts(unsup, must_class, cannot_a_class, cannot_b_class, offsets):
         + must_class.sum(axis=0)
         + cannot_a_class.sum(axis=0)
         + cannot_b_class.sum(axis=0)
-    )
-
-
-def hier_mixing_counts(resp: HierResponsibilities) -> np.ndarray:
-    """Class-marginal counts ``c_m`` for the mixing-weight update."""
-    return _class_counts(
-        resp.unsup, resp.must_class, resp.cannot_a_class, resp.cannot_b_class,
-        resp.offsets,
     )
 
 
@@ -553,54 +517,6 @@ def _mstep(plan: _RelationPlan, tables, total: int, ridge_floor: float):
     raw = _scatter_stack(terms, live, means[live]) / weight[live, None, None]
     covs[live], ridges[live], chols[live] = regularize_covariances(raw, ridge_floor)
     return weight, np.flatnonzero(is_empty), means, covs, chols, ridges
-
-
-def _update_moments(dataset, relations, resp, tables, total, ridge_floor, empty_error):
-    """:func:`_mstep` from a public responsibilities value: weights, means
-    and covariances; ``empty_error(c)`` is raised when cluster ``c``'s
-    weight is ≤ ``Z_EPS``."""
-    if len(resp.must_pairs) != len(relations.must) or len(resp.cannot_pairs) != len(
-        relations.cannot
-    ):
-        raise LengthMismatchError("responsibilities do not align with the relation set")
-    plan = _gather_plan(
-        dataset.points, resp.unsup_indices, resp.must_pairs, resp.cannot_pairs
-    )
-    weight, empty, means, covs, _, _ = _mstep(plan, tables, total, ridge_floor)
-    if empty.size:
-        raise empty_error(int(empty[0]))
-    return weight, means, covs
-
-
-def hier_update(
-    dataset: Dataset,
-    relations: RelationSet,
-    resp: HierResponsibilities,
-    *,
-    ridge_floor: float = 1e-6,
-) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
-    """Closed-form M-step for cluster means, covariances, and π.
-
-    Returns per-class lists aligned with the model's classes.  Raises
-    :class:`EmptyClusterError` when a cluster's weight is ≤ 1e-12.
-    """
-    offsets = resp.offsets
-
-    def empty_error(c: int) -> EmptyClusterError:
-        m = int(np.searchsorted(offsets, c, side="right")) - 1
-        return EmptyClusterError(m, c - int(offsets[m]))
-
-    weight, means, covs = _update_moments(
-        dataset, relations, resp,
-        (resp.unsup, resp.must_i, resp.must_j, resp.cannot_a, resp.cannot_b),
-        int(offsets[-1]), ridge_floor, empty_error,
-    )
-    bounds = list(zip(offsets[:-1], offsets[1:]))
-    return (
-        [means[lo:hi] for lo, hi in bounds],
-        [covs[lo:hi] for lo, hi in bounds],
-        [weight[lo:hi] / weight[lo:hi].sum() for lo, hi in bounds],
-    )
 
 
 # ---------------------------------------------------------------------------

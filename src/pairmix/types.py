@@ -36,10 +36,8 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _readonly_int(a, shape_hint=None) -> np.ndarray:
+def _readonly_int(a) -> np.ndarray:
     out = np.array(a, dtype=np.int64)
-    if out.size == 0 and shape_hint is not None:
-        out = out.reshape(shape_hint)
     out.setflags(write=False)
     return out
 
@@ -158,13 +156,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
-
-    @property
-    def n_labeled_classes(self) -> int:
-        """Number of ground-truth classes (``max label + 1``); 0 if unlabeled."""
-        if self.labels is None:
-            return 0
-        return int(self.labels.max()) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +355,6 @@ class HierModel:
         return np.concatenate([[0], np.cumsum(self.cluster_counts)])
 
     @property
-    def total_clusters(self) -> int:
-        return sum(self.cluster_counts)
-
-    @property
     def is_flat_equivalent(self) -> bool:
         """True when every class has a single cluster (behaves as a FlatModel)."""
         return all(c.n_clusters == 1 for c in self.classes)
@@ -383,108 +370,3 @@ class HierModel:
             means=np.stack([c.means[0] for c in self.classes]),
             covs=np.stack([c.covs[0] for c in self.classes]),
         )
-
-
-# ---------------------------------------------------------------------------
-# responsibilities
-
-
-def _check_rows_normalized(a: np.ndarray, name: str) -> None:
-    if a.size and np.abs(a.sum(axis=-1) - 1.0).max() > 1e-9:
-        raise InvariantViolationError(f"{name} rows do not sum to 1")
-
-
-@dataclass(frozen=True)
-class Responsibilities:
-    """Posterior tables from one flat E-step.
-
-    ``unsup[u]`` holds the class posterior of point ``unsup_indices[u]``;
-    ``must[p]`` the single shared posterior of must-link pair
-    ``must_pairs[p]``; ``cannot_joint[q]`` the joint class table of
-    cannot-link pair ``cannot_pairs[q]`` with an exactly-zero diagonal, and
-    ``cannot_a`` / ``cannot_b`` its row/column marginals.
-    """
-
-    unsup_indices: np.ndarray
-    unsup: np.ndarray
-    must_pairs: np.ndarray
-    must: np.ndarray
-    cannot_pairs: np.ndarray
-    cannot_a: np.ndarray
-    cannot_b: np.ndarray
-    cannot_joint: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "unsup_indices", _readonly_int(self.unsup_indices))
-        object.__setattr__(self, "must_pairs", _readonly_int(self.must_pairs, (0, 2)))
-        object.__setattr__(self, "cannot_pairs", _readonly_int(self.cannot_pairs, (0, 2)))
-        for name in ("unsup", "must", "cannot_a", "cannot_b", "cannot_joint"):
-            arr = _readonly(getattr(self, name))
-            object.__setattr__(self, name, arr)
-            if not np.all(np.isfinite(arr)):
-                raise NotFiniteError(f"{name} responsibilities are non-finite")
-        _check_rows_normalized(self.unsup, "unsup")
-        _check_rows_normalized(self.must, "must")
-        if self.cannot_joint.size:
-            diag = np.diagonal(self.cannot_joint, axis1=-2, axis2=-1)
-            if np.any(diag != 0.0):
-                raise InvariantViolationError("cannot_joint has non-zero diagonal")
-            total = self.cannot_joint.sum(axis=(-2, -1))
-            if np.abs(total - 1.0).max() > 1e-9:
-                raise InvariantViolationError("cannot_joint tables do not sum to 1")
-
-    @property
-    def n_classes(self) -> int:
-        for arr in (self.unsup, self.must, self.cannot_a):
-            if arr.ndim == 2 and arr.shape[1]:
-                return arr.shape[1]
-        return 0
-
-
-@dataclass(frozen=True)
-class HierResponsibilities:
-    """Posterior tables from one hierarchical E-step.
-
-    Cluster-level tables are flattened over ``(class, cluster)`` in class
-    order; ``offsets[m] : offsets[m + 1]`` slices out class ``m``.  The
-    ``*_class`` tables are the corresponding class-level marginals.
-    """
-
-    offsets: np.ndarray
-    unsup_indices: np.ndarray
-    unsup: np.ndarray
-    must_pairs: np.ndarray
-    must_i: np.ndarray
-    must_j: np.ndarray
-    must_class: np.ndarray
-    cannot_pairs: np.ndarray
-    cannot_a: np.ndarray
-    cannot_b: np.ndarray
-    cannot_a_class: np.ndarray
-    cannot_b_class: np.ndarray
-    cannot_class_joint: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "offsets", _readonly_int(self.offsets))
-        object.__setattr__(self, "unsup_indices", _readonly_int(self.unsup_indices))
-        object.__setattr__(self, "must_pairs", _readonly_int(self.must_pairs, (0, 2)))
-        object.__setattr__(self, "cannot_pairs", _readonly_int(self.cannot_pairs, (0, 2)))
-        for name in (
-            "unsup", "must_i", "must_j", "must_class",
-            "cannot_a", "cannot_b", "cannot_a_class", "cannot_b_class",
-            "cannot_class_joint",
-        ):
-            arr = _readonly(getattr(self, name))
-            object.__setattr__(self, name, arr)
-            if not np.all(np.isfinite(arr)):
-                raise NotFiniteError(f"{name} responsibilities are non-finite")
-        for name in ("unsup", "must_i", "must_j", "must_class"):
-            _check_rows_normalized(getattr(self, name), name)
-        if self.cannot_class_joint.size:
-            diag = np.diagonal(self.cannot_class_joint, axis1=-2, axis2=-1)
-            if np.any(diag != 0.0):
-                raise InvariantViolationError("cannot_class_joint has non-zero diagonal")
-
-    @property
-    def n_classes(self) -> int:
-        return self.offsets.size - 1

@@ -149,30 +149,33 @@ def enum_hier_cannot(model, x_a, x_b):
 # M-step reference (termwise, loop-based)
 
 
-def mstep_reference(points, relations, resp):
+def mstep_reference(points, unsup_indices, unsup, must_pairs, must,
+                    cannot_pairs, cannot_a, cannot_b):
     """Weighted means/covariances accumulated pair by pair with plain loops.
 
     Mirrors the closed-form update: every must-link endpoint carries the
     pair's shared class weight, every cannot-link endpoint its own
     marginal, and the covariance is the scatter around the new mean.  No
     ridge is applied, so comparisons hold when the scatter is healthy.
+    The posterior tables hold one row per entry of ``unsup_indices``,
+    ``must_pairs`` and ``cannot_pairs``.
     """
     points = np.asarray(points, dtype=float)
     n, d = points.shape
-    m_count = resp.unsup.shape[1] if resp.unsup.size else resp.must.shape[1]
+    m_count = unsup.shape[1] if unsup.size else must.shape[1]
 
     weights = [[] for _ in range(m_count)]  # (weight, point) lists
-    for row, i in enumerate(resp.unsup_indices):
+    for row, i in enumerate(unsup_indices):
         for m in range(m_count):
-            weights[m].append((resp.unsup[row, m], points[i]))
-    for row, (i, j) in enumerate(resp.must_pairs):
+            weights[m].append((unsup[row, m], points[i]))
+    for row, (i, j) in enumerate(must_pairs):
         for m in range(m_count):
-            weights[m].append((resp.must[row, m], points[i]))
-            weights[m].append((resp.must[row, m], points[j]))
-    for row, (a, b) in enumerate(resp.cannot_pairs):
+            weights[m].append((must[row, m], points[i]))
+            weights[m].append((must[row, m], points[j]))
+    for row, (a, b) in enumerate(cannot_pairs):
         for m in range(m_count):
-            weights[m].append((resp.cannot_a[row, m], points[a]))
-            weights[m].append((resp.cannot_b[row, m], points[b]))
+            weights[m].append((cannot_a[row, m], points[a]))
+            weights[m].append((cannot_b[row, m], points[b]))
 
     means = np.zeros((m_count, d))
     covs = np.zeros((m_count, d, d))
@@ -185,16 +188,16 @@ def mstep_reference(points, relations, resp):
     return means, covs
 
 
-def mixing_counts_reference(resp):
+def mixing_counts_reference(unsup, must, cannot_a, cannot_b):
     """Per-class counts: unsupervised + must (once) + both cannot marginals."""
-    m_count = resp.unsup.shape[1] if resp.unsup.size else resp.must.shape[1]
+    m_count = unsup.shape[1] if unsup.size else must.shape[1]
     c = np.zeros(m_count)
-    for row in range(resp.unsup.shape[0]):
-        c += resp.unsup[row]
-    for row in range(resp.must.shape[0]):
-        c += resp.must[row]
-    for row in range(resp.cannot_a.shape[0]):
-        c += resp.cannot_a[row] + resp.cannot_b[row]
+    for row in range(unsup.shape[0]):
+        c += unsup[row]
+    for row in range(must.shape[0]):
+        c += must[row]
+    for row in range(cannot_a.shape[0]):
+        c += cannot_a[row] + cannot_b[row]
     return c
 
 

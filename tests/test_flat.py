@@ -8,25 +8,21 @@ import pytest
 from pairmix import (
     Dataset,
     DegenerateNormalizerError,
-    EmptyClassError,
     FitConfig,
     FlatModel,
     InvariantViolationError,
     KTooLargeError,
-    LengthMismatchError,
     RelationSet,
     cannotlink_prior,
-    estep,
     fit_flat,
     log_likelihood,
-    mixing_counts,
     predict_flat,
     predict_flat_batch,
     resp_cannotlink,
     resp_mustlink,
     resp_unsupervised,
-    update_mean_cov,
 )
+from pairmix import hier
 from pairmix.initialize import init_flat, make_rng
 
 from oracles import (
@@ -47,6 +43,13 @@ def random_flat_model(rng, m, d):
         a = rng.normal(size=(d, d))
         covs[k] = a @ a.T + 0.4 * np.eye(d)
     return FlatModel(alpha=alpha, means=means, covs=covs)
+
+
+def engine_estep(params, ds, rel, count_linked=False):
+    """The relation plan and E-step a fit runs on ``rel`` as given, from a
+    model's engine arrays ``params``."""
+    plan = hier._relation_plan(ds, rel, count_linked)
+    return plan, hier._estep(params, ds.points, plan)
 
 
 def blob_dataset(rng, n_per_class=30, spread=4.0):
@@ -111,22 +114,22 @@ def test_estep_tables_match_per_point_ops():
         pts = rng.normal(size=(12, 2)) * 2.0
         ds = Dataset(pts)
         rel = RelationSet(must=[(0, 5), (1, 6)], cannot=[(2, 7), (3, 8)])
-        resp = estep(model, ds, rel)
+        plan, e = engine_estep(hier._flat_params(model), ds, rel)
         # linked points are excluded from the unsupervised table
-        assert set(resp.unsup_indices) == set(range(12)) - {0, 5, 1, 6, 2, 7, 3, 8}
-        for row, i in enumerate(resp.unsup_indices):
+        assert set(plan.unsup_idx) == set(range(12)) - {0, 5, 1, 6, 2, 7, 3, 8}
+        for row, i in enumerate(plan.unsup_idx):
             np.testing.assert_allclose(
-                resp.unsup[row], resp_unsupervised(model, pts[i]), atol=1e-12
+                e.unsup[row], resp_unsupervised(model, pts[i]), atol=1e-12
             )
-        for row, (i, j) in enumerate(resp.must_pairs):
+        for row, (i, j) in enumerate(plan.must_pairs):
             np.testing.assert_allclose(
-                resp.must[row], resp_mustlink(model, pts[i], pts[j]), atol=1e-12
+                e.must_class[row], resp_mustlink(model, pts[i], pts[j]), atol=1e-12
             )
-        for row, (a, b) in enumerate(resp.cannot_pairs):
+        for row, (a, b) in enumerate(plan.cannot_pairs):
             d_a, d_b, joint = resp_cannotlink(model, pts[a], pts[b])
-            np.testing.assert_allclose(resp.cannot_joint[row], joint, atol=1e-12)
-            np.testing.assert_allclose(resp.cannot_a[row], d_a, atol=1e-12)
-            np.testing.assert_allclose(resp.cannot_b[row], d_b, atol=1e-12)
+            np.testing.assert_allclose(e.cannot_class_joint[row], joint, atol=1e-12)
+            np.testing.assert_allclose(e.cannot_a_class[row], d_a, atol=1e-12)
+            np.testing.assert_allclose(e.cannot_b_class[row], d_b, atol=1e-12)
 
 
 def test_estep_count_linked_flag_keeps_all_points():
@@ -134,8 +137,9 @@ def test_estep_count_linked_flag_keeps_all_points():
     model = random_flat_model(rng, 2, 2)
     ds = Dataset(rng.normal(size=(8, 2)))
     rel = RelationSet(must=[(0, 1)], cannot=[(2, 3)])
-    resp = estep(model, ds, rel, count_linked_as_unsupervised=True)
-    assert list(resp.unsup_indices) == list(range(8))
+    plan, e = engine_estep(hier._flat_params(model), ds, rel, count_linked=True)
+    assert list(plan.unsup_idx) == list(range(8))
+    assert e.unsup.shape == (8, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +185,14 @@ def test_update_mean_cov_matches_termwise_reference():
         pts = rng.normal(size=(14, 2)) * 2.0
         ds = Dataset(pts)
         rel = RelationSet(must=[(0, 5)], cannot=[(2, 7), (3, 9)])
-        resp = estep(model, ds, rel)
-        means, covs = update_mean_cov(ds, rel, resp)
-        want_means, want_covs = mstep_reference(pts, rel, resp)
+        plan, e = engine_estep(hier._flat_params(model), ds, rel)
+        tables = (e.unsup, e.must_i, e.must_j, e.cannot_a, e.cannot_b)
+        _, empty, means, covs, _, _ = hier._mstep(plan, tables, m, 1e-6)
+        assert empty.size == 0
+        want_means, want_covs = mstep_reference(
+            pts, plan.unsup_idx, e.unsup, plan.must_pairs, e.must_class,
+            plan.cannot_pairs, e.cannot_a_class, e.cannot_b_class,
+        )
         assert np.max(np.abs(means - want_means)) < 1e-10
         assert np.max(np.abs(covs - want_covs)) < 1e-10
 
@@ -193,21 +202,15 @@ def test_mixing_counts_must_pairs_count_once():
     model = random_flat_model(rng, 2, 2)
     ds = Dataset(rng.normal(size=(10, 2)))
     rel = RelationSet(must=[(0, 1), (2, 3)], cannot=[(4, 5)])
-    resp = estep(model, ds, rel)
-    counts = mixing_counts(resp)
-    np.testing.assert_allclose(counts, mixing_counts_reference(resp), atol=1e-12)
+    _, e = engine_estep(hier._flat_params(model), ds, rel)
+    counts = hier._class_counts(
+        e.unsup, e.must_class, e.cannot_a_class, e.cannot_b_class, np.arange(3)
+    )
+    want = mixing_counts_reference(e.unsup, e.must_class, e.cannot_a_class,
+                                   e.cannot_b_class)
+    np.testing.assert_allclose(counts, want, atol=1e-12)
     # 4 unsupervised points + 2 shared must weights + 2 cannot marginals
     assert abs(counts.sum() - (4 + 2 + 2)) < 1e-9
-
-
-def test_update_mean_cov_misaligned_relations_rejected():
-    rng = np.random.default_rng(409)
-    model = random_flat_model(rng, 2, 2)
-    ds = Dataset(rng.normal(size=(8, 2)))
-    rel = RelationSet(must=[(0, 1)])
-    resp = estep(model, ds, rel)
-    with pytest.raises(LengthMismatchError):
-        update_mean_cov(ds, RelationSet(must=[(0, 1), (2, 3)]), resp)
 
 
 # ---------------------------------------------------------------------------

@@ -6,24 +6,17 @@ import numpy as np
 import pytest
 
 from pairmix import (
-    CholeskyGaussian,
     DimensionMismatchError,
     EmptyInputError,
+    FlatModel,
     InvariantViolationError,
     NotFiniteError,
-    log_density,
-    log_density_batch,
     log_sum_exp,
-    regularize_covariance,
+    predict_flat,
+    predict_flat_batch,
 )
 from pairmix import gaussian
-from pairmix.gaussian import (
-    LOG_2PI,
-    log_density_stack,
-    regularize_covariance_eps,
-    regularize_covariances,
-    scaled_ridge,
-)
+from pairmix.gaussian import LOG_2PI, log_density_stack, regularize_covariances
 
 from oracles import dense_logpdf
 
@@ -32,9 +25,18 @@ from oracles import dense_logpdf
 FROZEN_LOGPDF = -4.203313504192541437538324
 
 
+def one_component(mean, cov):
+    """``log_density_stack``'s component arguments for one Gaussian, the
+    arrays a one-class model caches for the fit."""
+    model = FlatModel(alpha=np.ones(1), means=np.asarray(mean, dtype=float)[None],
+                      covs=np.asarray(cov, dtype=float)[None])
+    return model.means, model.chols, model.log_dets
+
+
 def test_log_density_frozen_value():
-    g = CholeskyGaussian.from_covariance([1.0, 2.0], [[2.0, 0.3], [0.3, 1.0]])
-    assert abs(log_density(g, [0.0, 0.0]) - FROZEN_LOGPDF) < 1e-14
+    args = one_component([1.0, 2.0], [[2.0, 0.3], [0.3, 1.0]])
+    value = log_density_stack(np.zeros((1, 2)), *args)[0, 0]
+    assert abs(value - FROZEN_LOGPDF) < 1e-14
 
 
 def test_log_density_matches_dense_formula():
@@ -45,18 +47,8 @@ def test_log_density_matches_dense_formula():
         a = rng.normal(size=(d, d))
         cov = a @ a.T + 0.5 * np.eye(d)
         x = rng.normal(size=d) * 3.0
-        g = CholeskyGaussian.from_covariance(mean, cov)
-        assert abs(log_density(g, x) - dense_logpdf(x, mean, cov)) < 1e-10
-
-
-def test_log_density_batch_rows_match_single():
-    rng = np.random.default_rng(102)
-    g = CholeskyGaussian.from_covariance(rng.normal(size=3), np.diag([1.0, 2.0, 0.5]))
-    pts = rng.normal(size=(40, 3))
-    batch = log_density_batch(g, pts)
-    for i in range(40):
-        assert abs(batch[i] - log_density(g, pts[i])) < 1e-13
-        assert abs(batch[i] - dense_logpdf(pts[i], g.mean, g.chol @ g.chol.T)) < 1e-12
+        value = log_density_stack(x[None], *one_component(mean, cov))[0, 0]
+        assert abs(value - dense_logpdf(x, mean, cov)) < 1e-10
 
 
 def test_log_density_stack_matches_per_class():
@@ -143,24 +135,17 @@ def test_log_density_stack_peak_memory_is_bounded():
 
 
 def test_log_density_never_overflows_far_from_mean():
-    g = CholeskyGaussian.from_covariance([0.0], [[1e-8]])
-    value = log_density(g, [1e6])
+    value = log_density_stack(np.array([[1e6]]), *one_component([0.0], [[1e-8]]))[0, 0]
     assert np.isfinite(value) and value < -1e12
 
 
 def test_log_density_dimension_mismatch():
-    g = CholeskyGaussian.from_covariance([0.0, 0.0], np.eye(2))
+    # the kernel's public callers reject a point of the wrong dimension
+    model = FlatModel(alpha=np.array([1.0]), means=np.zeros((1, 2)), covs=np.eye(2)[None])
     with pytest.raises(DimensionMismatchError):
-        log_density(g, [1.0, 2.0, 3.0])
-
-
-def test_cholesky_gaussian_rejects_bad_factor():
-    with pytest.raises(InvariantViolationError):
-        CholeskyGaussian(mean=np.zeros(2), chol=np.array([[1.0, 5.0], [0.0, 1.0]]))
-    with pytest.raises(InvariantViolationError):
-        CholeskyGaussian(mean=np.zeros(2), chol=np.array([[1.0, 0.0], [0.0, -1.0]]))
-    with pytest.raises(InvariantViolationError):
-        CholeskyGaussian.from_covariance([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
+        predict_flat(model, [1.0, 2.0, 3.0])
+    with pytest.raises(DimensionMismatchError):
+        predict_flat_batch(model, np.zeros((4, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -208,51 +193,54 @@ def test_log_sum_exp_rejects_empty_and_nan():
 
 
 def test_scaled_ridge_uses_trace_scale():
-    s = np.diag([4.0, 2.0])
-    assert abs(scaled_ridge(s, 1e-6) - 1e-6 * 3.0) < 1e-20
-    assert scaled_ridge(np.zeros((3, 3)), 1e-6) == 1e-6
+    # a singular matrix takes the ladder's first ridge, the scale-aware
+    # floor 1e-6 · trace/d, or 1e-6 itself for a traceless matrix
+    _, eps, _ = regularize_covariances(np.diag([6.0, 0.0])[None], 1e-6)
+    assert abs(eps[0] - 1e-6 * 3.0) < 1e-20
+    _, eps, _ = regularize_covariances(np.zeros((1, 3, 3)), 1e-6)
+    assert eps[0] == 1e-6
 
 
 def test_regularize_leaves_healthy_matrix_untouched():
     cov = np.array([[2.0, 0.3], [0.3, 1.0]])
-    out = regularize_covariance(cov)
-    np.testing.assert_array_equal(out, cov)
+    out, _, _ = regularize_covariances(cov[None])
+    np.testing.assert_array_equal(out[0], cov)
 
 
 def test_regularize_symmetrizes():
     s = np.array([[2.0, 0.4], [0.2, 1.0]])
-    out = regularize_covariance(s)
-    np.testing.assert_allclose(out, 0.5 * (s + s.T), atol=1e-15)
+    out, _, _ = regularize_covariances(s[None])
+    np.testing.assert_allclose(out[0], 0.5 * (s + s.T), atol=1e-15)
 
 
 def test_regularize_repairs_rank_deficient():
     v = np.array([1.0, 2.0])
     s = np.outer(v, v)  # rank one
-    out = regularize_covariance(s, floor=1e-6)
-    np.linalg.cholesky(out)  # must succeed
-    assert np.all(np.linalg.eigvalsh(out) > 0)
+    out, _, _ = regularize_covariances(s[None], 1e-6)
+    np.linalg.cholesky(out[0])  # must succeed
+    assert np.all(np.linalg.eigvalsh(out[0]) > 0)
     # repair adds only a small diagonal shift
-    assert np.max(np.abs(out - s)) <= 1e-4
+    assert np.max(np.abs(out[0] - s)) <= 1e-4
 
 
 def test_regularize_repairs_negative_eigenvalue():
     s = np.array([[1.0, 0.0], [0.0, -0.5]])
-    out = regularize_covariance(s, floor=1e-3)
-    assert np.all(np.linalg.eigvalsh(out) > 0)
+    out, _, _ = regularize_covariances(s[None], 1e-3)
+    assert np.all(np.linalg.eigvalsh(out[0]) > 0)
 
 
 def test_regularize_rejects_bad_inputs():
     with pytest.raises(DimensionMismatchError):
-        regularize_covariance(np.zeros((2, 3)))
+        regularize_covariances(np.zeros((1, 2, 3)))
     with pytest.raises(NotFiniteError):
-        regularize_covariance(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        regularize_covariances(np.array([[[np.nan, 0.0], [0.0, 1.0]]]))
     with pytest.raises(InvariantViolationError):
-        regularize_covariance(np.eye(2), floor=-1.0)
+        regularize_covariances(np.eye(2)[None], rel_floor=-1.0)
 
 
 def test_regularize_stack_matches_single_matrix():
-    # the batched repair must give each matrix exactly what the
-    # single-matrix repair gives it, whether or not it needed a ridge
+    # the batched repair must give each matrix exactly what a stack of that
+    # matrix alone gives it, whether or not it needed a ridge
     rng = np.random.default_rng(131)
     v = rng.normal(size=3)
     a = rng.normal(size=(3, 3))
@@ -266,9 +254,10 @@ def test_regularize_stack_matches_single_matrix():
     stack[4, 0, 1] += 1e-4
     out, eps, chols = regularize_covariances(stack, 1e-6)
     for c in range(stack.shape[0]):
-        want, want_eps = regularize_covariance_eps(stack[c], scaled_ridge(stack[c], 1e-6))
-        np.testing.assert_array_equal(out[c], want)
-        assert eps[c] == want_eps
+        want, want_eps, want_chol = regularize_covariances(stack[c:c + 1], 1e-6)
+        np.testing.assert_array_equal(out[c], want[0])
+        assert eps[c] == want_eps[0]
+        np.testing.assert_array_equal(chols[c], want_chol[0])
         # the factor the pivot test accepted, bit for bit
         np.testing.assert_array_equal(chols[c], np.linalg.cholesky(out[c]))
     assert np.count_nonzero(eps) == 3

@@ -9,7 +9,6 @@ import pytest
 from pairmix import (
     ClassMixture,
     Dataset,
-    EmptyClusterError,
     FitConfig,
     HierModel,
     InvariantViolationError,
@@ -18,9 +17,6 @@ from pairmix import (
     fit_flat,
     fit_hier,
     gen_synthetic,
-    hier_estep,
-    hier_mixing_counts,
-    hier_update,
     log_likelihood,
     log_likelihood_hier,
     predict_hier,
@@ -31,6 +27,7 @@ from pairmix.hier import hier_resp_cannotlink, hier_resp_mustlink, hier_resp_uns
 from pairmix.initialize import init_flat, init_hier, make_rng, sample_relations
 
 from oracles import enum_hier_cannot, enum_hier_must, enum_hier_unsup
+from test_flat import engine_estep
 
 
 def random_hier_model(rng, m, cluster_counts, d):
@@ -126,33 +123,34 @@ def test_hier_estep_tables_match_per_point_ops():
         pts = rng.normal(size=(12, 2)) * 2.0
         ds = Dataset(pts)
         rel = RelationSet(must=[(0, 5)], cannot=[(2, 7)])
-        resp = hier_estep(model, ds, rel)
-        assert set(resp.unsup_indices) == set(range(12)) - {0, 5, 2, 7}
-        for row, i in enumerate(resp.unsup_indices):
-            joint, _ = hier_resp_unsupervised(model, pts[i])
+        plan, e = engine_estep(hier._hier_params(model), ds, rel)
+        assert set(plan.unsup_idx) == set(range(12)) - {0, 5, 2, 7}
+        for row, i in enumerate(plan.unsup_idx):
+            joint, marginal = hier_resp_unsupervised(model, pts[i])
             np.testing.assert_allclose(
-                resp.unsup[row], np.concatenate(joint), atol=1e-12
+                e.unsup[row], np.concatenate(joint), atol=1e-12
             )
-        for row, (i, j) in enumerate(resp.must_pairs):
+            np.testing.assert_allclose(e.unsup_class[row], marginal, atol=1e-12)
+        for row, (i, j) in enumerate(plan.must_pairs):
             mi, mj, mc = hier_resp_mustlink(model, pts[i], pts[j])
             np.testing.assert_allclose(
-                resp.must_i[row], np.concatenate(mi), atol=1e-12
+                e.must_i[row], np.concatenate(mi), atol=1e-12
             )
             np.testing.assert_allclose(
-                resp.must_j[row], np.concatenate(mj), atol=1e-12
+                e.must_j[row], np.concatenate(mj), atol=1e-12
             )
-            np.testing.assert_allclose(resp.must_class[row], mc, atol=1e-12)
-        for row, (a, b) in enumerate(resp.cannot_pairs):
+            np.testing.assert_allclose(e.must_class[row], mc, atol=1e-12)
+        for row, (a, b) in enumerate(plan.cannot_pairs):
             ja, jb, da, db, cj = hier_resp_cannotlink(model, pts[a], pts[b])
             np.testing.assert_allclose(
-                resp.cannot_a[row], np.concatenate(ja), atol=1e-12
+                e.cannot_a[row], np.concatenate(ja), atol=1e-12
             )
             np.testing.assert_allclose(
-                resp.cannot_b[row], np.concatenate(jb), atol=1e-12
+                e.cannot_b[row], np.concatenate(jb), atol=1e-12
             )
-            np.testing.assert_allclose(resp.cannot_a_class[row], da, atol=1e-12)
-            np.testing.assert_allclose(resp.cannot_b_class[row], db, atol=1e-12)
-            np.testing.assert_allclose(resp.cannot_class_joint[row], cj, atol=1e-12)
+            np.testing.assert_allclose(e.cannot_a_class[row], da, atol=1e-12)
+            np.testing.assert_allclose(e.cannot_b_class[row], db, atol=1e-12)
+            np.testing.assert_allclose(e.cannot_class_joint[row], cj, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -207,50 +205,22 @@ def test_hier_update_weights_are_consistent():
     pts = rng.normal(size=(10, 2)) * 2.0
     ds = Dataset(pts)
     rel = RelationSet(must=[(0, 5)], cannot=[(2, 7)])
-    resp = hier_estep(model, ds, rel)
-    counts = hier_mixing_counts(resp)
+    plan, e = engine_estep(hier._hier_params(model), ds, rel)
+    counts = hier._class_counts(
+        e.unsup, e.must_class, e.cannot_a_class, e.cannot_b_class,
+        model.cluster_offsets,
+    )
     # class-level counts: 6 unsupervised + 1 shared must + 2 cannot marginals
     assert abs(counts.sum() - (6 + 1 + 2)) < 1e-9
 
-    means, covs, pi = hier_update(ds, rel, resp)
-    for m in range(2):
-        assert means[m].shape == (2, 2)
-        assert covs[m].shape == (2, 2, 2)
-        assert abs(pi[m].sum() - 1.0) < 1e-12
-        for k in range(2):
-            np.linalg.cholesky(covs[m][k])
-
-
-def test_hier_update_empty_cluster_raises():
-    rng = np.random.default_rng(508)
-    pts = rng.normal(size=(6, 2))
-    ds = Dataset(pts)
-    # craft responsibilities that give one cluster zero weight
-    model = random_hier_model(rng, 2, (2, 1), 2)
-    resp = hier_estep(model, ds, RelationSet())
-    zeroed = np.array(resp.unsup)
-    zeroed[:, 1] = 0.0
-    zeroed /= zeroed.sum(axis=1, keepdims=True)
-    from pairmix import HierResponsibilities
-
-    broken = HierResponsibilities(
-        offsets=resp.offsets,
-        unsup_indices=resp.unsup_indices,
-        unsup=zeroed,
-        must_pairs=resp.must_pairs,
-        must_i=resp.must_i,
-        must_j=resp.must_j,
-        must_class=resp.must_class,
-        cannot_pairs=resp.cannot_pairs,
-        cannot_a=resp.cannot_a,
-        cannot_b=resp.cannot_b,
-        cannot_a_class=resp.cannot_a_class,
-        cannot_b_class=resp.cannot_b_class,
-        cannot_class_joint=resp.cannot_class_joint,
-    )
-    with pytest.raises(EmptyClusterError) as err:
-        hier_update(ds, RelationSet(), broken)
-    assert err.value.class_index == 0 and err.value.cluster_index == 1
+    tables = (e.unsup, e.must_i, e.must_j, e.cannot_a, e.cannot_b)
+    weight, empty, means, covs, _, _ = hier._mstep(plan, tables, 4, 1e-6)
+    assert abs(weight.sum() - (6 + 2 + 2)) < 1e-9
+    assert empty.size == 0
+    assert means.shape == (4, 2)
+    assert covs.shape == (4, 2, 2)
+    for c in range(4):
+        np.linalg.cholesky(covs[c])
 
 
 def _scatter_reference(terms, idx, centers):

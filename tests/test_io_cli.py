@@ -16,7 +16,6 @@ from pairmix import (
     ConflictingPairError,
     Dataset,
     DegenerateNormalizerError,
-    EmptyClassError,
     FitConfig,
     FlatModel,
     NoConvergenceError,
@@ -784,10 +783,7 @@ def _error_classes(base=PairmixError):
 def test_cli_exit_code_by_error_family(monkeypatch, capsys, tmp_path, error):
     # numerical failures exit 4 and every other error of the package exits
     # 3, so a new error class can never end in a traceback
-    try:
-        exc = error("detail")
-    except TypeError:  # EmptyClusterError takes a class and a cluster index
-        exc = error(0, 1)
+    exc = error("detail")
 
     def command(args):
         raise exc
@@ -795,7 +791,7 @@ def test_cli_exit_code_by_error_family(monkeypatch, capsys, tmp_path, error):
     monkeypatch.setattr(cli, "_cmd_gen_data", command)
     code = cli.main(["gen-data", "--kind", "two-cluster", "--n-per-class", "2",
                      "--out", str(tmp_path / "d.csv")])
-    numeric = (DegenerateNormalizerError, NoConvergenceError, EmptyClassError)
+    numeric = (DegenerateNormalizerError, NoConvergenceError)
     assert code == (4 if issubclass(error, numeric) else 3)
     assert capsys.readouterr().err == f"error: {error.__name__}: {exc}\n"
 
