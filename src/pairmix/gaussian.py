@@ -48,10 +48,19 @@ def log_density_stack(
     ``min(N, _ROW_FLOATS // d)`` rows, the last one overlapping the one
     before it, so each product takes the BLAS path of a whole-N product and
     the values equal those of one whole-N product per component bit for bit.
+
+    Raises :class:`DimensionMismatchError` when the shapes disagree.  The
+    points are not scanned for non-finite entries here: ``Dataset``,
+    ``predict_*`` and ``resp_*`` check them at the edge.
     """
     points = np.asarray(points, dtype=float)
-    n, d = points.shape
-    c = means.shape[0]
+    shapes = (points.shape, np.shape(means), np.shape(chols), np.shape(log_dets))
+    c, d = shapes[1] if len(shapes[1]) == 2 else (-1, -1)
+    if points.shape[1:] != (d,) or shapes[2:] != ((c, d, d), (c,)):
+        raise DimensionMismatchError(
+            f"shapes {shapes} are not (N, d), (C, d), (C, d, d) and (C,)"
+        )
+    n = points.shape[0]
     quad = np.empty((n, c))
     try:
         inv_t = np.linalg.inv(chols).swapaxes(1, 2)

@@ -14,6 +14,13 @@ log-likelihood — plays the role the single log-density has in the flat
 E-step, and the sub-cluster posterior ``r[n, (m,k)]`` factors every joint
 table as ``(class table) × r``.
 
+The relations act in the E-step only.  Its class-level tables, one row per
+factor, add up per point into one expected-count table (N, total clusters)
+— a point's class posteriors summed over every factor it is in, times
+``r`` — and the M-step is the ordinary weighted-GMM update over the
+dataset's own points with those weights (Shental et al., NIPS 2003, make
+the same split for equivalence constraints).
+
 The flat model (:mod:`pairmix.flat`) is the case of one cluster per class
 with ``log π = 0``: then ``B`` is the log-density itself and ``r = 1``.
 Both models run through the one private engine here — the E-step, the
@@ -41,7 +48,6 @@ from .errors import (
     DimensionMismatchError,
     InvariantViolationError,
     KTooLargeError,
-    LengthMismatchError,
     NoConvergenceError,
     NotFiniteError,
 )
@@ -50,7 +56,7 @@ from .gaussian import (
     log_sum_exp,
     regularize_covariances,
 )
-from .initialize import init_hier, make_rng
+from .initialize import _normalize_cluster_counts, init_hier, make_rng
 from .mixing import _solve_mixing
 from .types import (
     ClassMixture,
@@ -62,8 +68,6 @@ from .types import (
 )
 
 Z_EPS = 1e-12
-# float64 values in one M-step scatter temporary (16 MiB); see _scatter_stack
-_BLOCK_FLOATS = 1 << 21
 # float64 values in one row block of a component's scatter sum; see _scatter_stack
 _ROW_FLOATS = 1 << 13
 
@@ -223,21 +227,15 @@ def _updated_params(p: _Params, alpha, pi, means, covs, chols) -> _Params:
 
 
 class _RelationPlan(NamedTuple):
-    """Index arrays and gathered point blocks of one (dataset, relations) pair.
+    """Index arrays of one (dataset, relations) pair: the points of the
+    independent factor, and the must-link and cannot-link pairs (M, 2).
 
     Nothing here changes between EM iterations, so a fit builds it once.
-    ``xu`` holds the points of the independent factor, ``xi`` / ``xj`` the
-    must-link members and ``xa`` / ``xb`` the cannot-link members.
     """
 
     unsup_idx: np.ndarray
     must_pairs: np.ndarray
     cannot_pairs: np.ndarray
-    xu: np.ndarray
-    xi: np.ndarray
-    xj: np.ndarray
-    xa: np.ndarray
-    xb: np.ndarray
 
 
 def _relation_plan(
@@ -249,14 +247,10 @@ def _relation_plan(
     unlinked = np.ones(dataset.n, dtype=bool)
     if not (count_linked_as_unsupervised or relations.is_empty()):
         unlinked[relations.linked_indices()] = False
-    points, unsup_idx = dataset.points, np.flatnonzero(unlinked)
-    must_pairs = np.asarray(relations.must, dtype=np.int64).reshape(-1, 2)
-    cannot_pairs = np.asarray(relations.cannot, dtype=np.int64).reshape(-1, 2)
     return _RelationPlan(
-        unsup_idx, must_pairs, cannot_pairs,
-        points[unsup_idx],
-        points[must_pairs[:, 0]], points[must_pairs[:, 1]],
-        points[cannot_pairs[:, 0]], points[cannot_pairs[:, 1]],
+        np.flatnonzero(unlinked),
+        np.asarray(relations.must, dtype=np.int64).reshape(-1, 2),
+        np.asarray(relations.cannot, dtype=np.int64).reshape(-1, 2),
     )
 
 
@@ -300,49 +294,35 @@ def _normalized_rows(w: np.ndarray):
 
 class _EStep(NamedTuple):
     """One E-step: ``b`` / ``r`` of every point (see :func:`_cluster_tables`),
-    the posterior tables, one row per entry of the plan, and the
-    observed-data log-likelihood of the model — the sum of the class-level
-    tables' log-normalizers.
+    the class posterior tables, one row per entry of the plan, and the
+    observed-data log-likelihood — the sum of the tables' log-normalizers.
 
-    ``unsup``, ``must_i`` / ``must_j`` and ``cannot_a`` / ``cannot_b`` are
-    cluster-level tables over the flattened ``(class, cluster)`` axis, for
-    the unlinked points, the must-link members and the cannot-link members;
-    each ``*_class`` table is the class marginal of its cluster-level table
-    (``must_class`` is the one shared by both members of a pair), and
-    ``cannot_class_joint`` is the M×M class-pair posterior of a cannot-link
-    pair, zero on its diagonal."""
+    ``unsup`` is for the independent points, ``must`` the posterior a
+    must-link pair shares, ``cannot_a`` / ``cannot_b`` the marginals of the
+    cannot-link members and ``cannot_joint`` a cannot-link pair's M×M
+    posterior, zero on its diagonal.  A member's cluster-level table is its
+    class table times its row of ``r`` (see :func:`_responsibilities`)."""
 
     b: np.ndarray
     r: np.ndarray | None
     unsup: np.ndarray
-    unsup_class: np.ndarray
-    must_i: np.ndarray
-    must_j: np.ndarray
-    must_class: np.ndarray
+    must: np.ndarray
     cannot_a: np.ndarray
     cannot_b: np.ndarray
-    cannot_a_class: np.ndarray
-    cannot_b_class: np.ndarray
-    cannot_class_joint: np.ndarray
+    cannot_joint: np.ndarray
     log_likelihood: float
 
 
 def _estep(p: _Params, points: np.ndarray, plan: _RelationPlan) -> _EStep:
     """E-step over ``points`` with one density pass."""
-    n_classes, class_of = p.alpha.size, p.class_of
+    n_classes = p.alpha.size
     b, r = _cluster_tables(p, points)
-
-    def spread(class_table, idx):
-        # cluster-level table: class posterior × sub-cluster posterior
-        return class_table if r is None else class_table[:, class_of] * r[idx]
-
     u = plan.unsup_idx
     i, j = plan.must_pairs[:, 0], plan.must_pairs[:, 1]
     # the unlinked-point rows and the must-link rows, normalized in one pass
     rows, lse = _normalized_rows(
         np.concatenate([p.log_alpha + b[u], p.log_alpha + b[i] + b[j]])
     )
-    marg, must_class = rows[: u.size], rows[u.size :]
     ll = float(lse[: u.size].sum()) + float(lse[u.size :].sum())
 
     a_idx, b_idx = plan.cannot_pairs[:, 0], plan.cannot_pairs[:, 1]
@@ -359,15 +339,29 @@ def _estep(p: _Params, points: np.ndarray, plan: _RelationPlan) -> _EStep:
         ll += float(lse.sum())
     else:
         class_joint = np.zeros((0, n_classes, n_classes))
-    d_a_class = class_joint.sum(axis=2)
-    d_b_class = class_joint.sum(axis=1)
     return _EStep(
-        b, r, spread(marg, u), marg,
-        spread(must_class, i), spread(must_class, j), must_class,
-        spread(d_a_class, a_idx), spread(d_b_class, b_idx),
-        d_a_class, d_b_class, class_joint,
-        ll,
+        b, r, rows[: u.size], rows[u.size :],
+        class_joint.sum(axis=2), class_joint.sum(axis=1), class_joint, ll,
     )
+
+
+def _responsibilities(e: _EStep, plan: _RelationPlan, class_of: np.ndarray) -> np.ndarray:
+    """Expected counts of every point in every cluster → (N, total clusters):
+    the point's class posteriors summed over each factor it is in, times
+    its sub-cluster posteriors ``r`` (the sum itself when ``r`` is ``None``).
+
+    A must-link member carries its pair's shared posterior, so a flat
+    must-link pair counts twice (two points, one shared weight); a point in
+    several pairs accumulates a row from each."""
+    q = np.zeros(e.b.shape)
+    q[plan.unsup_idx] = e.unsup  # the indices are distinct
+    members = np.concatenate([plan.must_pairs.T.ravel(), plan.cannot_pairs.T.ravel()])
+    np.add.at(q, members, np.concatenate([e.must, e.must, e.cannot_a, e.cannot_b]))
+    if e.r is None:
+        return q
+    resp = q[:, class_of]
+    resp *= e.r
+    return resp
 
 
 _MUST_PAIR = RelationSet(must=((0, 1),))
@@ -390,9 +384,12 @@ def _point_estep(p: _Params, relations: RelationSet, **named_points) -> _EStep:
     return _estep(p, points, _relation_plan(Dataset(points), relations, False))
 
 
-def _split(model: HierModel, flat_row: np.ndarray) -> list[np.ndarray]:
-    offsets = model.cluster_offsets
-    return [flat_row[offsets[m] : offsets[m + 1]] for m in range(model.n_classes)]
+def _split(model: HierModel, e: _EStep, class_row: np.ndarray, point: int):
+    """Joint class/cluster table of point ``point`` of ``e`` — its class
+    posterior ``class_row`` times its sub-cluster posteriors — per class."""
+    if e.r is not None:
+        class_row = np.repeat(class_row, model.cluster_counts) * e.r[point]
+    return np.split(class_row, model.cluster_offsets[1:-1])
 
 
 def hier_resp_unsupervised(model: HierModel, x):
@@ -403,7 +400,7 @@ def hier_resp_unsupervised(model: HierModel, x):
     per-class sums.
     """
     e = _point_estep(_hier_params(model), RelationSet(), x=x)
-    return _split(model, e.unsup[0]), e.unsup_class[0]
+    return _split(model, e, e.unsup[0], 0), e.unsup[0]
 
 
 def hier_resp_mustlink(model: HierModel, x_i, x_j):
@@ -415,7 +412,7 @@ def hier_resp_mustlink(model: HierModel, x_i, x_j):
     independent given the class.
     """
     e = _point_estep(_hier_params(model), _MUST_PAIR, x_i=x_i, x_j=x_j)
-    return _split(model, e.must_i[0]), _split(model, e.must_j[0]), e.must_class[0]
+    return _split(model, e, e.must[0], 0), _split(model, e, e.must[0], 1), e.must[0]
 
 
 def hier_resp_cannotlink(model: HierModel, x_a, x_b):
@@ -427,8 +424,8 @@ def hier_resp_cannotlink(model: HierModel, x_a, x_b):
     """
     e = _point_estep(_hier_params(model), _CANNOT_PAIR, x_a=x_a, x_b=x_b)
     return (
-        _split(model, e.cannot_a[0]), _split(model, e.cannot_b[0]),
-        e.cannot_a_class[0], e.cannot_b_class[0], e.cannot_class_joint[0],
+        _split(model, e, e.cannot_a[0], 0), _split(model, e, e.cannot_b[0], 1),
+        e.cannot_a[0], e.cannot_b[0], e.cannot_joint[0],
     )
 
 
@@ -436,77 +433,53 @@ def hier_resp_cannotlink(model: HierModel, x_a, x_b):
 # M-step
 
 
-def _class_counts(unsup, must_class, cannot_a_class, cannot_b_class, offsets):
+def _class_counts(e: _EStep) -> np.ndarray:
     """Class counts ``c_m`` for the mixing-weight update: each must-link
     pair contributes its shared weight once, each cannot-link pair both
     marginals."""
-    return (
-        np.add.reduceat(unsup.sum(axis=0), offsets[:-1])
-        + must_class.sum(axis=0)
-        + cannot_a_class.sum(axis=0)
-        + cannot_b_class.sum(axis=0)
-    )
+    return sum(table.sum(axis=0) for table in (e.unsup, e.must, e.cannot_a, e.cannot_b))
 
 
-def _scatter_stack(terms, idx: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _scatter_stack(
+    points: np.ndarray, resp: np.ndarray, idx: np.ndarray, centers: np.ndarray
+) -> np.ndarray:
     """Weighted scatter matrices of components ``idx`` around ``centers``
-    (one row per component) → (len(idx), d, d).
+    (one row per component) → (len(idx), d, d), with the weights of column
+    ``idx`` of ``resp``.
 
-    Each component's matrix is ``Σ (dev * w).T @ dev`` over the rows of
-    every term, summed in row blocks of ``_ROW_FLOATS // d`` rows in one
-    fixed order, row block, then term, so results are bit-reproducible.
-    A term of at most one block adds its whole-term product, as a
-    component computed alone would.
-
-    Components are processed in groups, with one batched product per group,
-    row block and term.  A group holds as many components as keep its
-    ``(group, rows, d)`` deviations and their weighted copy within
-    ``_BLOCK_FLOATS`` values each, and at least one, so the temporaries
-    stay bounded as N and the component count grow while a small fit takes
-    a single group.
+    Each component's matrix is ``Σ (dev * w).T @ dev``, summed over row
+    blocks of ``_ROW_FLOATS // d`` rows in order with one batched product
+    per block, so the (len(idx), rows, d) temporaries do not grow with N
+    and results are bit-reproducible.  Points of at most one block add
+    their whole product, as a component computed alone would.
     """
-    d = centers.shape[1]
+    n, d = points.shape
     total = np.zeros((idx.size, d, d))
     span = max(1, _ROW_FLOATS // d)
-    longest = max((pts.shape[0] for pts, _ in terms), default=1)
-    rows = min(span, longest)
-    step = max(1, _BLOCK_FLOATS // (rows * d))
-    for lo in range(0, idx.size, step):
-        group = slice(lo, lo + step)
-        cols = idx[group]
-        # each centre repeated once per row: the subtraction then runs over
-        # a whole flattened block instead of d values at a time
-        tiled = np.tile(centers[group], (1, rows))
-        for start in range(0, longest, span):
-            for pts, wts in terms:
-                part = pts[start:start + span]
-                k = part.shape[0]
-                if k:
-                    dev = (part.reshape(1, -1) - tiled[:, :k * d]).reshape(-1, k, d)
-                    w = wts[start:start + span, cols].T[:, :, None]
-                    total[group] += (dev * w).transpose(0, 2, 1) @ dev
+    # each centre repeated once per row: the subtraction then runs over a
+    # whole flattened block instead of d values at a time
+    tiled = np.tile(centers, (1, min(span, n)))
+    for start in range(0, n, span):
+        part = points[start:start + span]
+        k = part.shape[0]
+        dev = (part.reshape(1, -1) - tiled[:, :k * d]).reshape(-1, k, d)
+        w = resp[start:start + span, idx].T[:, :, None]
+        total += (dev * w).transpose(0, 2, 1) @ dev
     return total
 
 
-def _mstep(plan: _RelationPlan, tables, total: int, ridge_floor: float):
-    """Closed-form M-step from the cluster-level posteriors ``tables`` of
-    the plan's point blocks ``(xu, xi, xj, xa, xb)`` over ``total``
-    flattened clusters.  Each must-link member carries its own weight, so a
-    flat must-link pair counts twice (two points, one shared weight).
+def _mstep(points: np.ndarray, resp: np.ndarray, ridge_floor: float):
+    """Closed-form weighted-GMM M-step over ``points`` with the expected
+    counts ``resp`` (N, total clusters) of :func:`_responsibilities`.
 
     Returns ``(weight, empty, means, covs, chols, ridges)``: the weights,
     the clusters whose weight is ≤ ``Z_EPS``, and the means, regularized
     covariances, their Cholesky factors and ridges.  The rows of the empty
     clusters are unset; the caller reseeds them or rejects the step.
     """
-    blocks = (plan.xu, plan.xi, plan.xj, plan.xa, plan.xb)
-    terms = [(pts, wts) for pts, wts in zip(blocks, tables) if pts.shape[0]]
-    d = plan.xu.shape[1]
-    weight = np.zeros(total)
-    first = np.zeros((total, d))
-    for pts, wts in terms:
-        weight += wts.sum(axis=0)
-        first += wts.T @ pts
+    total, d = resp.shape[1], points.shape[1]
+    weight = resp.sum(axis=0)
+    first = resp.T @ points
     is_empty = weight <= Z_EPS
     live = np.flatnonzero(~is_empty)
     means = np.empty((total, d))
@@ -514,7 +487,7 @@ def _mstep(plan: _RelationPlan, tables, total: int, ridge_floor: float):
     chols = np.empty((total, d, d))
     ridges = np.zeros(total)
     means[live] = first[live] / weight[live, None]
-    raw = _scatter_stack(terms, live, means[live]) / weight[live, None, None]
+    raw = _scatter_stack(points, resp, live, means[live]) / weight[live, None, None]
     covs[live], ridges[live], chols[live] = regularize_covariances(raw, ridge_floor)
     return weight, np.flatnonzero(is_empty), means, covs, chols, ridges
 
@@ -577,9 +550,6 @@ def _fit(dataset: Dataset, relations: RelationSet, p: _Params, config: FitConfig
     ``c`` in the warnings.  Returns the final arrays and the trace."""
     plan = _relation_plan(dataset, relations, config.count_linked_as_unsupervised)
     offsets, class_of = p.offsets, p.class_of
-    bounds = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
-    total = class_of.size
-    one_cluster = total == len(bounds)
     warnings: list[str] = []
     # each E-step also yields the log-likelihood of the model it starts from
     e = _estep(p, dataset.points, plan)
@@ -589,12 +559,9 @@ def _fit(dataset: Dataset, relations: RelationSet, p: _Params, config: FitConfig
 
     for iteration in range(1, config.max_iters + 1):
         weight, empty, means, covs, chols, ridges = _mstep(
-            plan, (e.unsup, e.must_i, e.must_j, e.cannot_a, e.cannot_b), total,
-            config.ridge_floor,
+            dataset.points, _responsibilities(e, plan, class_of), config.ridge_floor
         )
-        class_counts = _class_counts(
-            e.unsup, e.must_class, e.cannot_a_class, e.cannot_b_class, offsets
-        )
+        class_counts = _class_counts(e)
         # warnings keyed by flattened cluster, reported in (class, cluster) order
         notes = {
             c: f"covariance of {name_of(c)} was degenerate; ridged by {r:.2e}"
@@ -621,9 +588,8 @@ def _fit(dataset: Dataset, relations: RelationSet, p: _Params, config: FitConfig
         warnings.extend(f"iteration {iteration}: {notes[c]}" for c in sorted(notes))
 
         class_counts[class_counts <= Z_EPS] = 1.0
-        # π: each cluster's share of its class (1 with one cluster per class)
-        pi = weight / (weight if one_cluster else
-                       np.array([weight[lo:hi].sum() for lo, hi in bounds])[class_of])
+        # π: each cluster's share of its class (x/x = 1 with one cluster per class)
+        pi = weight / np.add.reduceat(weight, offsets[:-1])[class_of]
         alpha = _safeguarded_mixing(
             class_counts, relations.n_cannot, p.alpha, warnings, iteration
         )
@@ -643,19 +609,6 @@ def _fit(dataset: Dataset, relations: RelationSet, p: _Params, config: FitConfig
         converged=converged,
         warnings=tuple(warnings),
     )
-
-
-def _normalize_cluster_counts(n_classes: int, clusters_per_class) -> tuple[int, ...]:
-    if np.isscalar(clusters_per_class):
-        clusters_per_class = (clusters_per_class,) * n_classes
-    counts = tuple(int(k) for k in clusters_per_class)
-    if len(counts) != n_classes:
-        raise LengthMismatchError(
-            f"got {len(counts)} cluster counts for {n_classes} classes"
-        )
-    if any(k < 1 for k in counts):
-        raise InvariantViolationError("every class needs at least one cluster")
-    return counts
 
 
 def fit_hier(

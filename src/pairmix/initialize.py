@@ -21,6 +21,7 @@ from .errors import (
     ExhaustedPairsError,
     InvariantViolationError,
     KTooLargeError,
+    LengthMismatchError,
 )
 from .gaussian import regularize_covariances
 from .types import ClassMixture, Dataset, FlatModel, HierModel, RelationSet
@@ -114,6 +115,21 @@ def init_flat(
     return FlatModel(alpha=alpha, means=means, covs=covs)
 
 
+def _normalize_cluster_counts(n_classes: int, clusters_per_class) -> tuple[int, ...]:
+    """``clusters_per_class`` as one count per class: an int applies to
+    every class, a sequence must have one positive entry per class."""
+    if np.isscalar(clusters_per_class):
+        clusters_per_class = (clusters_per_class,) * n_classes
+    counts = tuple(int(k) for k in clusters_per_class)
+    if len(counts) != n_classes:
+        raise LengthMismatchError(
+            f"got {len(counts)} cluster counts for {n_classes} classes"
+        )
+    if any(k < 1 for k in counts):
+        raise InvariantViolationError("every class needs at least one cluster")
+    return counts
+
+
 def init_hier(
     dataset: Dataset,
     n_classes: int,
@@ -128,17 +144,7 @@ def init_hier(
     to duplicating the class mean with a small jitter (``ridge_floor·I``
     covariance), so initialization never fails on small classes.
     """
-    if np.isscalar(clusters_per_class):
-        counts = (int(clusters_per_class),) * n_classes
-    else:
-        counts = tuple(int(c) for c in clusters_per_class)
-        if len(counts) != n_classes:
-            raise InvariantViolationError(
-                f"got {len(counts)} cluster counts for {n_classes} classes"
-            )
-    if any(c < 1 for c in counts):
-        raise InvariantViolationError("every class needs at least one cluster")
-
+    counts = _normalize_cluster_counts(n_classes, clusters_per_class)
     seeds = kmeanspp_seeds(dataset, n_classes, rng)
     assign = _nearest(dataset.points, seeds)
     d = dataset.dim

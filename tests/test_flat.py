@@ -115,21 +115,27 @@ def test_estep_tables_match_per_point_ops():
         ds = Dataset(pts)
         rel = RelationSet(must=[(0, 5), (1, 6)], cannot=[(2, 7), (3, 8)])
         plan, e = engine_estep(hier._flat_params(model), ds, rel)
+        # every point is in one factor, so its row of expected counts is
+        # that factor's posterior
+        resp = hier._responsibilities(e, plan, np.arange(m))
         # linked points are excluded from the unsupervised table
         assert set(plan.unsup_idx) == set(range(12)) - {0, 5, 1, 6, 2, 7, 3, 8}
         for row, i in enumerate(plan.unsup_idx):
-            np.testing.assert_allclose(
-                e.unsup[row], resp_unsupervised(model, pts[i]), atol=1e-12
-            )
+            want = resp_unsupervised(model, pts[i])
+            np.testing.assert_allclose(e.unsup[row], want, atol=1e-12)
+            np.testing.assert_allclose(resp[i], want, atol=1e-12)
         for row, (i, j) in enumerate(plan.must_pairs):
-            np.testing.assert_allclose(
-                e.must_class[row], resp_mustlink(model, pts[i], pts[j]), atol=1e-12
-            )
+            want = resp_mustlink(model, pts[i], pts[j])
+            np.testing.assert_allclose(e.must[row], want, atol=1e-12)
+            np.testing.assert_allclose(resp[i], want, atol=1e-12)
+            np.testing.assert_allclose(resp[j], want, atol=1e-12)
         for row, (a, b) in enumerate(plan.cannot_pairs):
             d_a, d_b, joint = resp_cannotlink(model, pts[a], pts[b])
-            np.testing.assert_allclose(e.cannot_class_joint[row], joint, atol=1e-12)
-            np.testing.assert_allclose(e.cannot_a_class[row], d_a, atol=1e-12)
-            np.testing.assert_allclose(e.cannot_b_class[row], d_b, atol=1e-12)
+            np.testing.assert_allclose(e.cannot_joint[row], joint, atol=1e-12)
+            np.testing.assert_allclose(e.cannot_a[row], d_a, atol=1e-12)
+            np.testing.assert_allclose(e.cannot_b[row], d_b, atol=1e-12)
+            np.testing.assert_allclose(resp[a], d_a, atol=1e-12)
+            np.testing.assert_allclose(resp[b], d_b, atol=1e-12)
 
 
 def test_estep_count_linked_flag_keeps_all_points():
@@ -178,23 +184,32 @@ def test_cannotlink_prior_concentrated_weights_degenerate():
 
 
 def test_update_mean_cov_matches_termwise_reference():
+    # disjoint pairs, then points in several factors (0 is in a must-link
+    # and a cannot-link pair, 5 in two must-link pairs, 3 twice in one
+    # column of the cannot-link pairs); each also counting linked points
+    # as independent ones
+    relation_sets = (
+        RelationSet(must=[(0, 5)], cannot=[(2, 7), (3, 9)]),
+        RelationSet(must=[(0, 5), (5, 6)], cannot=[(0, 7), (3, 9), (3, 10)]),
+    )
     rng = np.random.default_rng(407)
     for _ in range(200):
         m = int(rng.integers(2, 4))
         model = random_flat_model(rng, m, 2)
         pts = rng.normal(size=(14, 2)) * 2.0
         ds = Dataset(pts)
-        rel = RelationSet(must=[(0, 5)], cannot=[(2, 7), (3, 9)])
-        plan, e = engine_estep(hier._flat_params(model), ds, rel)
-        tables = (e.unsup, e.must_i, e.must_j, e.cannot_a, e.cannot_b)
-        _, empty, means, covs, _, _ = hier._mstep(plan, tables, m, 1e-6)
-        assert empty.size == 0
-        want_means, want_covs = mstep_reference(
-            pts, plan.unsup_idx, e.unsup, plan.must_pairs, e.must_class,
-            plan.cannot_pairs, e.cannot_a_class, e.cannot_b_class,
-        )
-        assert np.max(np.abs(means - want_means)) < 1e-10
-        assert np.max(np.abs(covs - want_covs)) < 1e-10
+        for rel in relation_sets:
+            for count_linked in (False, True):
+                plan, e = engine_estep(hier._flat_params(model), ds, rel, count_linked)
+                resp = hier._responsibilities(e, plan, np.arange(m))
+                _, empty, means, covs, _, _ = hier._mstep(pts, resp, 1e-6)
+                assert empty.size == 0
+                want_means, want_covs = mstep_reference(
+                    pts, plan.unsup_idx, e.unsup, plan.must_pairs, e.must,
+                    plan.cannot_pairs, e.cannot_a, e.cannot_b,
+                )
+                assert np.max(np.abs(means - want_means)) < 1e-10
+                assert np.max(np.abs(covs - want_covs)) < 1e-10
 
 
 def test_mixing_counts_must_pairs_count_once():
@@ -203,11 +218,8 @@ def test_mixing_counts_must_pairs_count_once():
     ds = Dataset(rng.normal(size=(10, 2)))
     rel = RelationSet(must=[(0, 1), (2, 3)], cannot=[(4, 5)])
     _, e = engine_estep(hier._flat_params(model), ds, rel)
-    counts = hier._class_counts(
-        e.unsup, e.must_class, e.cannot_a_class, e.cannot_b_class, np.arange(3)
-    )
-    want = mixing_counts_reference(e.unsup, e.must_class, e.cannot_a_class,
-                                   e.cannot_b_class)
+    counts = hier._class_counts(e)
+    want = mixing_counts_reference(e.unsup, e.must, e.cannot_a, e.cannot_b)
     np.testing.assert_allclose(counts, want, atol=1e-12)
     # 4 unsupervised points + 2 shared must weights + 2 cannot marginals
     assert abs(counts.sum() - (4 + 2 + 2)) < 1e-9

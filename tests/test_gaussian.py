@@ -140,12 +140,24 @@ def test_log_density_never_overflows_far_from_mean():
 
 
 def test_log_density_dimension_mismatch():
-    # the kernel's public callers reject a point of the wrong dimension
+    # the kernel and its public callers reject a point of the wrong dimension
     model = FlatModel(alpha=np.array([1.0]), means=np.zeros((1, 2)), covs=np.eye(2)[None])
     with pytest.raises(DimensionMismatchError):
         predict_flat(model, [1.0, 2.0, 3.0])
     with pytest.raises(DimensionMismatchError):
         predict_flat_batch(model, np.zeros((4, 3)))
+    # and the kernel rejects components that disagree on C or d
+    means, chols, log_dets = np.zeros((2, 2)), np.tile(np.eye(2), (2, 1, 1)), np.zeros(2)
+    for args in (
+        (np.zeros((4, 3)), means, chols, log_dets),
+        (np.zeros(2), means, chols, log_dets),
+        (np.zeros((4, 2)), np.zeros(2), chols, log_dets),
+        (np.zeros((4, 2)), means, chols[:1], log_dets),
+        (np.zeros((4, 2)), means, np.tile(np.eye(3), (2, 1, 1)), log_dets),
+        (np.zeros((4, 2)), means, chols, np.zeros(3)),
+    ):
+        with pytest.raises(DimensionMismatchError):
+            log_density_stack(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -120,37 +120,52 @@ def test_hier_estep_tables_match_per_point_ops():
         m = int(rng.integers(2, 4))
         counts = tuple(int(rng.integers(1, 4)) for _ in range(m))
         model = random_hier_model(rng, m, counts, 2)
+        params = hier._hier_params(model)
         pts = rng.normal(size=(12, 2)) * 2.0
         ds = Dataset(pts)
         rel = RelationSet(must=[(0, 5)], cannot=[(2, 7)])
-        plan, e = engine_estep(hier._hier_params(model), ds, rel)
+        plan, e = engine_estep(params, ds, rel)
+        # every point is in one factor, so its row of expected counts is
+        # that factor's joint class/cluster posterior
+        resp = hier._responsibilities(e, plan, params.class_of)
         assert set(plan.unsup_idx) == set(range(12)) - {0, 5, 2, 7}
         for row, i in enumerate(plan.unsup_idx):
             joint, marginal = hier_resp_unsupervised(model, pts[i])
-            np.testing.assert_allclose(
-                e.unsup[row], np.concatenate(joint), atol=1e-12
-            )
-            np.testing.assert_allclose(e.unsup_class[row], marginal, atol=1e-12)
+            np.testing.assert_allclose(resp[i], np.concatenate(joint), atol=1e-12)
+            np.testing.assert_allclose(e.unsup[row], marginal, atol=1e-12)
         for row, (i, j) in enumerate(plan.must_pairs):
             mi, mj, mc = hier_resp_mustlink(model, pts[i], pts[j])
-            np.testing.assert_allclose(
-                e.must_i[row], np.concatenate(mi), atol=1e-12
-            )
-            np.testing.assert_allclose(
-                e.must_j[row], np.concatenate(mj), atol=1e-12
-            )
-            np.testing.assert_allclose(e.must_class[row], mc, atol=1e-12)
+            np.testing.assert_allclose(resp[i], np.concatenate(mi), atol=1e-12)
+            np.testing.assert_allclose(resp[j], np.concatenate(mj), atol=1e-12)
+            np.testing.assert_allclose(e.must[row], mc, atol=1e-12)
         for row, (a, b) in enumerate(plan.cannot_pairs):
             ja, jb, da, db, cj = hier_resp_cannotlink(model, pts[a], pts[b])
-            np.testing.assert_allclose(
-                e.cannot_a[row], np.concatenate(ja), atol=1e-12
-            )
-            np.testing.assert_allclose(
-                e.cannot_b[row], np.concatenate(jb), atol=1e-12
-            )
-            np.testing.assert_allclose(e.cannot_a_class[row], da, atol=1e-12)
-            np.testing.assert_allclose(e.cannot_b_class[row], db, atol=1e-12)
-            np.testing.assert_allclose(e.cannot_class_joint[row], cj, atol=1e-12)
+            np.testing.assert_allclose(resp[a], np.concatenate(ja), atol=1e-12)
+            np.testing.assert_allclose(resp[b], np.concatenate(jb), atol=1e-12)
+            np.testing.assert_allclose(e.cannot_a[row], da, atol=1e-12)
+            np.testing.assert_allclose(e.cannot_b[row], db, atol=1e-12)
+            np.testing.assert_allclose(e.cannot_joint[row], cj, atol=1e-12)
+
+
+def test_responsibilities_rows_count_factors():
+    # a point's expected counts sum to the number of factors it is in: 0 is
+    # in a must-link and a cannot-link pair, 5 in two must-link pairs and 3
+    # twice in one column of the cannot-link pairs
+    rng = np.random.default_rng(508)
+    model = random_hier_model(rng, 3, (2, 1, 3), 2)
+    params = hier._hier_params(model)
+    ds = Dataset(rng.normal(size=(12, 2)) * 2.0)
+    rel = RelationSet(must=[(0, 5), (5, 6)], cannot=[(0, 7), (3, 9), (3, 10)])
+    for count_linked in (False, True):
+        plan, e = engine_estep(params, ds, rel, count_linked)
+        factors = np.bincount(
+            np.concatenate([plan.unsup_idx, plan.must_pairs.ravel(),
+                            plan.cannot_pairs.ravel()]),
+            minlength=ds.n,
+        )
+        assert factors.max() == 2 + count_linked
+        resp = hier._responsibilities(e, plan, params.class_of)
+        np.testing.assert_allclose(resp.sum(axis=1), factors, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -202,19 +217,17 @@ def test_hier_update_weights_are_consistent():
     # every pair weight 2 split across its endpoints
     rng = np.random.default_rng(507)
     model = random_hier_model(rng, 2, (2, 2), 2)
+    params = hier._hier_params(model)
     pts = rng.normal(size=(10, 2)) * 2.0
     ds = Dataset(pts)
     rel = RelationSet(must=[(0, 5)], cannot=[(2, 7)])
-    plan, e = engine_estep(hier._hier_params(model), ds, rel)
-    counts = hier._class_counts(
-        e.unsup, e.must_class, e.cannot_a_class, e.cannot_b_class,
-        model.cluster_offsets,
-    )
+    plan, e = engine_estep(params, ds, rel)
+    counts = hier._class_counts(e)
     # class-level counts: 6 unsupervised + 1 shared must + 2 cannot marginals
     assert abs(counts.sum() - (6 + 1 + 2)) < 1e-9
 
-    tables = (e.unsup, e.must_i, e.must_j, e.cannot_a, e.cannot_b)
-    weight, empty, means, covs, _, _ = hier._mstep(plan, tables, 4, 1e-6)
+    resp = hier._responsibilities(e, plan, params.class_of)
+    weight, empty, means, covs, _, _ = hier._mstep(pts, resp, 1e-6)
     assert abs(weight.sum() - (6 + 2 + 2)) < 1e-9
     assert empty.size == 0
     assert means.shape == (4, 2)
@@ -223,57 +236,47 @@ def test_hier_update_weights_are_consistent():
         np.linalg.cholesky(covs[c])
 
 
-def _scatter_reference(terms, idx, centers):
-    # one component at a time, terms summed in order
+def _scatter_reference(points, resp, idx, centers):
+    # one component at a time over all rows
     return np.stack([
-        sum(((pts - centers[k]) * wts[:, c, None]).T @ (pts - centers[k])
-            for pts, wts in terms)
+        ((points - centers[k]) * resp[:, c, None]).T @ (points - centers[k])
         for k, c in enumerate(idx.tolist())
     ])
 
 
-@pytest.mark.parametrize("blocks", ["one", "split"])
-def test_scatter_stack_blocks_match_per_component_bits(monkeypatch, blocks):
+@pytest.mark.parametrize("blocks", ["one"])
+def test_scatter_stack_blocks_match_per_component_bits(blocks):
     rng = np.random.default_rng(510)
-    d, rows = 3, (40, 7, 7, 5)
-    terms = [(rng.normal(size=(n, d)), rng.random((n, 7))) for n in rows]
+    d, n = 3, 59
+    points, resp = rng.normal(size=(n, d)), rng.random((n, 7))
     idx = np.array([0, 2, 3, 5, 6])  # five live components of seven
     centers = rng.normal(size=(idx.size, d))
-    if blocks == "split":
-        # room for two components of the longest term: blocks of 2, 2 and 1
-        monkeypatch.setattr(hier, "_BLOCK_FLOATS", 2 * max(rows) * d + 1)
-    got = hier._scatter_stack(terms, idx, centers)
-    assert np.array_equal(got, _scatter_reference(terms, idx, centers))
+    got = hier._scatter_stack(points, resp, idx, centers)
+    assert np.array_equal(got, _scatter_reference(points, resp, idx, centers))
 
 
-def _scatter_row_block_reference(terms, idx, centers, span):
-    # one component at a time, summed over row blocks of ``span`` rows in
-    # (row block, term) order
+def _scatter_row_block_reference(points, resp, idx, centers, span):
+    # one component at a time, summed over row blocks of ``span`` rows
     total = np.zeros((idx.size, centers.shape[1], centers.shape[1]))
-    longest = max(pts.shape[0] for pts, _ in terms)
     for k, c in enumerate(idx.tolist()):
-        for start in range(0, longest, span):
-            for pts, wts in terms:
-                dev = pts[start:start + span] - centers[k]
-                if dev.shape[0]:
-                    total[k] += (dev * wts[start:start + span, c, None]).T @ dev
+        for start in range(0, points.shape[0], span):
+            dev = points[start:start + span] - centers[k]
+            total[k] += (dev * resp[start:start + span, c, None]).T @ dev
     return total
 
 
-@pytest.mark.parametrize("blocks", ["one", "split"])
+@pytest.mark.parametrize("blocks", ["one"])
 def test_scatter_stack_row_blocks(monkeypatch, blocks):
     rng = np.random.default_rng(512)
-    d, span, rows = 3, 4, (41, 11, 9, 6)  # every term ends in a ragged block
-    terms = [(rng.normal(size=(n, d)), rng.random((n, 7))) for n in rows]
+    d, span, n = 3, 4, 67  # the last row block is ragged
+    points, resp = rng.normal(size=(n, d)), rng.random((n, 7))
     idx = np.array([0, 2, 3, 5, 6])
     centers = rng.normal(size=(idx.size, d))
     monkeypatch.setattr(hier, "_ROW_FLOATS", span * d)
-    if blocks == "split":
-        # room for two components of one row block: groups of 2, 2 and 1
-        monkeypatch.setattr(hier, "_BLOCK_FLOATS", 2 * span * d + 1)
-    got = hier._scatter_stack(terms, idx, centers)
-    assert np.array_equal(got, _scatter_row_block_reference(terms, idx, centers, span))
-    whole = _scatter_reference(terms, idx, centers)
+    got = hier._scatter_stack(points, resp, idx, centers)
+    want = _scatter_row_block_reference(points, resp, idx, centers, span)
+    assert np.array_equal(got, want)
+    whole = _scatter_reference(points, resp, idx, centers)
     assert np.abs(got - whole).max() <= 1e-13 * np.abs(whole).max()
 
 
@@ -310,17 +313,16 @@ def test_fit_does_not_depend_on_scatter_row_blocks(monkeypatch, a1_fixture):
 
 
 def test_scatter_stack_peak_memory_is_bounded():
-    # M-step-shaped terms at N = 1e5, d = 16, C = 8: one (C, N, d)
-    # deviation array alone would be 102 MB
+    # N = 1e5, d = 16, C = 8: one (C, N, d) deviation array alone would be
+    # 102 MB
     n, d, c = 100_000, 16, 8
     rng = np.random.default_rng(514)
-    rows = (n - 2000, 500, 500, 500, 500)
-    terms = [(rng.normal(size=(k, d)), rng.dirichlet(np.ones(c), size=k)) for k in rows]
+    points, resp = rng.normal(size=(n, d)), rng.dirichlet(np.ones(c), size=n)
     idx = np.arange(c)
     centers = rng.normal(size=(c, d))
     tracemalloc.start()
     try:
-        hier._scatter_stack(terms, idx, centers)
+        hier._scatter_stack(points, resp, idx, centers)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -331,15 +333,31 @@ def test_mstep_peak_memory_is_bounded():
     # N = 1e5, d = 16, C = 8: one stacked (C, N, d) temporary alone is 102 MB
     n, d, c = 100_000, 16, 8
     rng = np.random.default_rng(511)
-    ds = Dataset(rng.normal(size=(n, d)))
-    rel = RelationSet(must=[(2 * k, 2 * k + 1) for k in range(500)],
-                      cannot=[(1000 + 2 * k, 1001 + 2 * k) for k in range(500)])
-    plan = hier._relation_plan(ds, rel, False)
-    blocks = (plan.xu, plan.xi, plan.xj, plan.xa, plan.xb)
-    tables = tuple(rng.dirichlet(np.ones(c), size=pts.shape[0]) for pts in blocks)
+    points, resp = rng.normal(size=(n, d)), rng.dirichlet(np.ones(c), size=n)
     tracemalloc.start()
     try:
-        hier._mstep(plan, tables, c, 1e-6)
+        hier._mstep(points, resp, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48e6
+
+
+@pytest.mark.parametrize("two_level", [False, True])
+def test_fit_peak_memory_is_bounded(two_level):
+    # N = 1e5, d = 16 with 1 000 sampled links, 4 iterations of an M = 8
+    # flat fit or a 4 x 2 two-level fit: the (N, 8) tables are 6.4 MB each
+    n, d = 100_000, 16
+    rng = np.random.default_rng(515)
+    ds = Dataset(rng.normal(size=(n, d)), labels=rng.integers(8, size=n))
+    rel = sample_relations(ds.labels, 1000, rng)
+    cfg = FitConfig(max_iters=4, tol=1e-300, seed=0)
+    tracemalloc.start()
+    try:
+        if two_level:
+            fit_hier(ds, rel, 4, 2, cfg)
+        else:
+            fit_flat(ds, rel, 8, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -10,6 +10,7 @@ from pairmix import (
     ExhaustedPairsError,
     InvariantViolationError,
     KTooLargeError,
+    LengthMismatchError,
     RelationSet,
 )
 from pairmix.datasets import gen_synthetic
@@ -233,9 +234,12 @@ def test_init_hier_jitter_fallback_on_tiny_class():
 
 
 def test_init_hier_validation():
+    # the same rule and error classes as fit_hier
     ds = blob_pair()
-    with pytest.raises(InvariantViolationError):
+    with pytest.raises(LengthMismatchError):
         init_hier(ds, 2, (2, 2, 2), make_rng(0))
+    with pytest.raises(LengthMismatchError):
+        init_hier(ds, 2, (1, 2, 3), make_rng(0))
     with pytest.raises(InvariantViolationError):
         init_hier(ds, 2, 0, make_rng(0))
 
