@@ -49,13 +49,13 @@ from .types import Dataset, FlatModel, RelationSet
 
 def resp_unsupervised(model: FlatModel, x) -> np.ndarray:
     """Class posterior of an independent point: ``ℓ^m ∝ α_m N_m(x)``."""
-    return _point_estep(_flat_params(model), RelationSet(), x=x).unsup[0]
+    return _point_estep(_flat_params(model), RelationSet(), x=x).unsup[:, 0]
 
 
 def resp_mustlink(model: FlatModel, x_i, x_j) -> np.ndarray:
     """Shared class posterior of a must-link pair: ``s^m ∝ α_m N_m(x_i) N_m(x_j)``."""
     e = _point_estep(_flat_params(model), _MUST_PAIR, x_i=x_i, x_j=x_j)
-    return e.must[0]
+    return e.must[:, 0]
 
 
 def resp_cannotlink(model: FlatModel, x_a, x_b):
@@ -66,7 +66,7 @@ def resp_cannotlink(model: FlatModel, x_a, x_b):
     its row / column marginals.
     """
     e = _point_estep(_flat_params(model), _CANNOT_PAIR, x_a=x_a, x_b=x_b)
-    return e.cannot_a[0], e.cannot_b[0], e.cannot_joint[0]
+    return e.cannot_a[:, 0], e.cannot_b[:, 0], e.cannot_joint[:, :, 0]
 
 
 def log_likelihood(

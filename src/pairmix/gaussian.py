@@ -49,6 +49,9 @@ def log_density_stack(
     before it, so each product takes the BLAS path of a whole-N product and
     the values equal those of one whole-N product per component bit for bit.
 
+    The (N, C) result is the transpose of a C-contiguous (C, N) buffer,
+    which the EM engine reads directly (``.T``).
+
     Raises :class:`DimensionMismatchError` when the shapes disagree.  The
     points are not scanned for non-finite entries here: ``Dataset``,
     ``predict_*`` and ``resp_*`` check them at the edge.
@@ -61,7 +64,7 @@ def log_density_stack(
             f"shapes {shapes} are not (N, d), (C, d), (C, d, d) and (C,)"
         )
     n = points.shape[0]
-    quad = np.empty((n, c))
+    quad = np.empty((c, n))
     try:
         inv_t = np.linalg.inv(chols).swapaxes(1, 2)
     except np.linalg.LinAlgError as exc:
@@ -76,10 +79,10 @@ def log_density_stack(
         lo = min(lo, n - rows)
         block = points[lo:lo + rows].reshape(1, -1)
         z = (block - tiled).reshape(c, rows, d) @ inv_t
-        quad[lo:lo + rows] = np.einsum("crd,crd->cr", z, z).T
-    quad += d * LOG_2PI + np.asarray(log_dets, dtype=float)
+        quad[:, lo:lo + rows] = np.einsum("crd,crd->cr", z, z)
+    quad += (d * LOG_2PI + np.asarray(log_dets, dtype=float))[:, None]
     quad *= -0.5
-    return quad
+    return quad.T
 
 
 def log_sum_exp(v, axis=None):
@@ -93,7 +96,8 @@ def log_sum_exp(v, axis=None):
         raise EmptyInputError("log_sum_exp over an empty set")
     hi = v.max(axis=axis, keepdims=True)
     if np.isfinite(hi).all():
-        out = np.log(np.exp(v - hi).sum(axis=axis, keepdims=True)) + hi
+        shifted = v - hi
+        out = np.log(np.exp(shifted, out=shifted).sum(axis=axis, keepdims=True)) + hi
     else:
         # the max of a slice is NaN when the slice holds a NaN and +inf when
         # it holds a +inf, so the reduced array stands in for the input

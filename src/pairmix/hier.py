@@ -9,17 +9,21 @@ cannot-link pair uses the zero-diagonal class-pair prior.
 
 Internally the cluster axis is flattened over ``(class, cluster)`` with
 offsets (see :class:`_Params`); the quantity
-``B[n, m] = log Σ_k π_{m_k} N_{m_k}(x_n)`` — the within-class mixture
+``B[m, n] = log Σ_k π_{m_k} N_{m_k}(x_n)`` — the within-class mixture
 log-likelihood — plays the role the single log-density has in the flat
-E-step, and the sub-cluster posterior ``r[n, (m,k)]`` factors every joint
+E-step, and the sub-cluster posterior ``r[(m,k), n]`` factors every joint
 table as ``(class table) × r``.
 
-The relations act in the E-step only.  Its class-level tables, one row per
-factor, add up per point into one expected-count table (N, total clusters)
-— a point's class posteriors summed over every factor it is in, times
-``r`` — and the M-step is the ordinary weighted-GMM update over the
-dataset's own points with those weights (Shental et al., NIPS 2003, make
-the same split for equivalence constraints).
+Every table is component-major, (components, N): a normalization over the
+classes is then a few elementwise passes over contiguous rows, not a
+reduction along a short trailing axis.
+
+The relations act in the E-step only.  Its class-level tables, one column
+per factor, add up per point into one expected-count table (total
+clusters, N) — a point's class posteriors summed over every factor it is
+in, times ``r`` — and the M-step is the ordinary weighted-GMM update over
+the dataset's own points with those weights (Shental et al., NIPS 2003,
+make the same split for equivalence constraints).
 
 The flat model (:mod:`pairmix.flat`) is the case of one cluster per class
 with ``log π = 0``: then ``B`` is the log-density itself and ``r = 1``.
@@ -228,12 +232,14 @@ def _updated_params(p: _Params, alpha, pi, means, covs, chols) -> _Params:
 
 class _RelationPlan(NamedTuple):
     """Index arrays of one (dataset, relations) pair: the points of the
-    independent factor, and the must-link and cannot-link pairs (M, 2).
+    independent factor, the other points, and the must-link and cannot-link
+    pairs (L, 2).
 
     Nothing here changes between EM iterations, so a fit builds it once.
     """
 
     unsup_idx: np.ndarray
+    linked_idx: np.ndarray
     must_pairs: np.ndarray
     cannot_pairs: np.ndarray
 
@@ -249,6 +255,7 @@ def _relation_plan(
         unlinked[relations.linked_indices()] = False
     return _RelationPlan(
         np.flatnonzero(unlinked),
+        np.flatnonzero(~unlinked),
         np.asarray(relations.must, dtype=np.int64).reshape(-1, 2),
         np.asarray(relations.cannot, dtype=np.int64).reshape(-1, 2),
     )
@@ -266,46 +273,57 @@ def _checked_relations(relations: RelationSet, dataset: Dataset, n_classes: int)
 
 
 def _cluster_tables(p: _Params, points: np.ndarray):
-    """Within-class log-likelihoods ``B`` (N, M) and sub-cluster posteriors
-    ``r`` (N, total clusters) of ``points``; ``r`` is ``None`` when every
-    class has one cluster, where ``B`` is the log-density itself (a
-    log-sum-exp over one slot returns that slot)."""
-    weighted = p.log_pi + log_density_stack(points, p.means, p.chols, p.log_dets)
-    n_classes, class_of = p.alpha.size, p.class_of
-    if class_of.size == n_classes:
+    """Within-class log-likelihoods ``B`` (M, N) and sub-cluster posteriors
+    ``r`` (total clusters, N) of ``points``; ``r`` is ``None`` when every
+    class has one cluster, where ``B`` is the log-density itself.  Each
+    class reduces its rows of the density kernel's (C, N) buffer with one
+    log-sum-exp, and ``r`` is that buffer, shifted and exponentiated."""
+    weighted = log_density_stack(points, p.means, p.chols, p.log_dets).T
+    weighted += p.log_pi[:, None]
+    n_classes, offsets = p.alpha.size, p.offsets.tolist()
+    if p.class_of.size == n_classes:
         return weighted, None
-    # one log-sum-exp over a (N, M, max K_m) table whose unused slots hold
-    # -inf: they add exact zeros, so each class reduces as its own slice would
-    slot = np.arange(class_of.size) - p.offsets[class_of]
-    table = np.full((points.shape[0], n_classes, slot.max() + 1), -np.inf)
-    table[:, class_of, slot] = weighted
-    b = log_sum_exp(table, axis=2)
-    return b, np.exp(weighted - b[:, class_of])
+    b = np.empty((n_classes, points.shape[0]))
+    for m in range(n_classes):
+        rows = weighted[offsets[m]:offsets[m + 1]]
+        b[m] = log_sum_exp(rows, axis=0)
+        rows -= b[m]
+    return b, np.exp(weighted, out=weighted)
 
 
-def _normalized_rows(w: np.ndarray):
-    """Posterior rows ``exp(w - lse)`` and their log-normalizers ``lse``."""
-    if not w.shape[0]:
-        return np.zeros(w.shape), np.zeros(0)
-    flat = w.reshape(w.shape[0], -1)
-    lse = log_sum_exp(flat, axis=1)
-    return np.exp(flat - lse[:, None]).reshape(w.shape), lse
+def _normalize(w: np.ndarray) -> np.ndarray:
+    """Turn the columns of the log table ``w`` (K, n) into posteriors
+    ``exp(w - lse)`` in place; returns the log-normalizers ``lse`` (n,)."""
+    lse = log_sum_exp(w, axis=0)
+    w -= lse
+    np.exp(w, out=w)
+    return lse
+
+
+def _class_posteriors(p: _Params, points: np.ndarray):
+    """Class posteriors (M, N) of ``points`` as independent points, and
+    their sub-cluster posteriors ``r`` (see :func:`_cluster_tables`)."""
+    b, r = _cluster_tables(p, points)
+    b += p.log_alpha[:, None]
+    _normalize(b)
+    return b, r
 
 
 class _EStep(NamedTuple):
-    """One E-step: ``b`` / ``r`` of every point (see :func:`_cluster_tables`),
-    the class posterior tables, one row per entry of the plan, and the
+    """One E-step: the class posterior tables, one column per point or
+    pair, ``r`` of every point (see :func:`_cluster_tables`) and the
     observed-data log-likelihood — the sum of the tables' log-normalizers.
 
-    ``unsup`` is for the independent points, ``must`` the posterior a
-    must-link pair shares, ``cannot_a`` / ``cannot_b`` the marginals of the
-    cannot-link members and ``cannot_joint`` a cannot-link pair's M×M
-    posterior, zero on its diagonal.  A member's cluster-level table is its
-    class table times its row of ``r`` (see :func:`_responsibilities`)."""
+    ``unsup`` (M, N) holds the independent points' posteriors and zeros in
+    the columns of the points outside that factor, ``must`` (M, L) the
+    posterior a must-link pair shares, ``cannot_a`` / ``cannot_b`` (M, P)
+    the marginals of the cannot-link members and ``cannot_joint`` (M, M, P)
+    a cannot-link pair's class-pair posterior, zero on its diagonal.  A
+    member's cluster-level table is its class table times its column of
+    ``r`` (see :func:`_responsibilities`)."""
 
-    b: np.ndarray
-    r: np.ndarray | None
     unsup: np.ndarray
+    r: np.ndarray | None
     must: np.ndarray
     cannot_a: np.ndarray
     cannot_b: np.ndarray
@@ -314,54 +332,54 @@ class _EStep(NamedTuple):
 
 
 def _estep(p: _Params, points: np.ndarray, plan: _RelationPlan) -> _EStep:
-    """E-step over ``points`` with one density pass."""
+    """E-step over ``points`` with one density pass: the pair columns of
+    ``B`` are gathered (``take`` keeps them C-contiguous), then ``log α + B``
+    is normalized in place for all N points."""
     n_classes = p.alpha.size
+    log_alpha = p.log_alpha[:, None]
     b, r = _cluster_tables(p, points)
-    u = plan.unsup_idx
-    i, j = plan.must_pairs[:, 0], plan.must_pairs[:, 1]
-    # the unlinked-point rows and the must-link rows, normalized in one pass
-    rows, lse = _normalized_rows(
-        np.concatenate([p.log_alpha + b[u], p.log_alpha + b[i] + b[j]])
-    )
-    ll = float(lse[: u.size].sum()) + float(lse[u.size :].sum())
+    i, j = plan.must_pairs.T
+    a_idx, b_idx = plan.cannot_pairs.T
+    must = log_alpha + b.take(i, axis=1) + b.take(j, axis=1)
+    b_a, b_b = b.take(a_idx, axis=1), b.take(b_idx, axis=1)
+    b += log_alpha
+    ll = float(_normalize(b)[plan.unsup_idx].sum())
+    b[:, plan.linked_idx] = 0.0
+    if i.size:
+        ll += float(_normalize(must).sum())
 
-    a_idx, b_idx = plan.cannot_pairs[:, 0], plan.cannot_pairs[:, 1]
     if a_idx.size:
         # log cannotlink_prior(alpha).table, from the carried log α
-        log_prior = p.log_alpha[:, None] + p.log_alpha - np.log(_cannot_norm(p.alpha))
+        log_prior = log_alpha + p.log_alpha - np.log(_cannot_norm(p.alpha))
         np.fill_diagonal(log_prior, -np.inf)
-        w = (
-            log_prior[None, :, :]
-            + b[a_idx][:, :, None]
-            + b[b_idx][:, None, :]
-        )
-        class_joint, lse = _normalized_rows(w)
-        ll += float(lse.sum())
+        joint = log_prior[:, :, None] + b_a[:, None, :] + b_b[None, :, :]
+        ll += float(_normalize(joint.reshape(n_classes**2, -1)).sum())
     else:
-        class_joint = np.zeros((0, n_classes, n_classes))
-    return _EStep(
-        b, r, rows[: u.size], rows[u.size :],
-        class_joint.sum(axis=2), class_joint.sum(axis=1), class_joint, ll,
-    )
+        joint = np.zeros((n_classes, n_classes, 0))
+    return _EStep(b, r, must, joint.sum(axis=1), joint.sum(axis=0), joint, ll)
 
 
 def _responsibilities(e: _EStep, plan: _RelationPlan, class_of: np.ndarray) -> np.ndarray:
-    """Expected counts of every point in every cluster → (N, total clusters):
+    """Expected counts of every point in every cluster → (total clusters, N):
     the point's class posteriors summed over each factor it is in, times
     its sub-cluster posteriors ``r`` (the sum itself when ``r`` is ``None``).
 
     A must-link member carries its pair's shared posterior, so a flat
     must-link pair counts twice (two points, one shared weight); a point in
-    several pairs accumulates a row from each."""
-    q = np.zeros(e.b.shape)
-    q[plan.unsup_idx] = e.unsup  # the indices are distinct
+    several pairs accumulates a column from each.  The sums are made in
+    ``e.unsup`` and the products in ``e.r``, in place, so read what else
+    ``e`` is needed for first."""
+    q = e.unsup
     members = np.concatenate([plan.must_pairs.T.ravel(), plan.cannot_pairs.T.ravel()])
-    np.add.at(q, members, np.concatenate([e.must, e.must, e.cannot_a, e.cannot_b]))
+    pair_rows = np.concatenate([e.must, e.must, e.cannot_a, e.cannot_b], axis=1)
+    # one row at a time takes numpy's 1-D add.at path, ~10x the 2-D one
+    for row, add in zip(q, pair_rows):
+        np.add.at(row, members, add)
     if e.r is None:
         return q
-    resp = q[:, class_of]
-    resp *= e.r
-    return resp
+    for c, m in enumerate(class_of.tolist()):
+        e.r[c] *= q[m]
+    return e.r
 
 
 _MUST_PAIR = RelationSet(must=((0, 1),))
@@ -388,7 +406,7 @@ def _split(model: HierModel, e: _EStep, class_row: np.ndarray, point: int):
     """Joint class/cluster table of point ``point`` of ``e`` — its class
     posterior ``class_row`` times its sub-cluster posteriors — per class."""
     if e.r is not None:
-        class_row = np.repeat(class_row, model.cluster_counts) * e.r[point]
+        class_row = np.repeat(class_row, model.cluster_counts) * e.r[:, point]
     return np.split(class_row, model.cluster_offsets[1:-1])
 
 
@@ -400,7 +418,7 @@ def hier_resp_unsupervised(model: HierModel, x):
     per-class sums.
     """
     e = _point_estep(_hier_params(model), RelationSet(), x=x)
-    return _split(model, e, e.unsup[0], 0), e.unsup[0]
+    return _split(model, e, e.unsup[:, 0], 0), e.unsup[:, 0]
 
 
 def hier_resp_mustlink(model: HierModel, x_i, x_j):
@@ -412,7 +430,8 @@ def hier_resp_mustlink(model: HierModel, x_i, x_j):
     independent given the class.
     """
     e = _point_estep(_hier_params(model), _MUST_PAIR, x_i=x_i, x_j=x_j)
-    return _split(model, e, e.must[0], 0), _split(model, e, e.must[0], 1), e.must[0]
+    must = e.must[:, 0]
+    return _split(model, e, must, 0), _split(model, e, must, 1), must
 
 
 def hier_resp_cannotlink(model: HierModel, x_a, x_b):
@@ -423,10 +442,9 @@ def hier_resp_cannotlink(model: HierModel, x_a, x_b):
     posterior.
     """
     e = _point_estep(_hier_params(model), _CANNOT_PAIR, x_a=x_a, x_b=x_b)
-    return (
-        _split(model, e, e.cannot_a[0], 0), _split(model, e, e.cannot_b[0], 1),
-        e.cannot_a[0], e.cannot_b[0], e.cannot_joint[0],
-    )
+    d_a, d_b = e.cannot_a[:, 0], e.cannot_b[:, 0]
+    joint_a, joint_b = _split(model, e, d_a, 0), _split(model, e, d_b, 1)
+    return joint_a, joint_b, d_a, d_b, e.cannot_joint[:, :, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -437,15 +455,15 @@ def _class_counts(e: _EStep) -> np.ndarray:
     """Class counts ``c_m`` for the mixing-weight update: each must-link
     pair contributes its shared weight once, each cannot-link pair both
     marginals."""
-    return sum(table.sum(axis=0) for table in (e.unsup, e.must, e.cannot_a, e.cannot_b))
+    return sum(table.sum(axis=1) for table in (e.unsup, e.must, e.cannot_a, e.cannot_b))
 
 
 def _scatter_stack(
     points: np.ndarray, resp: np.ndarray, idx: np.ndarray, centers: np.ndarray
 ) -> np.ndarray:
     """Weighted scatter matrices of components ``idx`` around ``centers``
-    (one row per component) → (len(idx), d, d), with the weights of column
-    ``idx`` of ``resp``.
+    (one row per component) → (len(idx), d, d), with the weights of rows
+    ``idx`` of ``resp`` (components, N).
 
     Each component's matrix is ``Σ (dev * w).T @ dev``, summed over row
     blocks of ``_ROW_FLOATS // d`` rows in order with one batched product
@@ -463,23 +481,23 @@ def _scatter_stack(
         part = points[start:start + span]
         k = part.shape[0]
         dev = (part.reshape(1, -1) - tiled[:, :k * d]).reshape(-1, k, d)
-        w = resp[start:start + span, idx].T[:, :, None]
+        w = resp[idx, start:start + span][:, :, None]
         total += (dev * w).transpose(0, 2, 1) @ dev
     return total
 
 
 def _mstep(points: np.ndarray, resp: np.ndarray, ridge_floor: float):
     """Closed-form weighted-GMM M-step over ``points`` with the expected
-    counts ``resp`` (N, total clusters) of :func:`_responsibilities`.
+    counts ``resp`` (total clusters, N) of :func:`_responsibilities`.
 
     Returns ``(weight, empty, means, covs, chols, ridges)``: the weights,
     the clusters whose weight is ≤ ``Z_EPS``, and the means, regularized
     covariances, their Cholesky factors and ridges.  The rows of the empty
     clusters are unset; the caller reseeds them or rejects the step.
     """
-    total, d = resp.shape[1], points.shape[1]
-    weight = resp.sum(axis=0)
-    first = resp.T @ points
+    total, d = resp.shape[0], points.shape[1]
+    weight = resp.sum(axis=1)
+    first = resp @ points
     is_empty = weight <= Z_EPS
     live = np.flatnonzero(~is_empty)
     means = np.empty((total, d))
@@ -558,10 +576,11 @@ def _fit(dataset: Dataset, relations: RelationSet, p: _Params, config: FitConfig
     n_iters = 0
 
     for iteration in range(1, config.max_iters + 1):
+        class_counts = _class_counts(e)
         weight, empty, means, covs, chols, ridges = _mstep(
             dataset.points, _responsibilities(e, plan, class_of), config.ridge_floor
         )
-        class_counts = _class_counts(e)
+        del e  # its tables were the M-step's buffers; free them for the next E-step
         # warnings keyed by flattened cluster, reported in (class, cluster) order
         notes = {
             c: f"covariance of {name_of(c)} was degenerate; ridged by {r:.2e}"
@@ -570,10 +589,10 @@ def _fit(dataset: Dataset, relations: RelationSet, p: _Params, config: FitConfig
         }
         if empty.size:
             # reseed each dead cluster at the point the model currently
-            # claims least, with the pooled covariance and unit weight
-            w_all = p.log_alpha + e.b
-            marg = np.exp(w_all - log_sum_exp(w_all, axis=1)[:, None])
-            claimed = (marg if e.r is None else marg[:, class_of] * e.r).max(axis=1)
+            # claims least (the E-step's tables became the M-step's, so they
+            # are rebuilt), with the pooled covariance and unit weight
+            marg, r = _class_posteriors(p, dataset.points)
+            claimed = (marg if r is None else marg[class_of] * r).max(axis=0)
             order = np.argsort(claimed)
             pooled, pooled_chol = _pooled_covariance(dataset, config.ridge_floor)
             for rank, c in enumerate(empty.tolist()):
@@ -673,9 +692,7 @@ def _predict_batch(p: _Params, points) -> np.ndarray:
         )
     if not np.all(np.isfinite(points)):
         raise NotFiniteError("points contain non-finite entries")
-    b, _ = _cluster_tables(p, points)
-    w = p.log_alpha + b
-    return np.exp(w - log_sum_exp(w, axis=1)[:, None])
+    return _class_posteriors(p, points)[0].T
 
 
 def predict_hier(model: HierModel, x) -> np.ndarray:

@@ -157,14 +157,17 @@ def _kkt_residual(alpha: np.ndarray, grad: np.ndarray) -> float:
     (they would leave the simplex by shrinking further); free coordinates
     must share a common multiplier ν.
     """
-    free = alpha > _ACTIVE_THRESH
+    # Python floats on the solver's short vectors; rounding is monotone, so the
+    # largest |g − ν| is at max(g) or min(g), a floor coordinate's excess at max(g)
+    g = grad.tolist()
+    free = [gi for ai, gi in zip(alpha.tolist(), g) if ai > _ACTIVE_THRESH]
     # with no free coordinate, all of them share the multiplier
-    mixed = not free.all() and free.any()
-    g_free = grad[free] if mixed else grad
-    nu = 0.5 * (g_free.max() + g_free.min())
-    resid = float(np.abs(g_free - nu).max())
-    if mixed:
-        resid = max(resid, float(np.maximum(grad[~free] - nu, 0.0).max()))
+    shared = free or g
+    hi, lo = max(shared), min(shared)
+    nu = 0.5 * (hi + lo)
+    resid = max(hi - nu, nu - lo)
+    if len(shared) < len(g):
+        resid = max(resid, max(g) - nu)
     return resid / max(1.0, abs(nu))
 
 

@@ -89,6 +89,18 @@ def _cluster_weights(model, x):
     return out
 
 
+def cluster_tables_reference(model, points):
+    """Within-class log-likelihoods ``B[m, n] = log Σ_k π_k N_k(x_n)`` and
+    sub-cluster posteriors ``r[(m, k), n]``, one point at a time."""
+    b = np.zeros((len(model.classes), len(points)))
+    r = np.zeros((sum(len(c.pi) for c in model.classes), len(points)))
+    for n, x in enumerate(points):
+        w = _cluster_weights(model, x)
+        b[:, n] = [np.log(wm.sum()) for wm in w]
+        r[:, n] = np.concatenate([wm / wm.sum() for wm in w])
+    return b, r
+
+
 def enum_hier_unsup(model, x):
     """Flattened p(m, k | x) over every (class, cluster) combination."""
     w = _cluster_weights(model, x)

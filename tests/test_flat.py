@@ -115,27 +115,37 @@ def test_estep_tables_match_per_point_ops():
         ds = Dataset(pts)
         rel = RelationSet(must=[(0, 5), (1, 6)], cannot=[(2, 7), (3, 8)])
         plan, e = engine_estep(hier._flat_params(model), ds, rel)
-        # every point is in one factor, so its row of expected counts is
-        # that factor's posterior
-        resp = hier._responsibilities(e, plan, np.arange(m))
-        # linked points are excluded from the unsupervised table
+        # linked points are excluded from the unsupervised table: their
+        # columns hold zeros
         assert set(plan.unsup_idx) == set(range(12)) - {0, 5, 1, 6, 2, 7, 3, 8}
-        for row, i in enumerate(plan.unsup_idx):
+        assert set(plan.linked_idx) == {0, 5, 1, 6, 2, 7, 3, 8}
+        assert e.unsup.shape == (m, 12)
+        assert np.all(e.unsup[:, plan.linked_idx] == 0.0)
+        for i in plan.unsup_idx:
             want = resp_unsupervised(model, pts[i])
-            np.testing.assert_allclose(e.unsup[row], want, atol=1e-12)
-            np.testing.assert_allclose(resp[i], want, atol=1e-12)
-        for row, (i, j) in enumerate(plan.must_pairs):
+            np.testing.assert_allclose(e.unsup[:, i], want, atol=1e-12)
+        for col, (i, j) in enumerate(plan.must_pairs):
             want = resp_mustlink(model, pts[i], pts[j])
-            np.testing.assert_allclose(e.must[row], want, atol=1e-12)
-            np.testing.assert_allclose(resp[i], want, atol=1e-12)
-            np.testing.assert_allclose(resp[j], want, atol=1e-12)
-        for row, (a, b) in enumerate(plan.cannot_pairs):
+            np.testing.assert_allclose(e.must[:, col], want, atol=1e-12)
+        for col, (a, b) in enumerate(plan.cannot_pairs):
             d_a, d_b, joint = resp_cannotlink(model, pts[a], pts[b])
-            np.testing.assert_allclose(e.cannot_joint[row], joint, atol=1e-12)
-            np.testing.assert_allclose(e.cannot_a[row], d_a, atol=1e-12)
-            np.testing.assert_allclose(e.cannot_b[row], d_b, atol=1e-12)
-            np.testing.assert_allclose(resp[a], d_a, atol=1e-12)
-            np.testing.assert_allclose(resp[b], d_b, atol=1e-12)
+            np.testing.assert_allclose(e.cannot_joint[:, :, col], joint, atol=1e-12)
+            np.testing.assert_allclose(e.cannot_a[:, col], d_a, atol=1e-12)
+            np.testing.assert_allclose(e.cannot_b[:, col], d_b, atol=1e-12)
+        # every point is in one factor, so its column of expected counts is
+        # that factor's posterior (the table is made in e.unsup, so last)
+        resp = hier._responsibilities(e, plan, np.arange(m))
+        for i in plan.unsup_idx:
+            want = resp_unsupervised(model, pts[i])
+            np.testing.assert_allclose(resp[:, i], want, atol=1e-12)
+        for i, j in plan.must_pairs:
+            want = resp_mustlink(model, pts[i], pts[j])
+            np.testing.assert_allclose(resp[:, i], want, atol=1e-12)
+            np.testing.assert_allclose(resp[:, j], want, atol=1e-12)
+        for a, b in plan.cannot_pairs:
+            d_a, d_b, _ = resp_cannotlink(model, pts[a], pts[b])
+            np.testing.assert_allclose(resp[:, a], d_a, atol=1e-12)
+            np.testing.assert_allclose(resp[:, b], d_b, atol=1e-12)
 
 
 def test_estep_count_linked_flag_keeps_all_points():
@@ -145,7 +155,10 @@ def test_estep_count_linked_flag_keeps_all_points():
     rel = RelationSet(must=[(0, 1)], cannot=[(2, 3)])
     plan, e = engine_estep(hier._flat_params(model), ds, rel, count_linked=True)
     assert list(plan.unsup_idx) == list(range(8))
-    assert e.unsup.shape == (8, 2)
+    assert plan.linked_idx.size == 0
+    assert e.unsup.shape == (2, 8)
+    # no column is zeroed: every point's independent posterior sums to one
+    np.testing.assert_allclose(e.unsup.sum(axis=0), 1.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +214,16 @@ def test_update_mean_cov_matches_termwise_reference():
         for rel in relation_sets:
             for count_linked in (False, True):
                 plan, e = engine_estep(hier._flat_params(model), ds, rel, count_linked)
+                # the oracle takes one row per factor; read the tables before
+                # _responsibilities adds the pair columns into e.unsup
+                want_means, want_covs = mstep_reference(
+                    pts, plan.unsup_idx, e.unsup[:, plan.unsup_idx].T,
+                    plan.must_pairs, e.must.T,
+                    plan.cannot_pairs, e.cannot_a.T, e.cannot_b.T,
+                )
                 resp = hier._responsibilities(e, plan, np.arange(m))
                 _, empty, means, covs, _, _ = hier._mstep(pts, resp, 1e-6)
                 assert empty.size == 0
-                want_means, want_covs = mstep_reference(
-                    pts, plan.unsup_idx, e.unsup, plan.must_pairs, e.must,
-                    plan.cannot_pairs, e.cannot_a, e.cannot_b,
-                )
                 assert np.max(np.abs(means - want_means)) < 1e-10
                 assert np.max(np.abs(covs - want_covs)) < 1e-10
 
@@ -217,9 +233,11 @@ def test_mixing_counts_must_pairs_count_once():
     model = random_flat_model(rng, 2, 2)
     ds = Dataset(rng.normal(size=(10, 2)))
     rel = RelationSet(must=[(0, 1), (2, 3)], cannot=[(4, 5)])
-    _, e = engine_estep(hier._flat_params(model), ds, rel)
+    plan, e = engine_estep(hier._flat_params(model), ds, rel)
     counts = hier._class_counts(e)
-    want = mixing_counts_reference(e.unsup, e.must, e.cannot_a, e.cannot_b)
+    want = mixing_counts_reference(
+        e.unsup[:, plan.unsup_idx].T, e.must.T, e.cannot_a.T, e.cannot_b.T
+    )
     np.testing.assert_allclose(counts, want, atol=1e-12)
     # 4 unsupervised points + 2 shared must weights + 2 cannot marginals
     assert abs(counts.sum() - (4 + 2 + 2)) < 1e-9

@@ -26,7 +26,12 @@ from pairmix import hier, mixing
 from pairmix.hier import hier_resp_cannotlink, hier_resp_mustlink, hier_resp_unsupervised
 from pairmix.initialize import init_flat, init_hier, make_rng, sample_relations
 
-from oracles import enum_hier_cannot, enum_hier_must, enum_hier_unsup
+from oracles import (
+    cluster_tables_reference,
+    enum_hier_cannot,
+    enum_hier_must,
+    enum_hier_unsup,
+)
 from test_flat import engine_estep
 
 
@@ -125,26 +130,53 @@ def test_hier_estep_tables_match_per_point_ops():
         ds = Dataset(pts)
         rel = RelationSet(must=[(0, 5)], cannot=[(2, 7)])
         plan, e = engine_estep(params, ds, rel)
-        # every point is in one factor, so its row of expected counts is
-        # that factor's joint class/cluster posterior
-        resp = hier._responsibilities(e, plan, params.class_of)
         assert set(plan.unsup_idx) == set(range(12)) - {0, 5, 2, 7}
-        for row, i in enumerate(plan.unsup_idx):
-            joint, marginal = hier_resp_unsupervised(model, pts[i])
-            np.testing.assert_allclose(resp[i], np.concatenate(joint), atol=1e-12)
-            np.testing.assert_allclose(e.unsup[row], marginal, atol=1e-12)
-        for row, (i, j) in enumerate(plan.must_pairs):
-            mi, mj, mc = hier_resp_mustlink(model, pts[i], pts[j])
-            np.testing.assert_allclose(resp[i], np.concatenate(mi), atol=1e-12)
-            np.testing.assert_allclose(resp[j], np.concatenate(mj), atol=1e-12)
-            np.testing.assert_allclose(e.must[row], mc, atol=1e-12)
-        for row, (a, b) in enumerate(plan.cannot_pairs):
-            ja, jb, da, db, cj = hier_resp_cannotlink(model, pts[a], pts[b])
-            np.testing.assert_allclose(resp[a], np.concatenate(ja), atol=1e-12)
-            np.testing.assert_allclose(resp[b], np.concatenate(jb), atol=1e-12)
-            np.testing.assert_allclose(e.cannot_a[row], da, atol=1e-12)
-            np.testing.assert_allclose(e.cannot_b[row], db, atol=1e-12)
-            np.testing.assert_allclose(e.cannot_joint[row], cj, atol=1e-12)
+        assert e.unsup.shape == (m, 12)
+        if max(counts) > 1:
+            assert e.r.shape == (sum(counts), 12)
+        else:
+            assert e.r is None
+        for i in plan.unsup_idx:
+            _, marginal = hier_resp_unsupervised(model, pts[i])
+            np.testing.assert_allclose(e.unsup[:, i], marginal, atol=1e-12)
+        for col, (i, j) in enumerate(plan.must_pairs):
+            _, _, mc = hier_resp_mustlink(model, pts[i], pts[j])
+            np.testing.assert_allclose(e.must[:, col], mc, atol=1e-12)
+        for col, (a, b) in enumerate(plan.cannot_pairs):
+            _, _, da, db, cj = hier_resp_cannotlink(model, pts[a], pts[b])
+            np.testing.assert_allclose(e.cannot_a[:, col], da, atol=1e-12)
+            np.testing.assert_allclose(e.cannot_b[:, col], db, atol=1e-12)
+            np.testing.assert_allclose(e.cannot_joint[:, :, col], cj, atol=1e-12)
+        # every point is in one factor, so its column of expected counts is
+        # that factor's joint class/cluster posterior (the table is made in
+        # e.unsup and e.r, so last)
+        resp = hier._responsibilities(e, plan, params.class_of)
+        for i in plan.unsup_idx:
+            joint, _ = hier_resp_unsupervised(model, pts[i])
+            np.testing.assert_allclose(resp[:, i], np.concatenate(joint), atol=1e-12)
+        for i, j in plan.must_pairs:
+            mi, mj, _ = hier_resp_mustlink(model, pts[i], pts[j])
+            np.testing.assert_allclose(resp[:, i], np.concatenate(mi), atol=1e-12)
+            np.testing.assert_allclose(resp[:, j], np.concatenate(mj), atol=1e-12)
+        for a, b in plan.cannot_pairs:
+            ja, jb, _, _, _ = hier_resp_cannotlink(model, pts[a], pts[b])
+            np.testing.assert_allclose(resp[:, a], np.concatenate(ja), atol=1e-12)
+            np.testing.assert_allclose(resp[:, b], np.concatenate(jb), atol=1e-12)
+
+
+def test_cluster_tables_uneven_classes_match_dense_reference():
+    # uneven classes, each with a class of 8 or more clusters: numpy sums a
+    # row of 8 or more entries pairwise but the rows of a (C, N) table one
+    # after another, so these are where the summation order changed
+    rng = np.random.default_rng(516)
+    for counts in ((1, 9, 3, 2), (8, 1), (2, 12, 1, 5)):
+        model = random_hier_model(rng, len(counts), counts, 2)
+        pts = rng.normal(size=(40, 2)) * 2.0
+        b, r = hier._cluster_tables(hier._hier_params(model), pts)
+        assert b.shape == (len(counts), 40) and r.shape == (sum(counts), 40)
+        want_b, want_r = cluster_tables_reference(model, pts)
+        np.testing.assert_allclose(b, want_b, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(r, want_r, rtol=0, atol=1e-12)
 
 
 def test_responsibilities_rows_count_factors():
@@ -165,7 +197,7 @@ def test_responsibilities_rows_count_factors():
         )
         assert factors.max() == 2 + count_linked
         resp = hier._responsibilities(e, plan, params.class_of)
-        np.testing.assert_allclose(resp.sum(axis=1), factors, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(resp.sum(axis=0), factors, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +271,7 @@ def test_hier_update_weights_are_consistent():
 def _scatter_reference(points, resp, idx, centers):
     # one component at a time over all rows
     return np.stack([
-        ((points - centers[k]) * resp[:, c, None]).T @ (points - centers[k])
+        ((points - centers[k]) * resp[c, :, None]).T @ (points - centers[k])
         for k, c in enumerate(idx.tolist())
     ])
 
@@ -248,7 +280,7 @@ def _scatter_reference(points, resp, idx, centers):
 def test_scatter_stack_blocks_match_per_component_bits(blocks):
     rng = np.random.default_rng(510)
     d, n = 3, 59
-    points, resp = rng.normal(size=(n, d)), rng.random((n, 7))
+    points, resp = rng.normal(size=(n, d)), rng.random((7, n))
     idx = np.array([0, 2, 3, 5, 6])  # five live components of seven
     centers = rng.normal(size=(idx.size, d))
     got = hier._scatter_stack(points, resp, idx, centers)
@@ -261,7 +293,7 @@ def _scatter_row_block_reference(points, resp, idx, centers, span):
     for k, c in enumerate(idx.tolist()):
         for start in range(0, points.shape[0], span):
             dev = points[start:start + span] - centers[k]
-            total[k] += (dev * resp[start:start + span, c, None]).T @ dev
+            total[k] += (dev * resp[c, start:start + span, None]).T @ dev
     return total
 
 
@@ -269,7 +301,7 @@ def _scatter_row_block_reference(points, resp, idx, centers, span):
 def test_scatter_stack_row_blocks(monkeypatch, blocks):
     rng = np.random.default_rng(512)
     d, span, n = 3, 4, 67  # the last row block is ragged
-    points, resp = rng.normal(size=(n, d)), rng.random((n, 7))
+    points, resp = rng.normal(size=(n, d)), rng.random((7, n))
     idx = np.array([0, 2, 3, 5, 6])
     centers = rng.normal(size=(idx.size, d))
     monkeypatch.setattr(hier, "_ROW_FLOATS", span * d)
@@ -317,7 +349,8 @@ def test_scatter_stack_peak_memory_is_bounded():
     # 102 MB
     n, d, c = 100_000, 16, 8
     rng = np.random.default_rng(514)
-    points, resp = rng.normal(size=(n, d)), rng.dirichlet(np.ones(c), size=n)
+    points = rng.normal(size=(n, d))
+    resp = np.ascontiguousarray(rng.dirichlet(np.ones(c), size=n).T)
     idx = np.arange(c)
     centers = rng.normal(size=(c, d))
     tracemalloc.start()
@@ -333,7 +366,8 @@ def test_mstep_peak_memory_is_bounded():
     # N = 1e5, d = 16, C = 8: one stacked (C, N, d) temporary alone is 102 MB
     n, d, c = 100_000, 16, 8
     rng = np.random.default_rng(511)
-    points, resp = rng.normal(size=(n, d)), rng.dirichlet(np.ones(c), size=n)
+    points = rng.normal(size=(n, d))
+    resp = np.ascontiguousarray(rng.dirichlet(np.ones(c), size=n).T)
     tracemalloc.start()
     try:
         hier._mstep(points, resp, 1e-6)
@@ -346,7 +380,7 @@ def test_mstep_peak_memory_is_bounded():
 @pytest.mark.parametrize("two_level", [False, True])
 def test_fit_peak_memory_is_bounded(two_level):
     # N = 1e5, d = 16 with 1 000 sampled links, 4 iterations of an M = 8
-    # flat fit or a 4 x 2 two-level fit: the (N, 8) tables are 6.4 MB each
+    # flat fit or a 4 x 2 two-level fit: the (8, N) tables are 6.4 MB each
     n, d = 100_000, 16
     rng = np.random.default_rng(515)
     ds = Dataset(rng.normal(size=(n, d)), labels=rng.integers(8, size=n))
@@ -361,7 +395,7 @@ def test_fit_peak_memory_is_bounded(two_level):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 48e6
+    assert peak <= 32e6
 
 
 # ---------------------------------------------------------------------------
