@@ -28,7 +28,7 @@ LOG_2PI = math.log(2.0 * math.pi)
 DEFAULT_RIDGE = 1e-6
 
 # float64 values in one row block of the density sweep; see log_density_stack
-_ROW_FLOATS = 1 << 14
+_ROW_FLOATS = 1 << 15
 
 
 def log_density_stack(
@@ -40,11 +40,11 @@ def log_density_stack(
     """Log-densities of N points under a stack of C Gaussians → (N, C).
 
     ``means`` is (C, d), ``chols`` (C, d, d) lower factors, ``log_dets`` (C,).
-    One batched inverse gives every ``L_c⁻¹``; the quadratic form is the
-    row-wise squared norm of ``(X - μ_c) L_c⁻ᵀ``.  The rows are swept in
-    blocks of ``_ROW_FLOATS // d``: each block makes one (C, rows, d)
-    deviation array, one batched product and one reduction, so the
-    temporaries stay the same size whatever N is.  Every block holds
+    The quadratic form is the row-wise squared norm of ``(X - μ_c) L_c⁻ᵀ``,
+    with every ``L_c⁻ᵀ`` from one batched inverse, copied C-contiguous.
+    Each block of rows takes one component at a time, or all of them when
+    their deviations fit in ``_ROW_FLOATS`` values, in two buffers made once
+    per call, so no temporary grows with N or C.  Every block holds
     ``min(N, _ROW_FLOATS // d)`` rows, the last one overlapping the one
     before it, so each product takes the BLAS path of a whole-N product and
     the values equal those of one whole-N product per component bit for bit.
@@ -66,20 +66,25 @@ def log_density_stack(
     n = points.shape[0]
     quad = np.empty((c, n))
     try:
-        inv_t = np.linalg.inv(chols).swapaxes(1, 2)
+        inv_t = np.ascontiguousarray(np.linalg.inv(chols).swapaxes(1, 2))
     except np.linalg.LinAlgError as exc:
         raise InvariantViolationError(f"Cholesky factor is singular: {exc}") from exc
     rows = max(1, min(n, _ROW_FLOATS // d))
-    # each mean repeated once per row, so that the subtraction below runs
-    # over a whole flattened block instead of d values at a time
-    tiled = np.tile(means, (1, rows))
+    # each mean repeated for up to 64 rows that divide a block: the
+    # subtraction then runs over that many rows at a time, not d values
+    reps = math.gcd(rows, 64)
+    tiled = np.tile(means, (1, reps))[:, None, :]
+    group = c if c * rows * d <= _ROW_FLOATS else 1  # components per product
+    dev, z = np.empty((group, rows, d)), np.empty((group, rows, d))
     for lo in range(0, n, rows):
         # the last block ends at row n and may overlap the one before it:
         # a short tail would take another BLAS path with other roundings
         lo = min(lo, n - rows)
-        block = points[lo:lo + rows].reshape(1, -1)
-        z = (block - tiled).reshape(c, rows, d) @ inv_t
-        quad[:, lo:lo + rows] = np.einsum("crd,crd->cr", z, z)
+        block = points[lo:lo + rows].reshape(-1, reps * d)
+        for k in range(0, c, group):
+            np.subtract(block, tiled[k:k + group], out=dev.reshape(group, -1, reps * d))
+            np.matmul(dev, inv_t[k:k + group], out=z)
+            np.einsum("crd,crd->cr", z, z, out=quad[k:k + group, lo:lo + rows])
     quad += (d * LOG_2PI + np.asarray(log_dets, dtype=float))[:, None]
     quad *= -0.5
     return quad.T

@@ -276,8 +276,8 @@ def _cluster_tables(p: _Params, points: np.ndarray):
     """Within-class log-likelihoods ``B`` (M, N) and sub-cluster posteriors
     ``r`` (total clusters, N) of ``points``; ``r`` is ``None`` when every
     class has one cluster, where ``B`` is the log-density itself.  Each
-    class reduces its rows of the density kernel's (C, N) buffer with one
-    log-sum-exp, and ``r`` is that buffer, shifted and exponentiated."""
+    class normalizes its rows of the density kernel's (C, N) buffer in
+    place (see :func:`_normalize`), which leaves ``r`` in that buffer."""
     weighted = log_density_stack(points, p.means, p.chols, p.log_dets).T
     weighted += p.log_pi[:, None]
     n_classes, offsets = p.alpha.size, p.offsets.tolist()
@@ -285,16 +285,28 @@ def _cluster_tables(p: _Params, points: np.ndarray):
         return weighted, None
     b = np.empty((n_classes, points.shape[0]))
     for m in range(n_classes):
-        rows = weighted[offsets[m]:offsets[m + 1]]
-        b[m] = log_sum_exp(rows, axis=0)
-        rows -= b[m]
-    return b, np.exp(weighted, out=weighted)
+        b[m] = _normalize(weighted[offsets[m]:offsets[m + 1]])
+    return b, weighted
 
 
 def _normalize(w: np.ndarray) -> np.ndarray:
     """Turn the columns of the log table ``w`` (K, n) into posteriors
-    ``exp(w - lse)`` in place; returns the log-normalizers ``lse`` (n,)."""
-    lse = log_sum_exp(w, axis=0)
+    ``exp(w - lse)`` in place; returns the log-normalizers ``lse`` (n,).
+
+    ``lse`` adds up ``exp(row - max)`` one row at a time, with no (K, n)
+    temporary: numpy's own order for an axis-0 sum of two or more columns,
+    so it equals ``log_sum_exp(w, axis=0)`` bit for bit.  Tables of at most
+    ``_ROW_FLOATS`` values or of one column (which numpy sums pairwise),
+    and a non-finite column max, go to :func:`log_sum_exp` itself."""
+    hi = None if w.size <= _ROW_FLOATS or w.shape[1] == 1 else w.max(axis=0)
+    if hi is None or not np.isfinite(hi).all():
+        lse = log_sum_exp(w, axis=0)
+    else:
+        lse, term = np.exp(w[0] - hi), np.empty_like(hi)
+        for row in w[1:]:
+            lse += np.exp(np.subtract(row, hi, out=term), out=term)
+        np.log(lse, out=lse)
+        lse += hi
     w -= lse
     np.exp(w, out=w)
     return lse

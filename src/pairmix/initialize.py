@@ -26,6 +26,8 @@ from .errors import (
 from .gaussian import regularize_covariances
 from .types import ClassMixture, Dataset, FlatModel, HierModel, RelationSet
 
+_ROW_FLOATS = 1 << 14  # float64 values in one row block of _sq_dists
+
 
 def make_rng(seed: int) -> np.random.Generator:
     """A PCG64 generator seeded with ``seed``."""
@@ -52,7 +54,7 @@ def kmeanspp_seeds(dataset: Dataset, k: int, rng: np.random.Generator) -> np.nda
     seeds[0] = points[first]
     if k == 1:
         return seeds
-    d2 = np.sum((points - seeds[0]) ** 2, axis=1)
+    d2 = _sq_dists(points, seeds[0])
     for s in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -62,17 +64,26 @@ def kmeanspp_seeds(dataset: Dataset, k: int, rng: np.random.Generator) -> np.nda
             # all remaining distances zero (duplicate points): uniform draw
             choice = int(rng.integers(n))
         seeds[s] = points[choice]
-        d2 = np.minimum(d2, np.sum((points - seeds[s]) ** 2, axis=1))
+        np.minimum(d2, _sq_dists(points, seeds[s]), out=d2)
     return seeds
+
+
+def _sq_dists(points: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Squared distance of every point to ``center`` → (N,), over row blocks
+    of ``_ROW_FLOATS // d``: each row sums its own d terms, so the blocks
+    change no value, and the temporaries do not grow with N."""
+    span = max(1, _ROW_FLOATS // points.shape[1])
+    return np.concatenate([np.square(points[lo:lo + span] - center).sum(axis=1)
+                           for lo in range(0, points.shape[0], span)])
 
 
 def _nearest(points: np.ndarray, means: np.ndarray) -> np.ndarray:
     """Index of each point's nearest mean, the lowest index on ties: a
-    running argmin over the means, one (N, d) temporary at a time."""
-    best = ((points - means[0]) ** 2).sum(axis=1)
+    running argmin over the means, one (N,) distance vector at a time."""
+    best = _sq_dists(points, means[0])
     assign = np.zeros(points.shape[0], dtype=np.intp)
     for m in range(1, means.shape[0]):
-        d2 = ((points - means[m]) ** 2).sum(axis=1)
+        d2 = _sq_dists(points, means[m])
         assign[d2 < best] = m
         np.minimum(best, d2, out=best)
     return assign
@@ -90,10 +101,10 @@ def _seeded_moments(
     covs = np.broadcast_to(ridge_floor * np.eye(d), (k, d, d)).copy()
     filled = np.bincount(assign, minlength=k) > 0
     for c in np.flatnonzero(filled):
-        group = points[assign == c]
-        means[c] = group.mean(axis=0)
-        dev = group - means[c]
-        covs[c] = dev.T @ dev / group.shape[0]
+        dev = points[assign == c]  # a copy, centred in place
+        means[c] = dev.mean(axis=0)
+        dev -= means[c]
+        covs[c] = dev.T @ dev / dev.shape[0]
     covs[filled] = regularize_covariances(covs[filled], ridge_floor)[0]
     return means, covs
 

@@ -14,13 +14,24 @@ from .types import Dataset
 
 
 def hard_assign(posteriors) -> np.ndarray:
-    """Row-wise argmax of a posterior table; ties go to the lowest index."""
+    """Row-wise argmax of a posterior table; ties go to the lowest index and
+    a row holding NaN to its first NaN, as with ``np.argmax``."""
     posteriors = np.asarray(posteriors, dtype=float)
     if posteriors.ndim != 2 or posteriors.shape[1] < 1:
         raise InvariantViolationError(
             f"posterior table must be 2-D (N, M), got shape {posteriors.shape}"
         )
-    return np.argmax(posteriors, axis=1)
+    # a running argmax with (N,) temporaries (np.argmax copies a table that is
+    # not C-contiguous); a column wins on a larger value or the first NaN
+    best = posteriors[:, 0].copy()
+    assign = np.zeros(posteriors.shape[0], dtype=np.intp)
+    for m in range(1, posteriors.shape[1]):
+        col = posteriors[:, m]
+        wins = ~(col <= best)
+        wins &= best == best
+        assign[wins] = m
+        np.maximum(best, col, out=best)
+    return assign
 
 
 def purity(assignments, truth) -> float:

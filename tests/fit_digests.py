@@ -8,8 +8,8 @@ Record (``tests`` must be importable before collection, hence the path)::
 Every call of the engine's fit loop during the run — ``pairmix.hier._fit``,
 which ``fit_flat`` reaches as ``pairmix.flat._fit`` — appends one JSON line:
 the test it ran in (fits made by a fixture count for the test whose setup
-made them), its number within that test, a SHA-256 of every array of the
-returned ``_Params`` (name, dtype, shape and bytes), the trace entries,
+made them), its number within that test, a SHA-256 of each array of the
+returned ``_Params`` (dtype, shape and bytes) by name, the trace entries,
 ``n_iters``, ``converged`` and the warnings.  Fits in child processes (the
 CLI tests) are not seen.
 
@@ -18,7 +18,8 @@ Compare two records, say the suite of one commit against that of another::
     python tests/fit_digests.py before.jsonl after.jsonl
 
 The report pairs fits by (test, number), counts equal warnings, ``n_iters``
-and parameter digests, and buckets each pair by its largest relative
+and parameter digests, names the ``_Params`` arrays that differ in each
+fit whose digests differ, and buckets each pair by its largest relative
 deviation over the common trace entries, naming every fit above 1e-12.
 """
 
@@ -74,12 +75,13 @@ def pytest_runtest_logstart(nodeid, location):
     _current["test"] = nodeid
 
 
-def _digest(params) -> str:
-    h = hashlib.sha256()
+def _digest(params) -> dict[str, str]:
+    digests = {}
     for name, value in params._asdict().items():
-        h.update(f"{name}:{value.dtype}:{value.shape}".encode())
+        h = hashlib.sha256(f"{value.dtype}:{value.shape}".encode())
         h.update(value.tobytes())
-    return h.hexdigest()
+        digests[name] = h.hexdigest()
+    return digests
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +101,11 @@ def _deviation(a, b) -> float:
                 for x, y in zip(a, b) if x != y), default=0.0)
 
 
+def _differing(a: dict, b: dict) -> list[str]:
+    """The names of the ``_Params`` arrays whose digests differ."""
+    return [name for name in a if a[name] != b.get(name)]
+
+
 def compare(before_path, after_path) -> str:
     before, after = _load(before_path), _load(after_path)
     keys = [k for k in before if k in after]
@@ -108,6 +115,9 @@ def compare(before_path, after_path) -> str:
         lines.append(f"{field} equal in {len(keys) - len(differ)} of {len(keys)}")
         if field == "n_iters":
             lines += [f"  n_iters {before[k]['n_iters']} -> {after[k]['n_iters']}: "
+                      f"{k[0]} fit {k[1]}" for k in differ]
+        if field == "params":
+            lines += [f"  {', '.join(_differing(before[k]['params'], after[k]['params']))}: "
                       f"{k[0]} fit {k[1]}" for k in differ]
     devs = {k: _deviation(before[k]["trace"], after[k]["trace"]) for k in keys}
     counts = Counter()

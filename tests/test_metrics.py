@@ -1,5 +1,7 @@
 """Purity scoring and the repeated-trials evaluation harness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,31 @@ def test_hard_assign_argmax_and_ties():
     np.testing.assert_array_equal(hard_assign(post), [1, 0, 0])
     with pytest.raises(InvariantViolationError):
         hard_assign(np.array([0.2, 0.8]))
+
+
+def test_hard_assign_matches_argmax_in_either_order():
+    # coarse values give many ties; NaN and infinities follow argmax's rules
+    rng = np.random.default_rng(802)
+    for m in (1, 2, 3, 8):
+        post = rng.integers(0, 3, size=(500, m)).astype(float)
+        post[rng.random(size=post.shape) < 0.05] = np.nan
+        post[rng.random(size=post.shape) < 0.05] = np.inf
+        post[rng.random(size=post.shape) < 0.05] = -np.inf
+        for table in (post, np.asfortranarray(post), post[::-1]):
+            np.testing.assert_array_equal(hard_assign(table), np.argmax(table, axis=1))
+
+
+def test_hard_assign_peak_memory_is_bounded():
+    # N = 1e5, M = 8, laid out as predict_*_batch returns it: a C-ordered
+    # copy would be 6.4 MB, and the (N,) result and running best 1.6 MB
+    post = np.random.default_rng(803).random(size=(8, 100_000)).T
+    tracemalloc.start()
+    try:
+        hard_assign(post)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6
 
 
 def test_purity_matches_counting_oracle():
