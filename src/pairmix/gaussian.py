@@ -8,6 +8,12 @@ which evaluates a whole stack of Gaussians and sweeps the points in row
 blocks of a fixed size, so its temporaries do not grow with N.
 :func:`log_sum_exp` reduces in log space, and :func:`regularize_covariances`
 ridges a stack of covariances until each is positive definite.
+
+Those two are public wrappers that check their arguments and hand them to
+private cores, ``_log_sum_exp`` and ``_regularize_covariances``, which hold
+all the logic.  The EM engine calls the cores directly on arrays it made
+itself; the cores keep only the guards its values can trip (a NaN or
+``+inf`` summand, a non-finite covariance).
 """
 
 from __future__ import annotations
@@ -73,7 +79,7 @@ def log_density_stack(
     # each mean repeated for up to 64 rows that divide a block: the
     # subtraction then runs over that many rows at a time, not d values
     reps = math.gcd(rows, 64)
-    tiled = np.tile(means, (1, reps))[:, None, :]
+    tiled = np.repeat(means, reps, axis=0).reshape(c, 1, reps * d)
     group = c if c * rows * d <= _ROW_FLOATS else 1  # components per product
     dev, z = np.empty((group, rows, d)), np.empty((group, rows, d))
     for lo in range(0, n, rows):
@@ -99,6 +105,12 @@ def log_sum_exp(v, axis=None):
     v = np.asarray(v, dtype=float)
     if v.size == 0 or (axis is not None and v.shape[axis] == 0):
         raise EmptyInputError("log_sum_exp over an empty set")
+    return _log_sum_exp(v, axis)
+
+
+def _log_sum_exp(v: np.ndarray, axis=None):
+    """:func:`log_sum_exp` of a non-empty float array, without the argument
+    checks: the core the EM engine calls."""
     hi = v.max(axis=axis, keepdims=True)
     if np.isfinite(hi).all():
         shifted = v - hi
@@ -145,28 +157,35 @@ def regularize_covariances(
         raise DimensionMismatchError(
             f"expected a stack of square matrices, got shape {stack.shape}"
         )
-    if not np.isfinite(stack).all():
-        raise NotFiniteError("covariance contains non-finite entries")
     rel_floor = float(rel_floor)
     if rel_floor <= 0.0:
         raise InvariantViolationError(f"floor must be positive, got {rel_floor!r}")
+    return _regularize_covariances(stack, rel_floor)
+
+
+def _regularize_covariances(
+    stack: np.ndarray, rel_floor: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`regularize_covariances` of a float (C, d, d) stack and a
+    positive floor, without the shape and floor checks: the core the EM
+    engine calls.  Non-finite entries still raise :class:`NotFiniteError`,
+    since an M-step can produce them."""
+    if not np.isfinite(stack).all():
+        raise NotFiniteError("covariance contains non-finite entries")
     n, d, _ = stack.shape
     tr = np.trace(stack, axis1=1, axis2=2)
     floors = np.where(tr > 0.0, rel_floor * tr / d, rel_floor)
-    sym = 0.5 * (stack + stack.swapaxes(1, 2))
+    sym = 0.5 * (stack + stack.swapaxes(1, 2))  # the ladder's first rung, ε = 0
     eps = np.zeros(n)
-    # the ladder's first rung, S + 0·I, for every matrix at once
-    out = sym + eps[:, None, None] * np.eye(d)
-    chols = np.empty_like(out)
     try:
-        chols = np.linalg.cholesky(out)
+        chols = np.linalg.cholesky(sym)
         pivots = np.diagonal(chols, axis1=1, axis2=2)
         settled = (pivots**2 >= 0.5 * floors[:, None]).all(axis=1)
     except np.linalg.LinAlgError:
-        settled = np.zeros(n, dtype=bool)
+        chols, settled = np.empty_like(sym), np.zeros(n, dtype=bool)
     for c in np.flatnonzero(~settled):
-        out[c], eps[c], chols[c] = _ridge_ladder(sym[c], float(floors[c]))
-    return out, eps, chols
+        sym[c], eps[c], chols[c] = _ridge_ladder(sym[c], float(floors[c]))
+    return sym, eps, chols
 
 
 def _ridge_ladder(sym: np.ndarray, floor: float) -> tuple[np.ndarray, float, np.ndarray]:

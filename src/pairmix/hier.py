@@ -31,6 +31,12 @@ Both models run through the one private engine here — the E-step, the
 moments, the reseed of empty components, the fit loop, the log-likelihood
 evaluator and the batch predictor.
 
+Arguments are checked at the edges (the public fit, likelihood and
+posterior functions); inside the loop the engine calls the unchecked cores
+of :mod:`pairmix.gaussian` and :mod:`pairmix.mixing`, and what does not
+change between iterations — the relation plan with its pair-member index —
+is built once per fit.
+
 Reseed policy: a cluster whose responsibility mass falls to ≤ ``Z_EPS`` is
 moved to the point the model claims least, with the pooled data
 covariance and weight 1; a class whose mixing count falls to ≤ ``Z_EPS``
@@ -55,11 +61,7 @@ from .errors import (
     NoConvergenceError,
     NotFiniteError,
 )
-from .gaussian import (
-    log_density_stack,
-    log_sum_exp,
-    regularize_covariances,
-)
+from .gaussian import _log_sum_exp, _regularize_covariances, log_density_stack
 from .initialize import _normalize_cluster_counts, init_hier, make_rng
 from .mixing import _solve_mixing
 from .types import (
@@ -232,8 +234,9 @@ def _updated_params(p: _Params, alpha, pi, means, covs, chols) -> _Params:
 
 class _RelationPlan(NamedTuple):
     """Index arrays of one (dataset, relations) pair: the points of the
-    independent factor, the other points, and the must-link and cannot-link
-    pairs (L, 2).
+    independent factor, the other points, the must-link and cannot-link
+    pairs (L, 2), and every pair member in the column order of
+    :func:`_responsibilities`' pair rows.
 
     Nothing here changes between EM iterations, so a fit builds it once.
     """
@@ -242,6 +245,7 @@ class _RelationPlan(NamedTuple):
     linked_idx: np.ndarray
     must_pairs: np.ndarray
     cannot_pairs: np.ndarray
+    members: np.ndarray
 
 
 def _relation_plan(
@@ -253,11 +257,11 @@ def _relation_plan(
     unlinked = np.ones(dataset.n, dtype=bool)
     if not (count_linked_as_unsupervised or relations.is_empty()):
         unlinked[relations.linked_indices()] = False
+    must = np.asarray(relations.must, dtype=np.int64).reshape(-1, 2)
+    cannot = np.asarray(relations.cannot, dtype=np.int64).reshape(-1, 2)
     return _RelationPlan(
-        np.flatnonzero(unlinked),
-        np.flatnonzero(~unlinked),
-        np.asarray(relations.must, dtype=np.int64).reshape(-1, 2),
-        np.asarray(relations.cannot, dtype=np.int64).reshape(-1, 2),
+        np.flatnonzero(unlinked), np.flatnonzero(~unlinked), must, cannot,
+        np.concatenate([must.T.ravel(), cannot.T.ravel()]),
     )
 
 
@@ -297,10 +301,11 @@ def _normalize(w: np.ndarray) -> np.ndarray:
     temporary: numpy's own order for an axis-0 sum of two or more columns,
     so it equals ``log_sum_exp(w, axis=0)`` bit for bit.  Tables of at most
     ``_ROW_FLOATS`` values or of one column (which numpy sums pairwise),
-    and a non-finite column max, go to :func:`log_sum_exp` itself."""
+    and a non-finite column max, go to the unchecked core of
+    :func:`~pairmix.gaussian.log_sum_exp` itself."""
     hi = None if w.size <= _ROW_FLOATS or w.shape[1] == 1 else w.max(axis=0)
     if hi is None or not np.isfinite(hi).all():
-        lse = log_sum_exp(w, axis=0)
+        lse = _log_sum_exp(w, 0)
     else:
         lse, term = np.exp(w[0] - hi), np.empty_like(hi)
         for row in w[1:]:
@@ -382,11 +387,10 @@ def _responsibilities(e: _EStep, plan: _RelationPlan, class_of: np.ndarray) -> n
     ``e.unsup`` and the products in ``e.r``, in place, so read what else
     ``e`` is needed for first."""
     q = e.unsup
-    members = np.concatenate([plan.must_pairs.T.ravel(), plan.cannot_pairs.T.ravel()])
     pair_rows = np.concatenate([e.must, e.must, e.cannot_a, e.cannot_b], axis=1)
     # one row at a time takes numpy's 1-D add.at path, ~10x the 2-D one
     for row, add in zip(q, pair_rows):
-        np.add.at(row, members, add)
+        np.add.at(row, plan.members, add)
     if e.r is None:
         return q
     for c, m in enumerate(class_of.tolist()):
@@ -473,22 +477,23 @@ def _class_counts(e: _EStep) -> np.ndarray:
 def _scatter_stack(
     points: np.ndarray, resp: np.ndarray, idx: np.ndarray, centers: np.ndarray
 ) -> np.ndarray:
-    """Weighted scatter matrices of components ``idx`` around ``centers``
-    (one row per component) → (len(idx), d, d), with the weights of rows
-    ``idx`` of ``resp`` (components, N).
+    """Weighted scatter matrices of components ``idx`` (an index array or
+    ``slice(None)``) around ``centers`` (one row per component) → (C, d, d),
+    with the weights of rows ``idx`` of ``resp`` (components, N).
 
     Each component's matrix is ``Σ (dev * w).T @ dev``, summed over row
     blocks of ``_ROW_FLOATS // d`` rows in order with one batched product
-    per block, so the (len(idx), rows, d) temporaries do not grow with N
+    per block, so the (C, rows, d) temporaries do not grow with N
     and results are bit-reproducible.  Points of at most one block add
     their whole product, as a component computed alone would.
     """
     n, d = points.shape
-    total = np.zeros((idx.size, d, d))
+    c = centers.shape[0]
+    total = np.zeros((c, d, d))
     span = max(1, _ROW_FLOATS // d)
-    # each centre repeated once per row: the subtraction then runs over a
-    # whole flattened block instead of d values at a time
-    tiled = np.tile(centers, (1, min(span, n)))
+    # each centre repeated once per row of a block: the subtraction then
+    # runs over a whole flattened block instead of d values at a time
+    tiled = np.repeat(centers, min(span, n), axis=0).reshape(c, -1)
     for start in range(0, n, span):
         part = points[start:start + span]
         k = part.shape[0]
@@ -505,20 +510,22 @@ def _mstep(points: np.ndarray, resp: np.ndarray, ridge_floor: float):
     Returns ``(weight, empty, means, covs, chols, ridges)``: the weights,
     the clusters whose weight is ≤ ``Z_EPS``, and the means, regularized
     covariances, their Cholesky factors and ridges.  The rows of the empty
-    clusters are unset; the caller reseeds them or rejects the step.
+    clusters are unset; the caller reseeds them or rejects the step.  With
+    no empty cluster the live rows are indexed by ``slice(None)``, which
+    gathers nothing.
     """
     total, d = resp.shape[0], points.shape[1]
     weight = resp.sum(axis=1)
     first = resp @ points
     is_empty = weight <= Z_EPS
-    live = np.flatnonzero(~is_empty)
+    live = np.flatnonzero(~is_empty) if is_empty.any() else slice(None)
     means = np.empty((total, d))
     covs = np.empty((total, d, d))
     chols = np.empty((total, d, d))
     ridges = np.zeros(total)
     means[live] = first[live] / weight[live, None]
     raw = _scatter_stack(points, resp, live, means[live]) / weight[live, None, None]
-    covs[live], ridges[live], chols[live] = regularize_covariances(raw, ridge_floor)
+    covs[live], ridges[live], chols[live] = _regularize_covariances(raw, ridge_floor)
     return weight, np.flatnonzero(is_empty), means, covs, chols, ridges
 
 
@@ -555,7 +562,7 @@ def log_likelihood_hier(
 def _pooled_covariance(dataset: Dataset, ridge_floor: float):
     """The regularized pooled data covariance and its Cholesky factor."""
     dev = dataset.points - dataset.points.mean(axis=0)
-    covs, _, chols = regularize_covariances((dev.T @ dev / dataset.n)[None], ridge_floor)
+    covs, _, chols = _regularize_covariances((dev.T @ dev / dataset.n)[None], ridge_floor)
     return covs[0], chols[0]
 
 

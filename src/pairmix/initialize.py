@@ -45,15 +45,27 @@ def kmeanspp_seeds(dataset: Dataset, k: int, rng: np.random.Generator) -> np.nda
 
     Returns the (k, d) seed matrix; no Lloyd iterations are performed.
     """
-    points = dataset.points
+    return _kmeanspp(dataset.points, k, rng)[0]
+
+
+def _kmeanspp(
+    points: np.ndarray, k: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """k-means++ seeds of the rows of ``points`` → (k, d), and the index of
+    each point's nearest seed → (N,).
+
+    Each seed's distance vector is computed once: it updates the running
+    minimum that weighs the next draw, and a point moves to the new seed
+    only when strictly closer, so ties go to the lowest index.
+    """
     n = points.shape[0]
     if not 1 <= k <= n:
         raise KTooLargeError(f"cannot draw {k} seeds from {n} points")
     seeds = np.empty((k, points.shape[1]))
-    first = int(rng.integers(n))
-    seeds[0] = points[first]
+    assign = np.zeros(n, dtype=np.intp)
+    seeds[0] = points[int(rng.integers(n))]
     if k == 1:
-        return seeds
+        return seeds, assign
     d2 = _sq_dists(points, seeds[0])
     for s in range(1, k):
         total = d2.sum()
@@ -64,8 +76,10 @@ def kmeanspp_seeds(dataset: Dataset, k: int, rng: np.random.Generator) -> np.nda
             # all remaining distances zero (duplicate points): uniform draw
             choice = int(rng.integers(n))
         seeds[s] = points[choice]
-        np.minimum(d2, _sq_dists(points, seeds[s]), out=d2)
-    return seeds
+        new = _sq_dists(points, seeds[s])
+        assign[new < d2] = s
+        np.minimum(d2, new, out=d2)
+    return seeds, assign
 
 
 def _sq_dists(points: np.ndarray, center: np.ndarray) -> np.ndarray:
@@ -77,25 +91,12 @@ def _sq_dists(points: np.ndarray, center: np.ndarray) -> np.ndarray:
                            for lo in range(0, points.shape[0], span)])
 
 
-def _nearest(points: np.ndarray, means: np.ndarray) -> np.ndarray:
-    """Index of each point's nearest mean, the lowest index on ties: a
-    running argmin over the means, one (N,) distance vector at a time."""
-    best = _sq_dists(points, means[0])
-    assign = np.zeros(points.shape[0], dtype=np.intp)
-    for m in range(1, means.shape[0]):
-        d2 = _sq_dists(points, means[m])
-        assign[d2 < best] = m
-        np.minimum(best, d2, out=best)
-    return assign
-
-
 def _seeded_moments(
-    points: np.ndarray, seeds: np.ndarray, ridge_floor: float
+    points: np.ndarray, seeds: np.ndarray, assign: np.ndarray, ridge_floor: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Join every point to its nearest seed and read off each group's mean
-    and regularized biased covariance; an empty group keeps its seed and
-    gets a ``ridge_floor·I`` covariance."""
-    assign = _nearest(points, seeds)
+    """Read each seed's group of points (``assign``) off as a mean and a
+    regularized biased covariance; an empty group keeps its seed and gets
+    a ``ridge_floor·I`` covariance."""
     k, d = seeds.shape
     means = seeds.copy()
     covs = np.broadcast_to(ridge_floor * np.eye(d), (k, d, d)).copy()
@@ -120,8 +121,8 @@ def init_flat(
     Mixing weights are uniform ``1/M``.  A class with no assigned points
     keeps its seed mean and gets a ``ridge_floor·I`` covariance.
     """
-    seeds = kmeanspp_seeds(dataset, n_classes, rng)
-    means, covs = _seeded_moments(dataset.points, seeds, ridge_floor)
+    seeds, assign = _kmeanspp(dataset.points, n_classes, rng)
+    means, covs = _seeded_moments(dataset.points, seeds, assign, ridge_floor)
     alpha = np.full(n_classes, 1.0 / n_classes)
     return FlatModel(alpha=alpha, means=means, covs=covs)
 
@@ -156,8 +157,7 @@ def init_hier(
     covariance), so initialization never fails on small classes.
     """
     counts = _normalize_cluster_counts(n_classes, clusters_per_class)
-    seeds = kmeanspp_seeds(dataset, n_classes, rng)
-    assign = _nearest(dataset.points, seeds)
+    seeds, assign = _kmeanspp(dataset.points, n_classes, rng)
     d = dataset.dim
     classes = []
     for m in range(n_classes):
@@ -170,8 +170,9 @@ def init_hier(
             means = center + jitter * rng.standard_normal((k_m, d))
             covs = np.broadcast_to(ridge_floor * np.eye(d), (k_m, d, d)).copy()
         else:
-            sub_seeds = kmeanspp_seeds(Dataset(points=members), k_m, rng)
-            means, covs = _seeded_moments(members, sub_seeds, ridge_floor)
+            means, covs = _seeded_moments(
+                members, *_kmeanspp(members, k_m, rng), ridge_floor
+            )
         classes.append(
             ClassMixture(pi=np.full(k_m, 1.0 / k_m), means=means, covs=covs)
         )

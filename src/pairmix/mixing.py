@@ -34,7 +34,8 @@ by one of three routes:
 
 :func:`optimize_mixing_info` checks its arguments and hands them to
 ``_solve_mixing``; the EM engine, whose counts come from its own E-step,
-calls ``_solve_mixing`` directly.
+calls ``_solve_mixing`` directly.  A closed form's diagnostics are made by
+:func:`optimize_mixing_info` alone, since the engine keeps only the weights.
 
 The objective is unbounded exactly when some class's complement mass
 ``Σ_{m'≠m} c_{m'}`` is smaller than ``n_cannot`` (the supremum is +∞ at the
@@ -197,18 +198,30 @@ def optimize_mixing_info(counts, n_cannot: int,
             )
         if not np.all(np.isfinite(alpha_init)) or np.any(alpha_init < 0):
             raise InvariantViolationError("alpha_init must be finite and nonnegative")
-    return _solve_mixing(counts, n_cannot, alpha_init)
+    alpha, info = _solve_mixing(counts, n_cannot, alpha_init)
+    return alpha, info or _closed_form_info(alpha, counts, n_cannot)
+
+
+def _closed_form_info(alpha: np.ndarray, counts: np.ndarray, n_cannot: int) -> MixingInfo:
+    """Diagnostics of a closed-form maximizer, which takes no Newton step."""
+    if n_cannot == 0:
+        return MixingInfo(0, 0.0, mixing_objective(alpha, counts, 0), False)
+    support = counts > 0
+    a, c = alpha[support], counts[support]
+    resid = _kkt_residual(a, mixing_gradient(a, c, n_cannot))
+    return MixingInfo(0, resid, _support_objective(a, c, n_cannot),
+                      bool((a <= _ACTIVE_THRESH).any()))
 
 
 def _solve_mixing(counts: np.ndarray, n_cannot: int,
-                 start) -> tuple[np.ndarray, MixingInfo]:
+                 start) -> tuple[np.ndarray, MixingInfo | None]:
     """:func:`optimize_mixing_info` on arguments it has already checked:
     finite nonnegative float counts with positive mass, ``n_cannot ≥ 0``,
     and ``start`` either None or a finite nonnegative vector of the same
-    length.  The EM engine calls it directly with its own E-step counts."""
+    length.  The EM engine calls it directly with its own E-step counts.
+    A closed form returns ``None`` for the diagnostics."""
     if n_cannot == 0:
-        alpha = counts / counts.sum()
-        return alpha, MixingInfo(0, 0.0, mixing_objective(alpha, counts, 0), False)
+        return counts / counts.sum(), None
 
     support = counts > 0
     if support.sum() < 2:
@@ -224,11 +237,9 @@ def _solve_mixing(counts: np.ndarray, n_cannot: int,
         a = c - n_cannot
         a = np.maximum(a / a.sum(), ALPHA_FLOOR)
         a /= a.sum()
-        resid = _kkt_residual(a, mixing_gradient(a, c, n_cannot))
         alpha = np.zeros(counts.size)
         alpha[support] = a
-        return alpha, MixingInfo(0, resid, _support_objective(a, c, n_cannot),
-                                 bool((a <= _ACTIVE_THRESH).any()))
+        return alpha, None
 
     if start is None:
         a = c / c.sum()

@@ -3,7 +3,10 @@ that compares two such records.
 
 Record (``tests`` must be importable before collection, hence the path)::
 
-    PYTHONPATH=src:tests python -m pytest -q -p fit_digests --fit-digests fits.jsonl
+    PYTHONPATH=src:tests python -m pytest -q -p fit_digests --fit-digests=fits.jsonl
+
+(with ``=``: pytest reads a separate argument that names an existing file
+as a path when it picks its root directory, which changes the test ids).
 
 Every call of the engine's fit loop during the run — ``pairmix.hier._fit``,
 which ``fit_flat`` reaches as ``pairmix.flat._fit`` — appends one JSON line:
@@ -21,6 +24,10 @@ The report pairs fits by (test, number), counts equal warnings, ``n_iters``
 and parameter digests, names the ``_Params`` arrays that differ in each
 fit whose digests differ, and buckets each pair by its largest relative
 deviation over the common trace entries, naming every fit above 1e-12.
+Its last line is the verdict, ``N fits paired, all bit-identical`` or
+``N fits paired, K differ``; the command exits with status 1 when any
+paired fit differs in its warnings, ``n_iters``, a parameter digest or a
+trace entry.
 """
 
 from __future__ import annotations
@@ -106,7 +113,9 @@ def _differing(a: dict, b: dict) -> list[str]:
     return [name for name in a if a[name] != b.get(name)]
 
 
-def compare(before_path, after_path) -> str:
+def compare(before_path, after_path) -> tuple[str, int]:
+    """The report on two records and the number of paired fits that are
+    not bit-identical."""
     before, after = _load(before_path), _load(after_path)
     keys = [k for k in before if k in after]
     lines = [f"fits: {len(before)} before, {len(after)} after, {len(keys)} paired"]
@@ -131,8 +140,14 @@ def compare(before_path, after_path) -> str:
     lines += [f"  {dev:.3g}: {k[0]} fit {k[1]} ({before[k]['n_iters']} iterations)"
               for k, dev in sorted(devs.items(), key=lambda kv: -kv[1])
               if dev > _BUCKETS[-1]]
-    return "\n".join(lines)
+    fields = ("warnings", "n_iters", "params", "trace")
+    differ = sum(any(before[k][f] != after[k][f] for f in fields) for k in keys)
+    lines.append(f"{len(keys)} fits paired, "
+                 + (f"{differ} differ" if differ else "all bit-identical"))
+    return "\n".join(lines), differ
 
 
 if __name__ == "__main__":
-    print(compare(*sys.argv[1:3]))
+    report, differ = compare(*sys.argv[1:3])
+    print(report)
+    sys.exit(1 if differ else 0)

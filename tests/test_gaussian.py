@@ -110,7 +110,9 @@ def test_log_density_stack_row_blocks_match_whole_rows(d, c, tight):
         means += 1e3
     chols = np.linalg.cholesky(covs)
     log_dets = 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
-    for n in (1, 7, rows - 1, rows, rows + 1, 3 * rows + 17):
+    # 64 and 400 rows are shorter than one block for every d here, and
+    # their means repeat 64 and 16 times across the flattened block
+    for n in (1, 7, 64, 400, rows - 1, rows, rows + 1, 3 * rows + 17):
         if tight:
             pts = means[rng.integers(c, size=n)] + 1e-3 * rng.normal(size=(n, d))
         else:
@@ -288,3 +290,37 @@ def test_regularize_stack_matches_single_matrix():
         regularize_covariances(np.full((1, 2, 2), np.nan))
     with pytest.raises(InvariantViolationError):
         regularize_covariances(np.eye(2)[None], rel_floor=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the unchecked cores the EM engine calls
+
+
+def test_cores_match_wrappers_bit_for_bit():
+    # on valid input each core returns exactly what its checking wrapper
+    # returns: a table with -inf entries and an all -inf column along
+    # every axis, and a stack whose indefinite matrix climbs the ladder
+    rng = np.random.default_rng(107)
+    v = rng.normal(size=(5, 9)) * 4.0
+    v[rng.random(size=v.shape) < 0.3] = -np.inf
+    v[:, 4] = -np.inf
+    for axis in (None, 0, 1):
+        assert np.array_equal(gaussian._log_sum_exp(v, axis), log_sum_exp(v, axis=axis))
+    assert np.isneginf(gaussian._log_sum_exp(v, 0)[4])
+    a = rng.normal(size=(2, 3, 3))
+    stack = np.stack([a[0] @ a[0].T + np.eye(3), np.diag([1.0, 2.0, -0.5]), a[1] @ a[1].T])
+    got = gaussian._regularize_covariances(stack.copy(), 1e-6)
+    want = regularize_covariances(stack, 1e-6)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    assert got[1][1] > 0.0 and got[1][0] == got[1][2] == 0.0
+
+
+def test_cores_keep_their_finiteness_guards():
+    # values an M-step or E-step can produce still raise in the cores
+    with pytest.raises(NotFiniteError):
+        gaussian._log_sum_exp(np.array([[0.0, np.nan], [1.0, 0.0]]), 0)
+    with pytest.raises(NotFiniteError):
+        gaussian._log_sum_exp(np.array([0.0, np.inf]), None)
+    with pytest.raises(NotFiniteError):
+        gaussian._regularize_covariances(np.full((1, 2, 2), np.inf), 1e-6)

@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -304,13 +305,17 @@ def _scatter_reference(points, resp, idx, centers):
 
 @pytest.mark.parametrize("blocks", ["one"])
 def test_scatter_stack_blocks_match_per_component_bits(blocks):
+    # inputs of one block or less; five live components of seven, or all
+    # seven through slice(None), the M-step's index when none is empty
     rng = np.random.default_rng(510)
-    d, n = 3, 59
-    points, resp = rng.normal(size=(n, d)), rng.random((7, n))
-    idx = np.array([0, 2, 3, 5, 6])  # five live components of seven
-    centers = rng.normal(size=(idx.size, d))
-    got = hier._scatter_stack(points, resp, idx, centers)
-    assert np.array_equal(got, _scatter_reference(points, resp, idx, centers))
+    d = 3
+    for n in (1, 2, 59):
+        points, resp = rng.normal(size=(n, d)), rng.random((7, n))
+        for idx in (np.array([0, 2, 3, 5, 6]), slice(None)):
+            rows = np.arange(7)[idx]
+            centers = rng.normal(size=(rows.size, d))
+            got = hier._scatter_stack(points, resp, idx, centers)
+            assert np.array_equal(got, _scatter_reference(points, resp, rows, centers))
 
 
 def _scatter_row_block_reference(points, resp, idx, centers, span):
@@ -325,17 +330,20 @@ def _scatter_row_block_reference(points, resp, idx, centers, span):
 
 @pytest.mark.parametrize("blocks", ["one"])
 def test_scatter_stack_row_blocks(monkeypatch, blocks):
+    # blocks of 4 rows: 1 and 3 rows are shorter than one block, 4 fill
+    # it, and in 67 the last row block is ragged
     rng = np.random.default_rng(512)
-    d, span, n = 3, 4, 67  # the last row block is ragged
-    points, resp = rng.normal(size=(n, d)), rng.random((7, n))
+    d, span = 3, 4
     idx = np.array([0, 2, 3, 5, 6])
-    centers = rng.normal(size=(idx.size, d))
     monkeypatch.setattr(hier, "_ROW_FLOATS", span * d)
-    got = hier._scatter_stack(points, resp, idx, centers)
-    want = _scatter_row_block_reference(points, resp, idx, centers, span)
-    assert np.array_equal(got, want)
-    whole = _scatter_reference(points, resp, idx, centers)
-    assert np.abs(got - whole).max() <= 1e-13 * np.abs(whole).max()
+    for n in (1, 3, 4, 67):
+        points, resp = rng.normal(size=(n, d)), rng.random((7, n))
+        centers = rng.normal(size=(idx.size, d))
+        got = hier._scatter_stack(points, resp, idx, centers)
+        want = _scatter_row_block_reference(points, resp, idx, centers, span)
+        assert np.array_equal(got, want)
+        whole = _scatter_reference(points, resp, idx, centers)
+        assert np.abs(got - whole).max() <= 1e-13 * np.abs(whole).max()
 
 
 @pytest.fixture(scope="module")
@@ -368,6 +376,47 @@ def test_fit_does_not_depend_on_scatter_row_blocks(monkeypatch, a1_fixture):
     want = np.array(trace.log_likelihoods)
     got = np.array(short_trace.log_likelihoods)
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def _raise_public(*args, **kwargs):
+    raise AssertionError("the EM loop called a public, checking helper")
+
+
+def test_fit_loop_calls_only_private_cores(monkeypatch):
+    # the public regularize_covariances and log_sum_exp raise wherever a
+    # pairmix module holds them; fits from given starting models (their
+    # initialization is an API edge) must still give the unpatched traces.
+    # N = 4200 with two classes puts 8400 > _ROW_FLOATS values in a
+    # point table, which _normalize sums row by row; the pair tables are
+    # small and go to the log-sum-exp core
+    ds = gen_synthetic("two-cluster", 2100, 0.25, seed=3)
+    rel = sample_relations(ds.labels, 40, make_rng(518))
+    assert rel.must and rel.cannot
+    config = FitConfig(seed=0, max_iters=15)
+    flat_init = init_flat(ds, 2, make_rng(1))
+    hier_init = init_hier(ds, 2, 2, make_rng(1))
+    want = [fit_flat(ds, rel, 2, config, init=flat_init)[1],
+            fit_hier(ds, rel, 2, 2, config, init=hier_init)[1]]
+    tables = []
+    normalize = hier._normalize
+
+    def recorded(w):
+        tables.append(w.shape)
+        return normalize(w)
+
+    monkeypatch.setattr(hier, "_normalize", recorded)
+    modules = [m for name, m in sorted(sys.modules.items())
+               if name == "pairmix" or name.startswith("pairmix.")]
+    for module in modules:
+        for name in ("regularize_covariances", "log_sum_exp"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, _raise_public)
+    got = [fit_flat(ds, rel, 2, config, init=flat_init)[1],
+           fit_hier(ds, rel, 2, 2, config, init=hier_init)[1]]
+    assert got == want
+    assert all(trace.n_iters > 2 for trace in got)
+    assert any(k * n > hier._ROW_FLOATS and n > 1 for k, n in tables)
+    assert any(k * n <= hier._ROW_FLOATS for k, n in tables)
 
 
 def test_scatter_stack_peak_memory_is_bounded():
@@ -467,13 +516,16 @@ def test_one_warm_mixing_solve_per_em_iteration(monkeypatch, two_level):
     monkeypatch.setattr(mixing, "_check_counts", unchecked)
     monkeypatch.setattr(hier, "mixing_objective", forbidden, raising=False)
     ds = gen_synthetic("two-moons", 100, 0.05, seed=11)
-    rel = RelationSet(must=[(0, 99), (100, 199)], cannot=[(0, 100), (99, 199)])
-    if two_level:
-        _, trace = fit_hier(ds, rel, 2, (2, 2), FitConfig(seed=6))
-    else:
-        _, trace = fit_flat(ds, rel, 2, FitConfig(seed=6))
-    assert trace.n_iters > 1
-    assert len(solves) == trace.n_iters
+    both = RelationSet(must=[(0, 99), (100, 199)], cannot=[(0, 100), (99, 199)])
+    # without cannot-links the solve is the closed form c / Σc
+    for rel in (both, RelationSet(must=both.must)):
+        solves.clear()
+        if two_level:
+            _, trace = fit_hier(ds, rel, 2, (2, 2), FitConfig(seed=6))
+        else:
+            _, trace = fit_flat(ds, rel, 2, FitConfig(seed=6))
+        assert trace.n_iters > 1
+        assert len(solves) == trace.n_iters
     assert all(alpha is not None for alpha in solves)
 
 

@@ -16,7 +16,7 @@ from pairmix import (
 from pairmix import initialize
 from pairmix.datasets import gen_synthetic
 from pairmix.initialize import (
-    _nearest,
+    _kmeanspp,
     _remaining_pairs,
     init_flat,
     init_hier,
@@ -131,20 +131,99 @@ def test_init_flat_separates_two_blobs():
     assert hits >= 95
 
 
-def test_nearest_matches_dense_argmin_with_ties():
+def _dense_nearest(points, means):
+    """Index of each point's nearest mean from the full (N, M) distance
+    table; ``np.argmin`` takes the lowest index on ties."""
+    dense = ((points[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+    return np.argmin(dense, axis=1)
+
+
+def test_kmeanspp_assignment_matches_dense_argmin_with_ties():
     rng = np.random.default_rng(0)
     for case in range(200):
-        n, m, d = rng.integers(1, 40), rng.integers(1, 9), rng.integers(1, 5)
-        if case % 2:  # integer grids: many equal distances
+        n, d = rng.integers(1, 40), rng.integers(1, 5)
+        k = rng.integers(1, min(9, n) + 1)
+        if case % 2:  # integer grids: many equal distances and duplicate points
             points = rng.integers(-2, 3, size=(n, d)).astype(float)
-            means = rng.integers(-2, 3, size=(m, d)).astype(float)
         else:
-            points, means = rng.normal(size=(n, d)), rng.normal(size=(m, d))
-        dense = ((points[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
-        np.testing.assert_array_equal(_nearest(points, means), np.argmin(dense, axis=1))
-    # exact ties go to the lowest index
-    means = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]])
-    np.testing.assert_array_equal(_nearest(np.zeros((1, 2)), means), [0])
+            points = rng.normal(size=(n, d))
+        seeds, assign = _kmeanspp(points, k, make_rng(case))
+        np.testing.assert_array_equal(seeds, kmeanspp_seeds(Dataset(points), k, make_rng(case)))
+        assert assign.dtype == np.intp
+        np.testing.assert_array_equal(assign, _dense_nearest(points, seeds))
+    # exact ties go to the lowest index: (0, 0) is as far from (1, 0) as
+    # from (-1, 0), whichever of them is drawn first
+    points = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]])
+    tied = 0
+    for seed in range(40):
+        seeds, assign = _kmeanspp(points, 2, make_rng(seed))
+        if sorted(seeds[:, 0].tolist()) == [-1.0, 1.0]:
+            tied += 1
+            assert assign.tolist() == [int(seeds[0, 0] != 1.0), int(seeds[0, 0] == 1.0), 0]
+    assert tied > 0
+
+
+def test_kmeanspp_duplicates_and_single_seed():
+    # every point equal: the draws after the first are uniform (the total
+    # distance is zero) and every point stays with seed 0, as on any tie
+    points = np.ones((6, 2))
+    seeds, assign = _kmeanspp(points, 3, make_rng(0))
+    np.testing.assert_array_equal(seeds, np.ones((3, 2)))
+    np.testing.assert_array_equal(assign, np.zeros(6))
+    # k = 1 computes no distance: one uniform draw, everyone in class 0
+    points = np.random.default_rng(2).normal(size=(9, 3))
+    seeds, assign = _kmeanspp(points, 1, make_rng(5))
+    np.testing.assert_array_equal(seeds, kmeanspp_seeds(Dataset(points), 1, make_rng(5)))
+    np.testing.assert_array_equal(assign, np.zeros(9))
+    with pytest.raises(KTooLargeError):
+        _kmeanspp(points, 10, make_rng(0))
+
+
+def _init_hier_reference(ds, counts, rng, ridge_floor=1e-6):
+    """init_hier as the public seeding followed by a separate nearest-seed
+    pass, each class's points wrapped in a Dataset of their own."""
+    seeds = kmeanspp_seeds(ds, len(counts), rng)
+    assign = _dense_nearest(ds.points, seeds)
+    classes = []
+    for m, k_m in enumerate(counts):
+        members = ds.points[assign == m]
+        if members.shape[0] < k_m:
+            center = members.mean(axis=0) if members.shape[0] else seeds[m]
+            means = center + 1e-3 * np.sqrt(ridge_floor) * rng.standard_normal((k_m, ds.dim))
+            covs = np.broadcast_to(ridge_floor * np.eye(ds.dim), (k_m, ds.dim, ds.dim))
+        else:
+            sub = kmeanspp_seeds(Dataset(points=members), k_m, rng)
+            means, covs = initialize._seeded_moments(
+                members, sub, _dense_nearest(members, sub), ridge_floor
+            )
+        classes.append((means, covs))
+    return classes
+
+
+def test_init_matches_seeding_then_nearest_pass():
+    # init_flat and init_hier against the public seeding plus a dense
+    # nearest-seed pass, bit for bit over 20 seeds; a far outlier starves
+    # one class of points for two clusters on some seeds
+    rng = np.random.default_rng(3)
+    pts = np.vstack([rng.normal(size=(60, 2)), rng.normal(size=(60, 2)) + 5.0, [[40.0, 40.0]]])
+    ds = Dataset(pts)
+    starved = 0
+    for seed in range(20):
+        model = init_flat(ds, 3, make_rng(seed))
+        seeds = kmeanspp_seeds(ds, 3, make_rng(seed))
+        means, covs = initialize._seeded_moments(
+            pts, seeds, _dense_nearest(pts, seeds), 1e-6
+        )
+        np.testing.assert_array_equal(model.means, means)
+        np.testing.assert_array_equal(model.covs, covs)
+        model = init_hier(ds, 3, (2, 3, 2), make_rng(seed))
+        want = _init_hier_reference(ds, (2, 3, 2), make_rng(seed))
+        for got, (means, covs) in zip(model.classes, want):
+            np.testing.assert_array_equal(got.means, means)
+            np.testing.assert_array_equal(got.covs, covs)
+        starved += any(c.covs[0, 0, 1] == 0.0 and c.covs[0, 0, 0] == 1e-6
+                       for c in model.classes)
+    assert starved > 0
 
 
 @pytest.mark.parametrize("d", [1, 3, 16])
