@@ -493,7 +493,8 @@ def _scatter_stack(
     span = max(1, _ROW_FLOATS // d)
     # each centre repeated once per row of a block: the subtraction then
     # runs over a whole flattened block instead of d values at a time
-    tiled = np.repeat(centers, min(span, n), axis=0).reshape(c, -1)
+    rows = min(span, n)
+    tiled = np.repeat(centers, rows, axis=0).reshape(c, rows * d)
     for start in range(0, n, span):
         part = points[start:start + span]
         k = part.shape[0]

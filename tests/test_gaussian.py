@@ -298,7 +298,7 @@ def test_regularize_stack_matches_single_matrix():
 
 def test_cores_match_wrappers_bit_for_bit():
     # on valid input each core returns exactly what its checking wrapper
-    # returns: a table with -inf entries and an all -inf column along
+    # returns, on a table with -inf entries and an all -inf column along
     # every axis, and a stack whose indefinite matrix climbs the ladder
     rng = np.random.default_rng(107)
     v = rng.normal(size=(5, 9)) * 4.0
@@ -314,10 +314,7 @@ def test_cores_match_wrappers_bit_for_bit():
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
     assert got[1][1] > 0.0 and got[1][0] == got[1][2] == 0.0
-
-
-def test_cores_keep_their_finiteness_guards():
-    # values an M-step or E-step can produce still raise in the cores
+    # the cores keep the guards that an E-step's or M-step's values can trip
     with pytest.raises(NotFiniteError):
         gaussian._log_sum_exp(np.array([[0.0, np.nan], [1.0, 0.0]]), 0)
     with pytest.raises(NotFiniteError):

@@ -63,6 +63,10 @@ def test_kmeanspp_k_one_and_bounds():
     ds = Dataset(np.random.default_rng(1).normal(size=(5, 2)))
     seeds = kmeanspp_seeds(ds, 1, make_rng(0))
     assert seeds.shape == (1, 2)
+    # one seed: every point is assigned to it
+    seeds_again, assign = _kmeanspp(ds.points, 1, make_rng(0))
+    np.testing.assert_array_equal(seeds_again, seeds)
+    np.testing.assert_array_equal(assign, np.zeros(5))
     with pytest.raises(KTooLargeError):
         kmeanspp_seeds(ds, 6, make_rng(0))
     with pytest.raises(KTooLargeError):
@@ -84,6 +88,8 @@ def test_kmeanspp_duplicate_points_fallback():
     ds = Dataset(np.ones((6, 2)))
     seeds = kmeanspp_seeds(ds, 3, make_rng(0))
     np.testing.assert_array_equal(seeds, np.ones((3, 2)))
+    # every distance ties, so every point stays with seed 0
+    np.testing.assert_array_equal(_kmeanspp(ds.points, 3, make_rng(0))[1], np.zeros(6))
 
 
 def test_kmeanspp_deterministic():
@@ -161,22 +167,6 @@ def test_kmeanspp_assignment_matches_dense_argmin_with_ties():
             tied += 1
             assert assign.tolist() == [int(seeds[0, 0] != 1.0), int(seeds[0, 0] == 1.0), 0]
     assert tied > 0
-
-
-def test_kmeanspp_duplicates_and_single_seed():
-    # every point equal: the draws after the first are uniform (the total
-    # distance is zero) and every point stays with seed 0, as on any tie
-    points = np.ones((6, 2))
-    seeds, assign = _kmeanspp(points, 3, make_rng(0))
-    np.testing.assert_array_equal(seeds, np.ones((3, 2)))
-    np.testing.assert_array_equal(assign, np.zeros(6))
-    # k = 1 computes no distance: one uniform draw, everyone in class 0
-    points = np.random.default_rng(2).normal(size=(9, 3))
-    seeds, assign = _kmeanspp(points, 1, make_rng(5))
-    np.testing.assert_array_equal(seeds, kmeanspp_seeds(Dataset(points), 1, make_rng(5)))
-    np.testing.assert_array_equal(assign, np.zeros(9))
-    with pytest.raises(KTooLargeError):
-        _kmeanspp(points, 10, make_rng(0))
 
 
 def _init_hier_reference(ds, counts, rng, ridge_floor=1e-6):
