@@ -11,9 +11,14 @@ Exit codes: 0 success; 2 usage error; 3 invalid input (every
 :class:`~pairmix.errors.PairmixError` outside the numerical family);
 4 numerical failure; 5 filesystem error.
 
-An optional ``--config FILE`` (JSON object keyed by long option names with
-underscores, e.g. ``{"max_iters": 200}``) supplies defaults; explicit
-flags always override the file.
+argparse resolves every option: a flag wins over an entry of the optional
+``--config FILE`` (a JSON object keyed by long option names with
+underscores, e.g. ``{"max_iters": 200}``), which wins over the default
+declared on the option.  Each entry is checked against the option it names,
+the entries become the command's defaults, and the command line is parsed
+again; so a required option must be on the command line.  Options named
+after :class:`~pairmix.flat.FitConfig` fields default to ``None``, which
+keeps the field's own default.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .errors import (
 )
 from .flat import FitConfig, fit_flat, predict_flat_batch
 from .hier import fit_hier, predict_hier_batch
-from .initialize import make_rng, sample_relations
+from .initialize import _normalize_cluster_counts, make_rng, sample_relations
 from .io import (
     atomic_write_text,
     load_csv,
@@ -49,7 +54,7 @@ from .io import (
 from .metrics import hard_assign, purity, run_trials
 from .pca import apply_pca, fit_pca
 from .serialize import load_model, save_model, serialize_pca
-from .types import Dataset, FlatModel, RelationSet, validate_relations
+from .types import Dataset, FlatModel, RelationSet
 
 _NUMERIC_ERRORS = (DegenerateNormalizerError, NoConvergenceError)
 
@@ -57,58 +62,51 @@ _NUMERIC_ERRORS = (DegenerateNormalizerError, NoConvergenceError)
 # config entries that may also be a JSON list of integers
 _LIST_OPTIONS = frozenset({"clusters_per_class", "budgets"})
 
+_MODES = ["both", "must-only", "cannot-only"]
 
-def _check_config_entry(action: argparse.Action, value) -> None:
-    """Raise :class:`ParseError` unless ``value`` is what the flag behind
-    ``action`` accepts: a JSON boolean for a switch, one of the choices,
-    a string the flag's type parses (a JSON number for a numeric flag)."""
+
+def _check_config_entry(action: argparse.Action, value):
+    """A config ``value`` for the flag behind ``action``, as that flag would
+    parse it: a JSON boolean for a switch, one of the choices, a non-empty
+    JSON list of integers for a list option (returned as its comma-separated
+    text), or a value whose ``str`` the flag's type parses (a JSON number for
+    a numeric flag).  Any other value raises :class:`ParseError`."""
     if action.nargs == 0:
         ok = isinstance(value, bool)
     elif isinstance(value, list):
-        ok = action.dest in _LIST_OPTIONS and all(type(v) is int for v in value)
+        if action.dest in _LIST_OPTIONS and value and all(type(v) is int for v in value):
+            return ",".join(map(str, value))
+        ok = False
     elif action.type is None:
         ok = isinstance(value, str) and value in (action.choices or [value])
     else:
         try:
-            action.type(str(value))
-            return
+            return action.type(str(value))
         except (ValueError, argparse.ArgumentTypeError):
             ok = False
     if not ok:
         raise ParseError(f"config value {value!r} is not valid for {action.dest!r}")
+    return value
 
 
-class _Options:
-    """Merged view of CLI flags, config-file entries, and defaults."""
-
-    def __init__(self, args: argparse.Namespace):
-        self._args = vars(args)
-        self._file = {}
-        config_path = self._args.get("config")
-        if config_path:
-            with read_text(config_path) as fh:
-                try:
-                    payload = json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"config file is not valid JSON: {exc}") from exc
-            if not isinstance(payload, dict):
-                raise ParseError("config file must hold a JSON object")
-            actions = {a.dest: a for a in args.config_actions}
-            for key, value in payload.items():
-                if key not in actions:
-                    raise ParseError(
-                        f"config key {key!r} is not an option of {args.command!r}"
-                    )
-                _check_config_entry(actions[key], value)
-            self._file = payload
-
-    def get(self, name: str, default=None):
-        value = self._args.get(name)
-        if value is not None:
-            return value
-        if name in self._file:
-            return self._file[name]
-        return default
+def _config_defaults(args: argparse.Namespace) -> dict:
+    """The entries of the ``--config`` file, each checked against the option
+    of the command that it names."""
+    with read_text(args.config) as fh:
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ParseError("config file must hold a JSON object")
+    # a config file may set every option of the command but --config and --help
+    actions = {a.dest: a for a in args.command_parser._actions
+               if a.option_strings and a.dest not in ("config", "help")}
+    for key, value in payload.items():
+        if key not in actions:
+            raise ParseError(f"config key {key!r} is not an option of {args.command!r}")
+        payload[key] = _check_config_entry(actions[key], value)
+    return payload
 
 
 def _seed(text: str) -> int:
@@ -119,59 +117,53 @@ def _seed(text: str) -> int:
     return value
 
 
-def _parse_int_list(text) -> list[int]:
-    if isinstance(text, (list, tuple)):
-        return [int(v) for v in text]
+def _parse_int_list(text: str) -> list[int]:
     try:
-        return [int(p) for p in str(text).split(",") if p != ""]
+        values = [int(p) for p in text.split(",") if p != ""]
     except ValueError:
-        raise ParseError(f"expected a comma-separated integer list, got {text!r}") from None
+        values = []
+    if not values:
+        raise ParseError(f"expected a comma-separated integer list, got {text!r}")
+    return values
 
 
-def _fit_config(opt: _Options) -> FitConfig:
-    """Each FitConfig field from the option of the same name, converted to
-    the type of the field's default, which it falls back to."""
-    return FitConfig(**{
-        f.name: type(f.default)(opt.get(f.name, f.default)) for f in fields(FitConfig)
-    })
+def _cluster_counts(args: argparse.Namespace) -> tuple[int, ...]:
+    """``--clusters-per-class``: one count for every class, or one per class."""
+    counts = _parse_int_list(args.clusters_per_class)
+    return _normalize_cluster_counts(args.classes, counts[0] if len(counts) == 1 else counts)
 
 
-def _load_labeled(opt: _Options, command: str) -> Dataset:
-    """The ``--data`` CSV with its ``--label-column``, which ``command``
+def _fit_config(args: argparse.Namespace) -> FitConfig:
+    """Each FitConfig field from the option of the same name; a field whose
+    option is unset, or that the command lacks, keeps its default."""
+    values = {f.name: getattr(args, f.name, None) for f in fields(FitConfig)}
+    return FitConfig(**{name: v for name, v in values.items() if v is not None})
+
+
+def _load_labeled(args: argparse.Namespace) -> Dataset:
+    """The ``--data`` CSV with its ``--label-column``, which the command
     requires (a named label column always yields labels)."""
-    label_column = opt.get("label_column")
-    if label_column is None:
-        raise ParseError(f"{command} requires --label-column")
-    return load_csv(opt.get("data"), label_column)
-
-
-def _load_inputs(opt: _Options) -> tuple[Dataset, RelationSet]:
-    dataset = load_csv(opt.get("data"), opt.get("label_column"))
-    rel_path = opt.get("relations")
-    relations = load_relations(rel_path) if rel_path else RelationSet()
-    return dataset, validate_relations(relations, dataset.n)
+    if args.label_column is None:
+        raise ParseError(f"{args.command} requires --label-column")
+    return load_csv(args.data, args.label_column)
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    dataset, relations = _load_inputs(opt)
-    n_classes = int(opt.get("classes"))
-    clusters = _parse_int_list(opt.get("clusters_per_class", "1"))
-    if len(clusters) == 1:
-        clusters = clusters * n_classes
-    config = _fit_config(opt)
+    dataset = load_csv(args.data, args.label_column)
+    relations = load_relations(args.relations) if args.relations else RelationSet()
+    clusters = _cluster_counts(args)
+    config = _fit_config(args)
     if all(k == 1 for k in clusters):
-        model, trace = fit_flat(dataset, relations, n_classes, config)
+        model, trace = fit_flat(dataset, relations, args.classes, config)
     else:
-        model, trace = fit_hier(dataset, relations, n_classes, clusters, config)
-    save_model(model, opt.get("out"))
-    trace_path = opt.get("trace")
-    if trace_path:
-        save_trace_csv(trace, trace_path)
+        model, trace = fit_hier(dataset, relations, args.classes, clusters, config)
+    save_model(model, args.out)
+    if args.trace:
+        save_trace_csv(trace, args.trace)
     for warning in trace.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     print(
-        f"wrote {opt.get('out')}: converged={str(trace.converged).lower()} "
+        f"wrote {args.out}: converged={str(trace.converged).lower()} "
         f"iterations={trace.n_iters} "
         f"log_likelihood={trace.log_likelihoods[-1]!r}"
     )
@@ -185,78 +177,59 @@ def _posteriors(model, points: np.ndarray) -> np.ndarray:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    model = load_model(opt.get("model"))
-    dataset = load_csv(opt.get("data"), opt.get("label_column"))
+    model = load_model(args.model)
+    dataset = load_csv(args.data, args.label_column)
     post = _posteriors(model, dataset.points)
-    save_posteriors_csv(post, opt.get("out"))
-    print(f"wrote {opt.get('out')}: {post.shape[0]} points, {post.shape[1]} classes")
+    save_posteriors_csv(post, args.out)
+    print(f"wrote {args.out}: {post.shape[0]} points, {post.shape[1]} classes")
     return 0
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    model = load_model(opt.get("model"))
-    dataset = _load_labeled(opt, "evaluate")
+    model = load_model(args.model)
+    dataset = _load_labeled(args)
     post = _posteriors(model, dataset.points)
     score = purity(hard_assign(post), dataset.labels)
     line = f"purity={score!r}"
-    out = opt.get("out")
-    if out:
-        atomic_write_text(out, line + "\n")
+    if args.out:
+        atomic_write_text(args.out, line + "\n")
     print(line)
     return 0
 
 
 def _cmd_gen_relations(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    dataset = _load_labeled(opt, "gen-relations")
+    dataset = _load_labeled(args)
     relations = sample_relations(
-        dataset.labels,
-        int(opt.get("n_pairs")),
-        make_rng(int(opt.get("seed", 0))),
-        str(opt.get("mode", "both")),
+        dataset.labels, args.n_pairs, make_rng(args.seed), args.mode
     )
-    save_relations(relations, opt.get("out"))
+    save_relations(relations, args.out)
     print(
-        f"wrote {opt.get('out')}: {relations.n_must} must-links, "
+        f"wrote {args.out}: {relations.n_must} must-links, "
         f"{relations.n_cannot} cannot-links"
     )
     return 0
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    kind = str(opt.get("kind"))
-    noise = opt.get("noise")
-    if noise is None:
-        noise = DEFAULT_NOISE.get(kind, 0.1)
-    dataset = gen_synthetic(
-        kind, int(opt.get("n_per_class")), float(noise), int(opt.get("seed", 0))
-    )
-    save_dataset_csv(dataset, opt.get("out"))
-    print(f"wrote {opt.get('out')}: {dataset.n} points, d={dataset.dim}")
+    noise = DEFAULT_NOISE[args.kind] if args.noise is None else args.noise
+    dataset = gen_synthetic(args.kind, args.n_per_class, noise, args.seed)
+    save_dataset_csv(dataset, args.out)
+    print(f"wrote {args.out}: {dataset.n} points, d={dataset.dim}")
     return 0
 
 
 def _cmd_trials(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    dataset = _load_labeled(opt, "trials")
-    n_classes = int(opt.get("classes"))
-    clusters = _parse_int_list(opt.get("clusters_per_class", "1"))
-    if len(clusters) == 1:
-        clusters = clusters * n_classes
-    budgets = _parse_int_list(opt.get("budgets", "0"))
+    dataset = _load_labeled(args)
     reports = run_trials(
         dataset,
-        n_classes,
-        clusters,
-        budgets,
-        mode=str(opt.get("mode", "both")),
-        n_trials=int(opt.get("n_trials", 100)),
-        base_seed=int(opt.get("base_seed", 0)),
-        config=_fit_config(opt),
-        csv_path=opt.get("out"),
+        args.classes,
+        _cluster_counts(args),
+        _parse_int_list(args.budgets),
+        mode=args.mode,
+        n_trials=args.n_trials,
+        base_seed=args.base_seed,
+        config=_fit_config(args),
+        csv_path=args.out,
     )
     for report in reports:
         print(
@@ -267,27 +240,38 @@ def _cmd_trials(args: argparse.Namespace) -> int:
 
 
 def _cmd_pca(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    dataset = load_csv(opt.get("data"), opt.get("label_column"))
-    transform = fit_pca(dataset, int(opt.get("k")))
+    dataset = load_csv(args.data, args.label_column)
+    transform = fit_pca(dataset, args.k)
     projected = apply_pca(transform, dataset.points)
-    save_dataset_csv(Dataset(points=projected, labels=dataset.labels), opt.get("out_data"))
-    atomic_write_text(opt.get("out_transform"), serialize_pca(transform))
+    save_dataset_csv(Dataset(points=projected, labels=dataset.labels), args.out_data)
+    atomic_write_text(args.out_transform, serialize_pca(transform))
     print(
-        f"wrote {opt.get('out_data')} and {opt.get('out_transform')}: "
+        f"wrote {args.out_data} and {args.out_transform}: "
         f"k={transform.k} of d={transform.dim}"
     )
     return 0
 
 
+def _add_data(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--data", required=True)
+    p.add_argument("--label-column")
+
+
+def _add_model_shape(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--classes", type=int, required=True)
+    p.add_argument("--clusters-per-class", default="1")
+
+
+def _add_em(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--max-iters", type=int)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--ridge-floor", type=float)
+
+
 def _add_common(p: argparse.ArgumentParser, func) -> None:
     p.add_argument("--config", help="JSON file of default option values")
     p.add_argument("--threads", type=int, help="ignored; every command runs serially")
-    # the flags a config file may set: every option of this command
-    # except --config and --help
-    p.set_defaults(func=func, config_actions=[
-        a for a in p._actions if a.option_strings and a.dest not in ("config", "help")
-    ])
+    p.set_defaults(func=func, command_parser=p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,77 +284,60 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fit", help="fit a model to a dataset (+ optional relations)")
-    p.add_argument("--data", required=True)
-    p.add_argument("--label-column", dest="label_column")
+    _add_data(p)
     p.add_argument("--relations")
-    p.add_argument("--classes", type=int, required=True)
-    p.add_argument("--clusters-per-class", dest="clusters_per_class")
+    _add_model_shape(p)
     p.add_argument("--out", required=True)
     p.add_argument("--trace")
     p.add_argument("--seed", type=_seed)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--ridge-floor", dest="ridge_floor", type=float)
-    p.add_argument(
-        "--count-linked-as-unsupervised",
-        dest="count_linked_as_unsupervised",
-        action="store_const",
-        const=True,
-    )
+    _add_em(p)
+    p.add_argument("--count-linked-as-unsupervised", action="store_const", const=True)
     _add_common(p, _cmd_fit)
 
     p = sub.add_parser("predict", help="per-point posterior table for a fitted model")
     p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--label-column", dest="label_column")
+    _add_data(p)
     p.add_argument("--out", required=True)
     _add_common(p, _cmd_predict)
 
     p = sub.add_parser("evaluate", help="purity of a fitted model on labeled data")
     p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--label-column", dest="label_column")
+    _add_data(p)
     p.add_argument("--out")
     _add_common(p, _cmd_evaluate)
 
     p = sub.add_parser("gen-relations", help="sample pairwise relations from labels")
-    p.add_argument("--data", required=True)
-    p.add_argument("--label-column", dest="label_column")
-    p.add_argument("--n-pairs", dest="n_pairs", type=int, required=True)
-    p.add_argument("--mode", choices=["both", "must-only", "cannot-only"])
-    p.add_argument("--seed", type=_seed)
+    _add_data(p)
+    p.add_argument("--n-pairs", type=int, required=True)
+    p.add_argument("--mode", choices=_MODES, default="both")
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     _add_common(p, _cmd_gen_relations)
 
     p = sub.add_parser("gen-data", help="generate a synthetic labeled dataset")
-    p.add_argument("--kind", choices=["two-cluster", "two-moons"], required=True)
-    p.add_argument("--n-per-class", dest="n_per_class", type=int, required=True)
+    p.add_argument("--kind", choices=list(DEFAULT_NOISE), required=True)
+    p.add_argument("--n-per-class", type=int, required=True)
     p.add_argument("--noise", type=float)
-    p.add_argument("--seed", type=_seed)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     _add_common(p, _cmd_gen_data)
 
     p = sub.add_parser("trials", help="repeated-trial purity sweep over link budgets")
-    p.add_argument("--data", required=True)
-    p.add_argument("--label-column", dest="label_column")
-    p.add_argument("--classes", type=int, required=True)
-    p.add_argument("--clusters-per-class", dest="clusters_per_class")
+    _add_data(p)
+    _add_model_shape(p)
     p.add_argument("--budgets", required=True)
-    p.add_argument("--mode", choices=["both", "must-only", "cannot-only"])
-    p.add_argument("--n-trials", dest="n_trials", type=int)
-    p.add_argument("--base-seed", dest="base_seed", type=_seed)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--ridge-floor", dest="ridge_floor", type=float)
+    p.add_argument("--mode", choices=_MODES, default="both")
+    p.add_argument("--n-trials", type=int, default=100)
+    p.add_argument("--base-seed", type=_seed, default=0)
+    _add_em(p)
     p.add_argument("--out", required=True)
     _add_common(p, _cmd_trials)
 
     p = sub.add_parser("pca", help="project a dataset onto leading principal axes")
-    p.add_argument("--data", required=True)
-    p.add_argument("--label-column", dest="label_column")
+    _add_data(p)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--out-data", dest="out_data", required=True)
-    p.add_argument("--out-transform", dest="out_transform", required=True)
+    p.add_argument("--out-data", required=True)
+    p.add_argument("--out-transform", required=True)
     _add_common(p, _cmd_pca)
 
     return parser
@@ -380,6 +347,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config:
+            args.command_parser.set_defaults(**_config_defaults(args))
+            args = parser.parse_args(argv)
         return args.func(args)
     except _NUMERIC_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

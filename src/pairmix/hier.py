@@ -666,8 +666,6 @@ def fit_hier(
     the class-marginal counts; cluster weights π use the closed-form ratio.
     """
     config = config or FitConfig()
-    if n_classes < 1:
-        raise InvariantViolationError("need at least one class")
     counts_per_class = _normalize_cluster_counts(n_classes, clusters_per_class)
     if dataset.n < sum(counts_per_class):
         raise KTooLargeError(

@@ -129,7 +129,10 @@ def init_flat(
 
 def _normalize_cluster_counts(n_classes: int, clusters_per_class) -> tuple[int, ...]:
     """``clusters_per_class`` as one count per class: an int applies to
-    every class, a sequence must have one positive entry per class."""
+    every class, a sequence must have one positive entry per class.  There
+    must be at least one class."""
+    if n_classes < 1:
+        raise InvariantViolationError("need at least one class")
     if np.isscalar(clusters_per_class):
         clusters_per_class = (clusters_per_class,) * n_classes
     counts = tuple(int(k) for k in clusters_per_class)

@@ -9,7 +9,14 @@ import numpy as np
 from .errors import InvariantViolationError, LengthMismatchError, PairmixError
 from .flat import FitConfig, fit_flat, predict_flat_batch
 from .hier import fit_hier, predict_hier_batch
-from .initialize import init_flat, init_hier, make_rng, sample_relations, trial_seed
+from .initialize import (
+    _normalize_cluster_counts,
+    init_flat,
+    init_hier,
+    make_rng,
+    sample_relations,
+    trial_seed,
+)
 from .types import Dataset
 
 
@@ -111,7 +118,7 @@ def _run_one(
     config: FitConfig,
 ):
     rng = make_rng(seed)
-    flat = all(int(c) == 1 for c in np.atleast_1d(clusters_per_class))
+    flat = all(c == 1 for c in clusters_per_class)
     try:
         if flat:
             start = init_flat(dataset, n_classes, rng, config.ridge_floor)
@@ -150,16 +157,21 @@ def run_trials(
 ) -> list[TrialReport]:
     """Repeated (init, sample-relations, fit, purity) pipelines per budget.
 
-    Every trial owns a child seed derived from ``(base_seed, budget,
-    trial_index)``, so its result does not depend on the other trials; failed
-    trials are recorded as missing values without aborting the sweep.  When
-    ``csv_path`` is given the sweep is also written as CSV (one row per
-    trial: budget, trial_index, seed, purity, iterations, converged).
+    ``clusters_per_class`` is read as by :func:`pairmix.hier.fit_hier`, and
+    all counts 1 fit the flat model; a class or cluster count that no data
+    could fit raises before the first trial.  Every trial owns a child seed
+    derived from ``(base_seed, budget, trial_index)``, so its result does
+    not depend on the other trials; failed trials (an error that depends on
+    the data, such as too few points) are recorded as missing values
+    without aborting the sweep.  When ``csv_path`` is given the sweep is
+    also written as CSV (one row per trial: budget, trial_index, seed,
+    purity, iterations, converged).
     """
     if dataset.labels is None:
         raise InvariantViolationError("run_trials needs a labeled dataset")
     if n_trials < 1:
         raise InvariantViolationError("n_trials must be >= 1")
+    clusters_per_class = _normalize_cluster_counts(n_classes, clusters_per_class)
     config = config or FitConfig()
     budgets = [int(b) for b in link_budgets]
     if any(b < 0 for b in budgets):

@@ -1,0 +1,157 @@
+"""Digests of what the command line does, for comparing two trees.
+
+Run from a checkout, with the ``pairmix`` to test first on ``PYTHONPATH``::
+
+    PYTHONPATH=src python tests/cli_digests.py > after.txt
+
+Each command runs as a child ``python -m pairmix.cli`` in one temporary
+directory, with relative paths, in the order listed below: the A9 pipeline,
+``--config`` cases, and error cases (``bad_rel.txt`` names a point that no
+dataset here has).  Each prints one line: its label, exit
+code, and the first 16 hex digits of the SHA-256 of its stdout, its stderr
+and every file it created or changed.  Each ``--help`` page prints one line
+too.  Run the script on two trees and ``diff`` the outputs: no difference
+means the same exit codes, stdout, stderr and output bytes.  Fits in the
+children are not seen by the in-process ``tests/fit_digests.py``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+DATA = ["--data", "data.csv", "--label-column", "label"]
+FIT = ["fit", *DATA, "--relations", "rel.txt", "--classes", "2", "--seed", "7"]
+TRIALS = ["trials", *DATA, "--classes", "2", "--budgets", "0,2", "--n-trials", "3",
+          "--max-iters", "20"]
+
+# (label, argv, config file contents or None)
+COMMANDS = [
+    # the A9 pipeline
+    ("gen-data", ["gen-data", "--kind", "two-cluster", "--n-per-class", "40",
+                  "--noise", "0.25", "--seed", "5", "--out", "data.csv"], None),
+    ("gen-relations", ["gen-relations", *DATA, "--n-pairs", "6", "--seed", "3",
+                       "--out", "rel.txt"], None),
+    ("fit", [*FIT, "--threads", "1", "--out", "model.json", "--trace", "trace.csv"],
+     None),
+    ("fit-two-level", [*FIT, "--clusters-per-class", "2,2", "--threads", "1",
+                       "--out", "model_h.json"], None),
+    ("predict", ["predict", "--model", "model.json", *DATA, "--out", "post.csv"], None),
+    ("evaluate", ["evaluate", "--model", "model.json", *DATA, "--out", "eval.txt"],
+     None),
+    ("trials", ["trials", *DATA, "--classes", "2", "--budgets", "0,2,4",
+                "--n-trials", "3", "--base-seed", "11", "--threads", "1",
+                "--out", "trials.csv"], None),
+    ("pca", ["pca", *DATA, "--k", "1", "--out-data", "proj.csv",
+             "--out-transform", "pca.json"], None),
+    ("gen-data-default-noise", ["gen-data", "--kind", "two-moons", "--n-per-class",
+                                "10", "--out", "moons.csv"], None),
+    # values from a --config file, alone and under a flag
+    ("config-list", [*FIT, "--out", "c_list.json"], {"clusters_per_class": [2, 2]}),
+    ("config-numeric-string", [*FIT, "--out", "c_str.json", "--trace", "c_str.csv"],
+     {"max_iters": "3"}),
+    ("config-number", [*FIT, "--out", "c_num.json"], {"tol": 1e-3, "ridge_floor": 1e-5}),
+    ("config-switch-true", [*FIT, "--out", "c_true.json"],
+     {"count_linked_as_unsupervised": True}),
+    ("config-switch-false", [*FIT, "--out", "c_false.json"],
+     {"count_linked_as_unsupervised": False}),
+    ("config-choice", [*TRIALS, "--out", "c_choice.csv"], {"mode": "cannot-only"}),
+    ("config-flag-wins", [*TRIALS, "--mode", "must-only", "--max-iters", "5",
+                          "--out", "c_wins.csv"], {"mode": "cannot-only", "max_iters": 9}),
+    ("config-seeds", ["gen-relations", *DATA, "--n-pairs", "4", "--out", "c_rel.txt"],
+     {"seed": 2, "mode": "must-only"}),
+    ("config-optional-out", ["evaluate", "--model", "model.json", *DATA],
+     {"out": "c_eval.txt"}),
+    ("config-bad-choice", [*TRIALS, "--out", "c_bad.csv"], {"mode": "sometimes"}),
+    ("config-unknown-key", [*FIT, "--out", "c_key.json"], {"max_iter": 3}),
+    ("config-required-only", [*FIT], {"out": "c_req.json"}),
+    ("config-not-object", [*FIT, "--out", "c_obj.json"], [1, 2]),
+    # errors
+    ("fit-classes-0", ["fit", *DATA, "--classes", "0", "--out", "e0.json"], None),
+    ("fit-classes-neg", ["fit", *DATA, "--classes", "-1", "--out", "e1.json"], None),
+    ("fit-clusters-too-many", [*FIT, "--clusters-per-class", "1,1,1",
+                               "--out", "e2.json"], None),
+    ("fit-clusters-empty", [*FIT, "--clusters-per-class", "", "--out", "e3.json"], None),
+    ("fit-clusters-bad", [*FIT, "--clusters-per-class", "2,x", "--out", "e4.json"], None),
+    ("trials-classes-0", ["trials", *DATA, "--classes", "0", "--budgets", "0",
+                          "--n-trials", "1", "--out", "e5.csv"], None),
+    ("trials-clusters-too-many", [*TRIALS, "--clusters-per-class", "1,1,1",
+                                  "--out", "e6.csv"], None),
+    ("trials-clusters-zero", [*TRIALS, "--clusters-per-class", "0,0",
+                              "--out", "e7.csv"], None),
+    ("trials-budgets-empty", ["trials", *DATA, "--classes", "2", "--budgets", "",
+                              "--out", "e8.csv"], None),
+    ("trials-budgets-comma", ["trials", *DATA, "--classes", "2", "--budgets", ",",
+                              "--out", "e9.csv"], None),
+    ("trials-budgets-config-empty", [*TRIALS, "--out", "e10.csv"], {"budgets": []}),
+    ("trials-clusters-config-empty", [*TRIALS, "--out", "e11.csv"],
+     {"clusters_per_class": []}),
+    ("trials-no-label", ["trials", "--data", "data.csv", "--classes", "2",
+                             "--budgets", "0", "--out", "e12.csv"], None),
+    ("fit-bad-tol", [*FIT, "--tol", "0", "--out", "e13.json"], None),
+    ("fit-bad-relation", ["fit", *DATA, "--relations", "bad_rel.txt", "--classes", "2",
+                          "--out", "e14.json"], None),
+    ("fit-bad-relation-and-tol", ["fit", *DATA, "--relations", "bad_rel.txt",
+                                  "--classes", "2", "--tol", "0", "--out", "e14.json"],
+     None),
+    ("fit-negative-seed", ["fit", *DATA, "--classes", "2", "--seed", "-1",
+                           "--out", "e14.json"], None),
+    ("fit-missing-data", ["fit", "--data", "nope.csv", "--classes", "2",
+                          "--out", "e15.json"], None),
+    ("fit-missing-outdir", [*FIT, "--out", "nope/e16.json"], None),
+    ("gen-data-bad-kind", ["gen-data", "--kind", "spiral", "--n-per-class", "3",
+                           "--out", "e17.csv"], None),
+]
+
+HELP = [[], ["fit"], ["predict"], ["evaluate"], ["gen-relations"], ["gen-data"],
+        ["trials"], ["pca"]]
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _files(root: Path) -> dict[str, str]:
+    return {p.name: _digest(p.read_bytes()) for p in root.iterdir() if p.is_file()}
+
+
+def _run(argv, cwd, env) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "pairmix.cli", *argv],
+                          capture_output=True, cwd=cwd, env=env)
+
+
+def main() -> int:
+    # the children run elsewhere, so a relative PYTHONPATH entry is made
+    # absolute; help text wraps at the width a child reads from COLUMNS
+    path = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=os.pathsep.join(os.path.abspath(p) for p in path if p))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "bad_rel.txt").write_text("ml,0,999\n")
+        for label, argv, config in COMMANDS:
+            if config is not None:
+                (root / "cfg.json").write_text(json.dumps(config))
+                argv = [*argv, "--config", "cfg.json"]
+            before = _files(root)
+            proc = _run(argv, root, env)
+            (root / "cfg.json").unlink(missing_ok=True)
+            after = _files(root)
+            written = " ".join(f"{name}={digest}" for name, digest in sorted(after.items())
+                               if before.get(name) != digest)
+            print(f"{label} exit={proc.returncode} stdout={_digest(proc.stdout)} "
+                  f"stderr={_digest(proc.stderr)} {written}".rstrip())
+        for argv in HELP:
+            proc = _run([*argv, "--help"], root, env)
+            print(f"help {' '.join(argv) or 'pairmix'} exit={proc.returncode} "
+                  f"stdout={_digest(proc.stdout)} stderr={_digest(proc.stderr)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

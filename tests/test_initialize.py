@@ -324,6 +324,8 @@ def test_init_hier_validation():
         init_hier(ds, 2, (1, 2, 3), make_rng(0))
     with pytest.raises(InvariantViolationError):
         init_hier(ds, 2, 0, make_rng(0))
+    with pytest.raises(InvariantViolationError, match="need at least one class"):
+        init_hier(ds, 0, 1, make_rng(0))
 
 
 def test_init_hier_pi_uniform():

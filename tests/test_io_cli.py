@@ -608,6 +608,92 @@ def test_cli_config_file_merge(workspace, tmp_path):
     assert len(trace.read_text().strip().split("\n")) == 3
 
 
+_OPTION_STRINGS = {
+    "fit": ["--data", "--label-column", "--relations", "--classes",
+            "--clusters-per-class", "--out", "--trace", "--seed", "--max-iters",
+            "--tol", "--ridge-floor", "--count-linked-as-unsupervised"],
+    "predict": ["--model", "--data", "--label-column", "--out"],
+    "evaluate": ["--model", "--data", "--label-column", "--out"],
+    "gen-relations": ["--data", "--label-column", "--n-pairs", "--mode", "--seed",
+                      "--out"],
+    "gen-data": ["--kind", "--n-per-class", "--noise", "--seed", "--out"],
+    "trials": ["--data", "--label-column", "--classes", "--clusters-per-class",
+               "--budgets", "--mode", "--n-trials", "--base-seed", "--max-iters",
+               "--tol", "--ridge-floor", "--out"],
+    "pca": ["--data", "--label-column", "--k", "--out-data", "--out-transform"],
+}
+
+
+def test_cli_option_strings_per_command():
+    # no option is added, dropped or reordered on any command
+    parser = build_parser()
+    sub = next(a for a in parser._actions if a.choices and a.dest == "command")
+    assert list(sub.choices) == list(_OPTION_STRINGS)
+    for command, options in _OPTION_STRINGS.items():
+        got = [s for a in sub.choices[command]._actions for s in a.option_strings]
+        assert got == ["-h", "--help", *options, "--config", "--threads"], command
+
+
+def _cli_run(monkeypatch, capsys, root, argv, config=None):
+    """Exit code, stdout and output files of ``cli.main(argv)`` run in a
+    fresh directory ``root``, with ``config`` as its ``--config`` file."""
+    root.mkdir()
+    monkeypatch.chdir(root)
+    if config is not None:
+        Path("cfg.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", "cfg.json"]
+    code = cli.main(argv)
+    files = {p.name: p.read_bytes() for p in sorted(root.iterdir()) if p.name != "cfg.json"}
+    return code, capsys.readouterr().out, files
+
+
+# (command, config entry, the same value as flags, flags that must override it)
+_CONFIG_KINDS = {
+    "number": ("fit", {"seed": 4}, ["--seed", "4"], ["--seed", "7"]),
+    "numeric-string": ("fit", {"max_iters": "3"}, ["--max-iters", "3"],
+                       ["--max-iters", "1"]),
+    "switch-true": ("fit", {"count_linked_as_unsupervised": True},
+                    ["--count-linked-as-unsupervised"], None),
+    "switch-false": ("fit", {"count_linked_as_unsupervised": False}, [],
+                     ["--count-linked-as-unsupervised"]),
+    "list": ("fit-two-level", {"clusters_per_class": [2, 2]},
+             ["--clusters-per-class", "2,2"], ["--clusters-per-class", "1,2"]),
+    "choice": ("trials", {"mode": "must-only"}, ["--mode", "must-only"],
+               ["--mode", "cannot-only"]),
+    "trials-list-number": ("trials", {"clusters_per_class": [2, 2], "base_seed": 5},
+                           ["--clusters-per-class", "2,2", "--base-seed", "5"],
+                           ["--clusters-per-class", "1", "--base-seed", "6"]),
+}
+
+
+@pytest.mark.parametrize("kind", list(_CONFIG_KINDS))
+def test_cli_config_value_equals_flag_and_flag_wins(workspace, tmp_path, monkeypatch,
+                                                    capsys, kind):
+    # a config entry writes the same bytes and stdout as the same value given
+    # as a flag, and a flag given alongside the config wins
+    root, data, rels = workspace
+    command, entry, same, override = _CONFIG_KINDS[kind]
+    data_args = ["--data", str(data), "--label-column", "label"]
+    base = {
+        "fit": ["fit", *data_args, "--relations", str(rels), "--classes", "2",
+                "--out", "m.json", "--trace", "t.csv"],
+        "fit-two-level": ["fit", *data_args, "--relations", str(rels),
+                          "--classes", "2", "--seed", "2", "--max-iters", "40",
+                          "--out", "m.json", "--trace", "t.csv"],
+        "trials": ["trials", *data_args, "--classes", "2", "--budgets", "0,6",
+                   "--n-trials", "3", "--max-iters", "20", "--out", "t.csv"],
+    }[command]
+    from_config = _cli_run(monkeypatch, capsys, tmp_path / "config", base, entry)
+    from_flags = _cli_run(monkeypatch, capsys, tmp_path / "flags", [*base, *same])
+    assert from_config[0] == 0
+    assert from_config == from_flags
+    if override is not None:
+        both = _cli_run(monkeypatch, capsys, tmp_path / "both", [*base, *override], entry)
+        flag_only = _cli_run(monkeypatch, capsys, tmp_path / "flag", [*base, *override])
+        assert both == flag_only
+        assert both[2] != from_config[2]
+
+
 @pytest.mark.parametrize(
     "entry, message",
     [
@@ -636,7 +722,7 @@ def test_cli_fit_has_an_option_for_every_fit_config_field(workspace, tmp_path):
     # the CLI builds FitConfig field by field from same-named options and
     # falls back to the default for a field with none, so each needs a flag
     ns = build_parser().parse_args(["fit", "--data", "d", "--classes", "2", "--out", "o"])
-    options = {a.dest for a in ns.config_actions}
+    options = {a.dest for a in ns.command_parser._actions}
     assert {f.name for f in fields(FitConfig)} <= options
     root, data, rels = workspace
     r = run_cli(
@@ -656,6 +742,73 @@ def test_cli_fit_has_an_option_for_every_fit_config_field(workspace, tmp_path):
     assert r.returncode == 3
     assert r.stderr == "error: ParseError: config key 'seed' is not an option of 'trials'\n"
     assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "trials"])
+@pytest.mark.parametrize(
+    "args, config, message",
+    [
+        (["--clusters-per-class", "1,1,1"], None,
+         "LengthMismatchError: got 3 cluster counts for 2 classes"),
+        (["--clusters-per-class", "2,2,2"], None,
+         "LengthMismatchError: got 3 cluster counts for 2 classes"),
+        (["--clusters-per-class", "0,0"], None,
+         "InvariantViolationError: every class needs at least one cluster"),
+        (["--clusters-per-class", ""], None,
+         "ParseError: expected a comma-separated integer list, got ''"),
+        (["--clusters-per-class", ","], None,
+         "ParseError: expected a comma-separated integer list, got ','"),
+        ([], {"clusters_per_class": []},
+         "ParseError: config value [] is not valid for 'clusters_per_class'"),
+        (["--classes", "0"], None, "InvariantViolationError: need at least one class"),
+        (["--classes", "-1"], None, "InvariantViolationError: need at least one class"),
+    ],
+    ids=["counts-1,1,1", "counts-2,2,2", "counts-0,0", "counts-empty", "counts-comma",
+         "config-counts-empty", "classes-0", "classes-neg"],
+)
+def test_cli_model_shape_errors_exit_3(workspace, tmp_path, monkeypatch, capsys, command,
+                                       args, config, message):
+    # a class or cluster count that no data could fit is an input error
+    # before any fit or trial runs: one error line, no output file
+    root, data, rels = workspace
+    out = tmp_path / "out"
+    argv = [command, "--data", str(data), "--label-column", "label", "--classes", "2",
+            *args, "--out", str(out)]
+    if command == "trials":
+        argv += ["--budgets", "0", "--n-trials", "1"]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "budgets, config, message",
+    [
+        ("", None, "expected a comma-separated integer list, got ''"),
+        (",", None, "expected a comma-separated integer list, got ','"),
+        ("0", {"budgets": []}, "config value [] is not valid for 'budgets'"),
+    ],
+    ids=["empty", "comma", "config-empty"],
+)
+def test_cli_trials_empty_budgets_exit_3(workspace, tmp_path, capsys, budgets, config,
+                                         message):
+    # a sweep over no budget is an input error, on the command line or in a
+    # config file, and writes no header-only trials CSV
+    root, data, rels = workspace
+    out = tmp_path / "t.csv"
+    argv = ["trials", "--data", str(data), "--label-column", "label", "--classes", "2",
+            "--budgets", budgets, "--n-trials", "1", "--out", str(out)]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == f"error: ParseError: {message}\n"
+    assert not out.exists()
 
 
 def test_cli_exit_code_2_usage():

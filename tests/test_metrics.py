@@ -177,6 +177,16 @@ def test_run_trials_validation():
         run_trials(ds, 2, 1, [-1])
     with pytest.raises(InvariantViolationError):
         run_trials(ds, 2, 1, [1], n_trials=0)
+    # a class or cluster count that no data could fit raises before the
+    # sweep starts, with the fit's message, instead of failing every trial
+    for n_classes in (0, -1):
+        with pytest.raises(InvariantViolationError, match="need at least one class"):
+            run_trials(ds, n_classes, 1, [1])
+    with pytest.raises(InvariantViolationError, match="at least one cluster"):
+        run_trials(ds, 2, (0, 0), [1])
+    for counts in ((1, 1, 1), (2, 2, 2), ()):
+        with pytest.raises(LengthMismatchError):
+            run_trials(ds, 2, counts, [1])
 
 
 def test_trials_to_csv_failed_trials_blank_purity():
