@@ -40,7 +40,7 @@ from .errors import (
 )
 from .flat import FitConfig, fit_flat, predict_flat_batch
 from .hier import fit_hier, predict_hier_batch
-from .initialize import _normalize_cluster_counts, make_rng, sample_relations
+from .initialize import SAMPLING_MODES, _normalize_cluster_counts, make_rng, sample_relations
 from .io import (
     atomic_write_text,
     load_csv,
@@ -61,8 +61,6 @@ _NUMERIC_ERRORS = (DegenerateNormalizerError, NoConvergenceError)
 
 # config entries that may also be a JSON list of integers
 _LIST_OPTIONS = frozenset({"clusters_per_class", "budgets"})
-
-_MODES = ["both", "must-only", "cannot-only"]
 
 
 def _check_config_entry(action: argparse.Action, value):
@@ -309,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-relations", help="sample pairwise relations from labels")
     _add_data(p)
     p.add_argument("--n-pairs", type=int, required=True)
-    p.add_argument("--mode", choices=_MODES, default="both")
+    p.add_argument("--mode", choices=SAMPLING_MODES, default="both")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     _add_common(p, _cmd_gen_relations)
@@ -326,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data(p)
     _add_model_shape(p)
     p.add_argument("--budgets", required=True)
-    p.add_argument("--mode", choices=_MODES, default="both")
+    p.add_argument("--mode", choices=SAMPLING_MODES, default="both")
     p.add_argument("--n-trials", type=int, default=100)
     p.add_argument("--base-seed", type=_seed, default=0)
     _add_em(p)

@@ -61,7 +61,7 @@ from .errors import (
     NoConvergenceError,
     NotFiniteError,
 )
-from .gaussian import _log_sum_exp, _regularize_covariances, log_density_stack
+from .gaussian import DEFAULT_RIDGE, _log_sum_exp, _regularize_covariances, log_density_stack
 from .initialize import _normalize_cluster_counts, init_hier, make_rng
 from .mixing import _solve_mixing
 from .types import (
@@ -140,7 +140,7 @@ class FitConfig:
 
     max_iters: int = 500
     tol: float = 1e-8
-    ridge_floor: float = 1e-6
+    ridge_floor: float = DEFAULT_RIDGE
     seed: int = 0
     count_linked_as_unsupervised: bool = False
 

@@ -9,11 +9,15 @@ making results independent of scheduling order.
 Initialization follows a seeding-only scheme: k-means++ chooses seed means
 (no Lloyd refinement), every point joins its nearest seed, and per-class
 moments are read off the assignment.  Mixing weights start uniform.
+
+Simulated relations are one exact draw of a uniform subset of the
+qualifying pairs, numbered through the labels' stable sort.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -23,7 +27,7 @@ from .errors import (
     KTooLargeError,
     LengthMismatchError,
 )
-from .gaussian import regularize_covariances
+from .gaussian import DEFAULT_RIDGE, regularize_covariances
 from .types import ClassMixture, Dataset, FlatModel, HierModel, RelationSet
 
 _ROW_FLOATS = 1 << 14  # float64 values in one row block of _sq_dists
@@ -114,7 +118,7 @@ def init_flat(
     dataset: Dataset,
     n_classes: int,
     rng: np.random.Generator,
-    ridge_floor: float = 1e-6,
+    ridge_floor: float = DEFAULT_RIDGE,
 ) -> FlatModel:
     """Seed means by k-means++, assign points to nearest seed, read moments.
 
@@ -150,7 +154,7 @@ def init_hier(
     n_classes: int,
     clusters_per_class,
     rng: np.random.Generator,
-    ridge_floor: float = 1e-6,
+    ridge_floor: float = DEFAULT_RIDGE,
 ) -> HierModel:
     """Two-level initialization: class split as :func:`init_flat`, then the
     same seeding procedure within each class's assigned points.
@@ -186,47 +190,12 @@ def init_hier(
 # ---------------------------------------------------------------------------
 # simulated relations
 
-
-def _pair_capacity(labels: np.ndarray) -> tuple[int, int]:
-    """(number of same-label pairs, number of different-label pairs)."""
-    n = labels.size
-    total = n * (n - 1) // 2
-    # np.unique, not np.bincount: memory grows with n, not with the largest label
-    counts = np.unique(labels, return_counts=True)[1].tolist()
-    same = sum(c * (c - 1) // 2 for c in counts)
-    return same, total - same
+SAMPLING_MODES = ("both", "must-only", "cannot-only")
 
 
-def _remaining_pairs(labels: np.ndarray, mode: str, chosen) -> np.ndarray:
-    """The pairs ``i < j`` of ``mode``'s kind that are not in ``chosen``, in
-    lexicographic order → (R, 2).
-
-    Pairs are enumerated label group by label group: each point ``i`` pairs
-    with the later points of its own group (``must-only``), of the other
-    groups (``cannot-only``) or of the whole vector (``both``), so the cost
-    is O(n + qualifying pairs), not O(n²).
-    """
-    n = labels.size
-    order = np.argsort(labels, kind="stable")
-    starts = np.flatnonzero(labels[order][1:] != labels[order][:-1]) + 1
-    groups = [np.arange(n)] if mode == "both" else np.split(order, starts)
-    if mode == "must-only":  # a group of one has no pair
-        groups = [group for group in groups if group.size > 1]
-    keys = [np.zeros(0, dtype=np.int64)]
-    for group in groups:  # indices ascending within a group
-        if mode == "cannot-only":
-            partners = np.flatnonzero(labels != labels[group[0]])
-        else:
-            partners = group
-        start = np.searchsorted(partners, group, side="right")
-        counts = partners.size - start
-        offset = np.repeat(np.cumsum(counts) - counts - start, counts)
-        j = partners[np.arange(offset.size) - offset]
-        keys.append(np.repeat(group, counts).astype(np.int64) * n + j)
-    keys = np.sort(np.concatenate(keys))
-    taken = np.array([i * n + j for i, j in chosen], dtype=np.int64)
-    keys = keys[~np.isin(keys, taken)]
-    return np.stack([keys // n, keys % n], axis=1)
+def _check_mode(mode: str) -> None:
+    if mode not in SAMPLING_MODES:
+        raise InvariantViolationError(f"unknown sampling mode {mode!r}")
 
 
 def sample_relations(
@@ -237,70 +206,48 @@ def sample_relations(
 ) -> RelationSet:
     """Draw unordered point pairs and route them by ground-truth labels.
 
-    Pairs are uniform over distinct indices, without replacement (no pair
-    repeats, endpoints may).  Same-label pairs become must-links,
-    different-label pairs cannot-links.  In ``must-only`` /
-    ``cannot-only`` mode, pairs of the other kind are rejected and redrawn
-    until ``n_pairs`` of the requested kind are collected.  Raises
-    :class:`ExhaustedPairsError` when fewer qualifying pairs exist.
+    The pairs are a uniform subset, without replacement, of the pairs of
+    distinct indices that ``mode`` admits: all (``both``), same-label
+    (``must-only``) or different-label (``cannot-only``), drawn exactly in
+    one pass.  Same-label pairs become must-links, the others cannot-links,
+    each ``i < j`` and in ascending order.  ``n_pairs`` must be an integer;
+    raises :class:`ExhaustedPairsError` when fewer qualifying pairs exist.
     """
-    if mode not in ("both", "must-only", "cannot-only"):
-        raise InvariantViolationError(f"unknown sampling mode {mode!r}")
+    _check_mode(mode)
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.size < 1:
         raise InvariantViolationError("labels must be a non-empty 1-D vector")
     if not np.issubdtype(labels.dtype, np.integer):
         raise InvariantViolationError("labels must be integers")
+    if not isinstance(n_pairs, numbers.Integral):
+        raise InvariantViolationError("n_pairs must be an integer")
     if n_pairs < 0:
         raise InvariantViolationError("n_pairs must be nonnegative")
     n = labels.size
-    same_cap, diff_cap = _pair_capacity(labels)
-    capacity = {
-        "both": same_cap + diff_cap,
-        "must-only": same_cap,
-        "cannot-only": diff_cap,
-    }[mode]
-    if n_pairs > capacity:
+    order = np.argsort(labels, kind="stable")
+    # sorted stably by label, position p pairs with positions [first[p],
+    # last[p]): every later one (both), the rest of its label group
+    # (must-only) or all past the group (cannot-only); the ranges' cumulative
+    # counts number the pairs, so uniform ranks map one to one onto pairs
+    first, last = np.arange(1, n + 1), n
+    if mode != "both":
+        sorted_labels = labels[order]
+        group_end = np.searchsorted(sorted_labels, sorted_labels, side="right")
+        first, last = (first, group_end) if mode == "must-only" else (group_end, n)
+    counts = last - first
+    ends = np.cumsum(counts)
+    if n_pairs > ends[-1]:
         raise ExhaustedPairsError(
             f"requested {n_pairs} pairs in mode {mode!r} but only "
-            f"{capacity} qualifying pairs exist"
+            f"{ends[-1]} qualifying pairs exist"
         )
-
-    def qualifies(i: int, j: int) -> bool:
-        if mode == "must-only":
-            return labels[i] == labels[j]
-        if mode == "cannot-only":
-            return labels[i] != labels[j]
-        return True
-
-    chosen: set[tuple[int, int]] = set()
-    must: list[tuple[int, int]] = []
-    cannot: list[tuple[int, int]] = []
-    max_attempts = max(10_000, 1_000 * n_pairs)
-    # a draw qualifies with probability 2·capacity/n²: when max_attempts
-    # draws would not yield n_pairs in expectation, enumerate at once
-    attempts = max_attempts if n_pairs * n * n > 2 * capacity * max_attempts else 0
-    while len(chosen) < n_pairs:
-        if attempts >= max_attempts:
-            # rejection sampling has become inefficient (qualifying pairs
-            # nearly exhausted): enumerate the remainder and draw directly
-            remaining = _remaining_pairs(labels, mode, chosen)
-            take = n_pairs - len(chosen)
-            idx = rng.choice(len(remaining), size=take, replace=False)
-            for t in sorted(int(i) for i in idx):
-                pair = (int(remaining[t, 0]), int(remaining[t, 1]))
-                chosen.add(pair)
-                (must if labels[pair[0]] == labels[pair[1]] else cannot).append(pair)
-            break
-        attempts += 1
-        i = int(rng.integers(n))
-        j = int(rng.integers(n))
-        if i == j:
-            continue
-        pair = (min(i, j), max(i, j))
-        if pair in chosen or not qualifies(*pair):
-            continue
-        chosen.add(pair)
-        (must if labels[pair[0]] == labels[pair[1]] else cannot).append(pair)
-
-    return RelationSet(must=tuple(sorted(must)), cannot=tuple(sorted(cannot)))
+    ranks = rng.choice(ends[-1], n_pairs, replace=False, shuffle=False)
+    p = np.searchsorted(ends, ranks, side="right")
+    a, b = order[p], order[first[p] + ranks - ends[p] + counts[p]]
+    keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+    i, j = keys // n, keys % n
+    same = labels[i] == labels[j]
+    return RelationSet(
+        must=zip(i[same].tolist(), j[same].tolist()),
+        cannot=zip(i[~same].tolist(), j[~same].tolist()),
+    )

@@ -10,6 +10,7 @@ from .errors import InvariantViolationError, LengthMismatchError, PairmixError
 from .flat import FitConfig, fit_flat, predict_flat_batch
 from .hier import fit_hier, predict_hier_batch
 from .initialize import (
+    _check_mode,
     _normalize_cluster_counts,
     init_flat,
     init_hier,
@@ -171,6 +172,7 @@ def run_trials(
         raise InvariantViolationError("run_trials needs a labeled dataset")
     if n_trials < 1:
         raise InvariantViolationError("n_trials must be >= 1")
+    _check_mode(mode)
     clusters_per_class = _normalize_cluster_counts(n_classes, clusters_per_class)
     config = config or FitConfig()
     budgets = [int(b) for b in link_budgets]

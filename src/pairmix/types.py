@@ -168,11 +168,13 @@ def _as_pairs(pairs: Iterable[Sequence[int]], kind: str) -> tuple[Pair, ...]:
         seq = tuple(p)
         if len(seq) != 2:
             raise InvariantViolationError(f"{kind} entry {p!r} is not a pair")
-        i, j = seq
         try:
-            i, j = int(i), int(j)
-        except (TypeError, ValueError) as exc:
+            i, j = int(seq[0]), int(seq[1])
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvariantViolationError(f"{kind} pair {p!r} is not integer") from exc
+        # int() truncates: 1.7 would name a different point
+        if i != seq[0] or j != seq[1]:
+            raise InvariantViolationError(f"{kind} pair {p!r} is not integer")
         out.append((i, j))
     return tuple(out)
 

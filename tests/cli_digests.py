@@ -51,6 +51,9 @@ COMMANDS = [
              "--out-transform", "pca.json"], None),
     ("gen-data-default-noise", ["gen-data", "--kind", "two-moons", "--n-per-class",
                                 "10", "--out", "moons.csv"], None),
+    ("gen-relations-cannot-only", ["gen-relations", *DATA, "--n-pairs", "6", "--seed",
+                                   "3", "--mode", "cannot-only", "--out", "rel_c.txt"],
+     None),
     # values from a --config file, alone and under a flag
     ("config-list", [*FIT, "--out", "c_list.json"], {"clusters_per_class": [2, 2]}),
     ("config-numeric-string", [*FIT, "--out", "c_str.json", "--trace", "c_str.csv"],
@@ -106,6 +109,9 @@ COMMANDS = [
     ("fit-missing-outdir", [*FIT, "--out", "nope/e16.json"], None),
     ("gen-data-bad-kind", ["gen-data", "--kind", "spiral", "--n-per-class", "3",
                            "--out", "e17.csv"], None),
+    # 80 points have 80·79/2 = 3 160 pairs
+    ("gen-relations-over-capacity", ["gen-relations", *DATA, "--n-pairs", "3161",
+                                     "--out", "e18.txt"], None),
 ]
 
 HELP = [[], ["fit"], ["predict"], ["evaluate"], ["gen-relations"], ["gen-data"],

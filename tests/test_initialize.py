@@ -17,7 +17,6 @@ from pairmix import initialize
 from pairmix.datasets import gen_synthetic
 from pairmix.initialize import (
     _kmeanspp,
-    _remaining_pairs,
     init_flat,
     init_hier,
     kmeanspp_seeds,
@@ -380,31 +379,68 @@ def test_sample_relations_exhaustion():
     assert sorted(full.cannot) == [(0, 2), (1, 2)]
 
 
-@pytest.mark.parametrize("mode", ["both", "must-only", "cannot-only"])
-def test_remaining_pairs_match_enumeration(mode):
-    def qualifies(i, j):
-        if mode == "must-only":
-            return labels[i] == labels[j]
-        if mode == "cannot-only":
-            return labels[i] != labels[j]
-        return True
+def _qualifying_pairs(labels, mode):
+    """Every pair ``i < j`` that ``mode`` admits, in ascending order."""
+    n = labels.size
+    return [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if mode == "both" or (labels[i] == labels[j]) == (mode == "must-only")
+    ]
 
+
+@pytest.mark.parametrize("mode", ["both", "must-only", "cannot-only"])
+def test_sample_relations_matches_brute_force(mode):
     rng = np.random.default_rng(2)
-    for case in range(100):
-        n = int(rng.integers(1, 25))
-        labels = rng.integers(-1, rng.integers(1, 6), size=n)
-        all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        chosen = {p for p in all_pairs if qualifies(*p) and rng.random() < 0.3}
-        # the enumeration the fallback used to make
-        reference = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if (i, j) not in chosen and qualifies(i, j)
-        ]
-        got = _remaining_pairs(labels, mode, chosen)
-        assert got.shape == (len(reference), 2)
-        assert [tuple(p) for p in got.tolist()] == reference
+    # negative labels, singleton groups and a single label among the cases
+    cases = [np.array([5]), np.array([-3, -3, -3, -3]), np.array([0, 1, 2, 3, 4])]
+    for _ in range(300):
+        n = int(rng.integers(1, 16))
+        cases.append(rng.integers(-2, rng.integers(-1, 6), size=n))
+    for case, labels in enumerate(cases):
+        qualifying = _qualifying_pairs(labels, mode)
+        capacity = len(qualifying)
+        full = sample_relations(labels, capacity, make_rng(case), mode=mode)
+        assert sorted(full.must + full.cannot) == qualifying
+        k = int(rng.integers(0, capacity + 1))
+        rel = sample_relations(labels, k, make_rng(case), mode=mode)
+        assert list(rel.must) == sorted(set(rel.must))
+        assert list(rel.cannot) == sorted(set(rel.cannot))
+        assert len(rel.must) + len(rel.cannot) == k
+        assert set(rel.must) <= set(qualifying) and set(rel.cannot) <= set(qualifying)
+        assert all(labels[i] == labels[j] for i, j in rel.must)
+        assert all(labels[i] != labels[j] for i, j in rel.cannot)
+        assert all(type(i) is int and i < j for i, j in rel.must + rel.cannot)
+        message = (
+            f"requested {capacity + 1} pairs in mode {mode!r} but only "
+            f"{capacity} qualifying pairs exist"
+        )
+        with pytest.raises(ExhaustedPairsError) as info:
+            sample_relations(labels, capacity + 1, make_rng(case), mode=mode)
+        assert str(info.value) == message
+        with pytest.raises(InvariantViolationError, match="must be an integer"):
+            sample_relations(labels, 2.5, make_rng(case), mode=mode)
+
+
+@pytest.mark.parametrize(
+    "mode, k", [("both", 4), ("must-only", 2), ("cannot-only", 5)]
+)
+def test_sample_relations_uniform_over_pairs(mode, k):
+    # each of the C qualifying pairs is drawn with probability k / C: over
+    # T draws its count is Binomial(T, k / C), and every count must lie
+    # within 4.5 standard deviations of T·k / C
+    labels = np.array([2, 0, 2, 1, 0, 2, -1])
+    qualifying = _qualifying_pairs(labels, mode)
+    draws = 4_000
+    counts = dict.fromkeys(qualifying, 0)
+    for seed in range(draws):
+        rel = sample_relations(labels, k, make_rng(seed), mode=mode)
+        for pair in rel.must + rel.cannot:
+            counts[pair] += 1
+    p = k / len(qualifying)
+    bound = 4.5 * np.sqrt(draws * p * (1 - p))
+    assert max(abs(c - draws * p) for c in counts.values()) <= bound
 
 
 def test_sample_relations_fallback_at_scale():
@@ -416,19 +452,19 @@ def test_sample_relations_fallback_at_scale():
     assert rel.must == ((4_051, 73_210),) and rel.cannot == ()
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_sample_relations_enumerates_when_rejection_cannot_finish(seed):
-    # 6 qualifying pairs among 3 000 points: a draw qualifies with
-    # probability 2·6/3000², so 10 000 draws would not find 2 pairs in
-    # expectation; the fallback runs first, on the untouched generator
-    labels = np.arange(3_000)
-    labels[[1_000, 2_000]] = 7
-    labels[[1_500, 2_500]] = 9
-    pairs = _remaining_pairs(labels, "must-only", set())
-    picked = make_rng(seed).choice(len(pairs), 2, replace=False)
-    rel = sample_relations(labels, 2, make_rng(seed), mode="must-only")
-    assert rel.must == tuple(sorted(map(tuple, pairs[picked].tolist())))
-    assert rel.cannot == ()
+def test_sample_relations_memory_at_scale():
+    # 30 000 cannot-links among 100 000 points take one pass of O(N + pairs)
+    # arrays: no pair table, and no set of drawn pairs
+    labels = np.arange(100_000) % 8
+    tracemalloc.start()
+    try:
+        rel = sample_relations(labels, 30_000, make_rng(0), mode="cannot-only")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rel.must == () and len(rel.cannot) == 30_000
+    assert all(labels[i] != labels[j] for i, j in rel.cannot)
+    assert peak < 13e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_sample_relations_large_label_values():

@@ -187,6 +187,9 @@ def test_run_trials_validation():
     for counts in ((1, 1, 1), (2, 2, 2), ()):
         with pytest.raises(LengthMismatchError):
             run_trials(ds, 2, counts, [1])
+    with pytest.raises(InvariantViolationError,
+                       match="unknown sampling mode 'sometimes'"):
+        run_trials(ds, 2, 1, [1], mode="sometimes")
 
 
 def test_trials_to_csv_failed_trials_blank_purity():

@@ -64,6 +64,17 @@ def test_relationset_normalizes_and_counts():
     assert set(rel.linked_indices()) == {0, 1, 2, 3, 4}
 
 
+def test_relationset_rejects_indices_int_would_change():
+    # 1.7 would silently link point 1, inf would raise a bare OverflowError
+    for bad in (1.7, -0.5, float("inf"), float("nan"), np.float64(2.5), "1", None):
+        for kwargs in ({"must": [(0, bad)]}, {"cannot": [(bad, 3)]}):
+            with pytest.raises(InvariantViolationError, match="is not integer"):
+                RelationSet(**kwargs)
+    rel = RelationSet(must=[(0, 1.0)], cannot=[(np.float64(2.0), np.int64(3))])
+    assert rel.must == ((0, 1),) and rel.cannot == ((2, 3),)
+    assert all(type(v) is int for pair in rel.must + rel.cannot for v in pair)
+
+
 def test_validate_relations_canonicalizes():
     rel = RelationSet(must=[(5, 2), (2, 5), (1, 0)], cannot=[(4, 3)])
     out = validate_relations(rel, 6)
