@@ -76,19 +76,25 @@ def log_density_stack(
     except np.linalg.LinAlgError as exc:
         raise InvariantViolationError(f"Cholesky factor is singular: {exc}") from exc
     rows = max(1, min(n, _ROW_FLOATS // d))
-    # each mean repeated for up to 64 rows that divide a block: the
-    # subtraction then runs over that many rows at a time, not d values
-    reps = math.gcd(rows, 64)
+    # each mean repeated for a group of rows, so the subtraction runs over a
+    # group at a time, not d values: up to 64 rows that divide a block, or
+    # else 64 rows and one more subtraction (a few µs) for the rows left over
+    reps = math.gcd(rows, 64) if rows % 8 == 0 else min(rows, 64)
+    whole = rows - rows % reps
     tiled = np.repeat(means, reps, axis=0).reshape(c, 1, reps * d)
     group = c if c * rows * d <= _ROW_FLOATS else 1  # components per product
     dev, z = np.empty((group, rows, d)), np.empty((group, rows, d))
+    dev_whole = dev[:, :whole].reshape(group, -1, reps * d)
     for lo in range(0, n, rows):
         # the last block ends at row n and may overlap the one before it:
         # a short tail would take another BLAS path with other roundings
         lo = min(lo, n - rows)
-        block = points[lo:lo + rows].reshape(-1, reps * d)
+        head = points[lo:lo + whole].reshape(-1, reps * d)
         for k in range(0, c, group):
-            np.subtract(block, tiled[k:k + group], out=dev.reshape(group, -1, reps * d))
+            np.subtract(head, tiled[k:k + group], out=dev_whole)
+            if whole < rows:
+                np.subtract(points[lo + whole:lo + rows], tiled[k:k + group, :, :d],
+                            out=dev[:, whole:])
             np.matmul(dev, inv_t[k:k + group], out=z)
             np.einsum("crd,crd->cr", z, z, out=quad[k:k + group, lo:lo + rows])
     quad += (d * LOG_2PI + np.asarray(log_dets, dtype=float))[:, None]

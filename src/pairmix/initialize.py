@@ -223,6 +223,17 @@ def sample_relations(
         raise InvariantViolationError("n_pairs must be an integer")
     if n_pairs < 0:
         raise InvariantViolationError("n_pairs must be nonnegative")
+    i, j = _draw_pairs(labels, n_pairs, rng, mode)
+    same = labels[i] == labels[j]
+    return RelationSet(
+        must=zip(i[same].tolist(), j[same].tolist()),
+        cannot=zip(i[~same].tolist(), j[~same].tolist()),
+    )
+
+
+def _draw_pairs(labels, n_pairs, rng, mode):
+    """The sorted ``(i, j)`` vectors, ``i < j``, of :func:`sample_relations`'
+    draw; its N-length index arrays die before the relation tuples are built."""
     n = labels.size
     order = np.argsort(labels, kind="stable")
     # sorted stably by label, position p pairs with positions [first[p],
@@ -245,9 +256,4 @@ def sample_relations(
     p = np.searchsorted(ends, ranks, side="right")
     a, b = order[p], order[first[p] + ranks - ends[p] + counts[p]]
     keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
-    i, j = keys // n, keys % n
-    same = labels[i] == labels[j]
-    return RelationSet(
-        must=zip(i[same].tolist(), j[same].tolist()),
-        cannot=zip(i[~same].tolist(), j[~same].tolist()),
-    )
+    return keys // n, keys % n

@@ -4,9 +4,10 @@ All indices in files are 0-based.  A dataset CSV is read in one
 ``np.loadtxt`` pass; the line-by-line strict parser is the reference for
 its result and runs whenever that pass cannot vouch for it, so every parse
 error (class, message, line and column) comes from the strict parser.
-Writers go through a temp-file + atomic-rename path so malformed runs never
-leave partial outputs, and floats are rendered with ``repr``, row by row,
-so identical inputs produce byte-identical files.
+Writers go through one temp-file + atomic-rename path, :func:`atomic_writer`,
+so malformed runs never leave partial outputs, and floats are rendered with
+``repr``, a block of rows at a time, same bytes as row by row, so identical
+inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -29,25 +30,46 @@ from .types import Dataset, RelationSet, validate_relations
 
 # A label cell must read as an integer of smaller magnitude (int64 range).
 _LABEL_LIMIT = 2.0**63
+# rows formatted and written at a time by the result CSV writers
+_WRITE_ROWS = 4096
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file and atomic rename.  An
-    ``OSError`` names ``path``, not the temp file, which never outlives the
-    call."""
+@contextmanager
+def atomic_writer(path):
+    """Yield a UTF-8 text handle (``newline=""``) on a temp file beside
+    ``path``; a clean exit renames it onto ``path``.  An ``OSError`` names
+    ``path``, not the temp file, which never outlives the block."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(text.encode("utf-8"))
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            yield fh
         os.replace(tmp, path)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from exc
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` through :func:`atomic_writer`."""
+    with atomic_writer(path) as fh:
+        fh.write(text)
+
+
+def _write_rows_csv(path, header: list[str], values: np.ndarray, last) -> None:
+    """Write ``header``, then each row of ``values`` as ``repr`` cells and
+    ``last``'s entry unless ``last`` is None, ``_WRITE_ROWS`` rows at a time."""
+    with atomic_writer(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, values.shape[0], _WRITE_ROWS):
+            cells = [map(repr, col) for col in values[lo:lo + _WRITE_ROWS].T.tolist()]
+            if last is not None:
+                cells.append(map(str, last[lo:lo + _WRITE_ROWS].tolist()))
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 @contextmanager
@@ -222,11 +244,9 @@ def _load_csv_strict(path, label_column):
 def save_dataset_csv(dataset: Dataset, path, label_name: str = "label") -> None:
     """Write a dataset as CSV with an ``x0..x{d-1}`` header (+ label column)."""
     cols = [f"x{i}" for i in range(dataset.dim)]
-    rows = (",".join(map(repr, row)) for row in dataset.points.tolist())
     if dataset.labels is not None:
         cols.append(label_name)
-        rows = (f"{row},{label}" for row, label in zip(rows, dataset.labels.tolist()))
-    atomic_write_text(path, "\n".join([",".join(cols), *rows]) + "\n")
+    _write_rows_csv(path, cols, dataset.points, dataset.labels)
 
 
 def load_relations(path) -> RelationSet:
@@ -269,26 +289,19 @@ def load_relations(path) -> RelationSet:
 
 def save_relations(relations: RelationSet, path) -> None:
     """Write a relation file in the ``ml,i,j`` / ``cl,a,b`` line format."""
-    lines = ["# pairwise relations: ml,i,j = must-link, cl,a,b = cannot-link (0-based)"]
-    for i, j in relations.must:
-        lines.append(f"ml,{i},{j}")
-    for a, b in relations.cannot:
-        lines.append(f"cl,{a},{b}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    with atomic_writer(path) as fh:
+        fh.write("# pairwise relations: ml,i,j = must-link, cl,a,b = cannot-link"
+                 " (0-based)\n")
+        fh.writelines(f"ml,{i},{j}\n" for i, j in relations.must)
+        fh.writelines(f"cl,{a},{b}\n" for a, b in relations.cannot)
 
 
 def save_posteriors_csv(posteriors: np.ndarray, path) -> None:
     """Write per-point soft labels (columns ``p0..p{M-1}``) plus the
     hard assignment column ``assigned``."""
     posteriors = np.asarray(posteriors, dtype=float)
-    m = posteriors.shape[1]
-    header = ",".join([f"p{k}" for k in range(m)] + ["assigned"])
-    hard = np.argmax(posteriors, axis=1).tolist()
-    rows = (
-        f"{','.join(map(repr, row))},{k}"
-        for row, k in zip(posteriors.tolist(), hard)
-    )
-    atomic_write_text(path, "\n".join([header, *rows]) + "\n")
+    header = [f"p{k}" for k in range(posteriors.shape[1])] + ["assigned"]
+    _write_rows_csv(path, header, posteriors, np.argmax(posteriors, axis=1))
 
 
 def save_trace_csv(trace, path) -> None:

@@ -6,13 +6,14 @@ Run from a checkout, with the ``pairmix`` to test first on ``PYTHONPATH``::
 
 Each command runs as a child ``python -m pairmix.cli`` in one temporary
 directory, with relative paths, in the order listed below: the A9 pipeline,
-``--config`` cases, and error cases (``bad_rel.txt`` names a point that no
-dataset here has).  Each prints one line: its label, exit
-code, and the first 16 hex digits of the SHA-256 of its stdout, its stderr
-and every file it created or changed.  Each ``--help`` page prints one line
-too.  Run the script on two trees and ``diff`` the outputs: no difference
-means the same exit codes, stdout, stderr and output bytes.  Fits in the
-children are not seen by the in-process ``tests/fit_digests.py``.
+a 12 000-row dataset predicted and projected (more than one block of rows
+for the CSV writers), ``--config`` cases, and error cases (``bad_rel.txt``
+names a point that no dataset here has).  Each prints one line: its label,
+exit code, and the first 16 hex digits of the SHA-256 of its stdout, its
+stderr and every file it created or changed.  Each ``--help`` page prints
+one line too.  Run the script on two trees and ``diff`` the outputs: no
+difference means the same exit codes, stdout, stderr and output bytes.
+Fits in the children are not seen by the in-process ``tests/fit_digests.py``.
 """
 
 from __future__ import annotations
@@ -53,6 +54,14 @@ COMMANDS = [
                                 "10", "--out", "moons.csv"], None),
     ("gen-relations-cannot-only", ["gen-relations", *DATA, "--n-pairs", "6", "--seed",
                                    "3", "--mode", "cannot-only", "--out", "rel_c.txt"],
+     None),
+    # 12 000 rows: the result CSVs are written in more than one block of rows
+    ("gen-data-blocks", ["gen-data", "--kind", "two-cluster", "--n-per-class", "6000",
+                         "--noise", "0.25", "--seed", "9", "--out", "big.csv"], None),
+    ("predict-blocks", ["predict", "--model", "model.json", "--data", "big.csv",
+                        "--label-column", "label", "--out", "big_post.csv"], None),
+    ("pca-blocks", ["pca", "--data", "big.csv", "--label-column", "label", "--k", "1",
+                    "--out-data", "big_proj.csv", "--out-transform", "big_pca.json"],
      None),
     # values from a --config file, alone and under a flag
     ("config-list", [*FIT, "--out", "c_list.json"], {"clusters_per_class": [2, 2]}),

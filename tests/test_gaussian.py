@@ -94,10 +94,11 @@ def _whole_rows_reference(points, means, chols, log_dets):
 
 @pytest.mark.parametrize("tight", [False, True])
 @pytest.mark.parametrize("c", [1, 8])
-@pytest.mark.parametrize("d", [1, 2, 16])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 6, 16])
 def test_log_density_stack_row_blocks_match_whole_rows(d, c, tight):
     # the row blocks, their boundaries and a ragged tail change no bit, nor
-    # does taking all components in one product (n = 1 and 7 with c = 8);
+    # does taking all components in one product (n = 1 and 7 with c = 8),
+    # nor centring a block's rows in groups and the rows left over apart;
     # "tight" puts narrow components (covariance scale 1e-6) about 1e3
     # from the origin, where the deviations cancel most digits
     rng = np.random.default_rng(104)
@@ -110,9 +111,13 @@ def test_log_density_stack_row_blocks_match_whole_rows(d, c, tight):
         means += 1e3
     chols = np.linalg.cholesky(covs)
     log_dets = 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
-    # 64 and 400 rows are shorter than one block for every d here, and
-    # their means repeat 64 and 16 times across the flattened block
-    for n in (1, 7, 64, 400, rows - 1, rows, rows + 1, 3 * rows + 17):
+    # every n up to 401 is shorter than one block for every d here: 63 rows
+    # are centred in one group, 400 in groups of 16 that divide it, and 65,
+    # 397 and 401 in groups of 64 plus the rows left over; blocks of the odd
+    # rows - 1 rows, and of rows = _ROW_FLOATS // d at d = 3, 5 and 6, leave
+    # rows over too
+    for n in (1, 7, 64, 400, rows - 1, rows, rows + 1, 3 * rows + 17,
+              63, 65, 397, 401):
         if tight:
             pts = means[rng.integers(c, size=n)] + 1e-3 * rng.normal(size=(n, d))
         else:

@@ -454,7 +454,9 @@ def test_sample_relations_fallback_at_scale():
 
 def test_sample_relations_memory_at_scale():
     # 30 000 cannot-links among 100 000 points take one pass of O(N + pairs)
-    # arrays: no pair table, and no set of drawn pairs
+    # arrays: no pair table, and no set of drawn pairs; the N-long index
+    # arrays are freed before the relation tuples are built (6.4 MB here,
+    # 10.7 MB while they were kept)
     labels = np.arange(100_000) % 8
     tracemalloc.start()
     try:
@@ -464,7 +466,7 @@ def test_sample_relations_memory_at_scale():
         tracemalloc.stop()
     assert rel.must == () and len(rel.cannot) == 30_000
     assert all(labels[i] != labels[j] for i, j in rel.cannot)
-    assert peak < 13e6, f"peak {peak / 1e6:.1f} MB"
+    assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_sample_relations_large_label_values():

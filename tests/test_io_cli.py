@@ -1,10 +1,13 @@
 """CSV/relation file formats and the command-line pipeline."""
 
+import errno
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
@@ -33,6 +36,7 @@ from pairmix import (
     save_relations,
 )
 from pairmix import cli
+from pairmix import io as pairmix_io
 from pairmix.cli import build_parser
 from pairmix.serialize import save_model
 from pairmix.io import (
@@ -298,6 +302,13 @@ WRITER_VALUES = np.array(
 )
 
 
+def _reference_posteriors_csv(post):
+    lines = [",".join([f"p{k}" for k in range(post.shape[1])] + ["assigned"])]
+    for row in post:
+        lines.append(",".join([repr(float(v)) for v in row] + [str(int(np.argmax(row)))]))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 def test_writers_match_per_cell_repr_bytes(tmp_path):
     labels = np.array([0, 7, 1, 12, 3])
     p = tmp_path / "d.csv"
@@ -311,11 +322,81 @@ def test_writers_match_per_cell_repr_bytes(tmp_path):
     post = np.abs(WRITER_VALUES) / np.abs(WRITER_VALUES).sum(axis=1, keepdims=True)
     post[2] = [0.1 + 0.2, 0.7]
     save_posteriors_csv(post, p)
-    lines = ["p0,p1,assigned"] + [
-        ",".join([repr(float(v)) for v in row] + [str(int(np.argmax(row)))])
-        for row in post
-    ]
-    assert p.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+    assert p.read_bytes() == _reference_posteriors_csv(post)
+
+    # one row, a block's worth of rows either side of the block size, and
+    # three blocks with a ragged tail; magnitudes from 1e-300 to 1e300
+    rng = np.random.default_rng(301)
+    block = pairmix_io._WRITE_ROWS
+    for n in (1, block - 1, block, block + 1, 3 * block + 7):
+        points = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-300, 301, size=(n, 3))
+        for lab in (rng.integers(0, 2**62, size=n), None):
+            save_dataset_csv(Dataset(points, labels=lab), p)
+            assert p.read_bytes() == _reference_dataset_csv(points, lab)
+        post = rng.random((n, 4))
+        post /= post.sum(axis=1, keepdims=True)
+        save_posteriors_csv(post, p)
+        assert p.read_bytes() == _reference_posteriors_csv(post)
+
+
+def test_writers_peak_memory_is_bounded(tmp_path):
+    # N = 1e5 rows, about 4 MB of text each: a block at a time the writers
+    # peak at 0.74 MB (dataset) and 1.53 MB (posteriors, with their N-long
+    # argmax); holding the whole file as rows and text took about 23 MB
+    n = 100_000
+    rng = np.random.default_rng(302)
+    ds = Dataset(rng.normal(size=(n, 2)), labels=np.repeat([0, 1], n // 2))
+    post = rng.random((n, 2))
+    post /= post.sum(axis=1, keepdims=True)
+    for write in (lambda: save_dataset_csv(ds, tmp_path / "d.csv"),
+                  lambda: save_posteriors_csv(post, tmp_path / "p.csv")):
+        tracemalloc.start()
+        try:
+            write()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6, f"peak {peak / 1e6:.2f} MB"
+
+
+class _FailingHandle:
+    """A text handle whose ``fail_at``-th ``write`` raises ``exc``."""
+
+    def __init__(self, fh, fail_at, exc):
+        self.fh, self.fail_at, self.exc, self.calls = fh, fail_at, exc, 0
+
+    def write(self, text):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise self.exc
+        return self.fh.write(text)
+
+
+@pytest.mark.parametrize("exc", [OSError(errno.ENOSPC, "No space left on device"),
+                                 ValueError("formatting failed")])
+def test_writers_failing_block_leave_target_untouched(tmp_path, monkeypatch, exc):
+    # the header is write 1, the first block write 2: the second block's
+    # write raises, after part of the file reached the temporary file
+    real = pairmix_io.atomic_writer
+
+    @contextmanager
+    def failing_writer(path):
+        with real(path) as fh:
+            yield _FailingHandle(fh, 3, exc)
+
+    monkeypatch.setattr(pairmix_io, "atomic_writer", failing_writer)
+    n = 2 * pairmix_io._WRITE_ROWS + 1
+    points = np.random.default_rng(303).random((n, 2))
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"previous contents\n")
+    for write in (lambda: save_dataset_csv(Dataset(points), target),
+                  lambda: save_posteriors_csv(points, target)):
+        with pytest.raises(type(exc)) as info:
+            write()
+        if isinstance(exc, OSError):
+            assert info.value.filename == str(target)
+        assert target.read_bytes() == b"previous contents\n"
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["out.csv"]
 
 
 # ---------------------------------------------------------------------------
