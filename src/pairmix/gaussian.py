@@ -76,10 +76,9 @@ def log_density_stack(
     except np.linalg.LinAlgError as exc:
         raise InvariantViolationError(f"Cholesky factor is singular: {exc}") from exc
     rows = max(1, min(n, _ROW_FLOATS // d))
-    # each mean repeated for a group of rows, so the subtraction runs over a
-    # group at a time, not d values: up to 64 rows that divide a block, or
-    # else 64 rows and one more subtraction (a few µs) for the rows left over
-    reps = math.gcd(rows, 64) if rows % 8 == 0 else min(rows, 64)
+    # each mean repeated for a group of up to 64 rows, so the subtraction runs
+    # over a group at a time, not d values; the rows left over take one more
+    reps = min(rows, 64)
     whole = rows - rows % reps
     tiled = np.repeat(means, reps, axis=0).reshape(c, 1, reps * d)
     group = c if c * rows * d <= _ROW_FLOATS else 1  # components per product

@@ -111,11 +111,10 @@ def test_log_density_stack_row_blocks_match_whole_rows(d, c, tight):
         means += 1e3
     chols = np.linalg.cholesky(covs)
     log_dets = 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
-    # every n up to 401 is shorter than one block for every d here: 63 rows
-    # are centred in one group, 400 in groups of 16 that divide it, and 65,
-    # 397 and 401 in groups of 64 plus the rows left over; blocks of the odd
-    # rows - 1 rows, and of rows = _ROW_FLOATS // d at d = 3, 5 and 6, leave
-    # rows over too
+    # every n up to 401 is shorter than one block for every d here: 63 and
+    # 64 rows are centred in one group, and 65, 397, 400 and 401 in groups of
+    # 64 plus the rows left over; blocks of the odd rows - 1 rows, and of
+    # rows = _ROW_FLOATS // d at d = 3, 5 and 6, leave rows over too
     for n in (1, 7, 64, 400, rows - 1, rows, rows + 1, 3 * rows + 17,
               63, 65, 397, 401):
         if tight:
