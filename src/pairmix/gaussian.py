@@ -5,15 +5,21 @@ Everything here works in log space; densities are exponentiated only after
 normalization by the callers.  Covariances are handled through Cholesky
 factors ``L``; every density is ``‖L⁻¹(x-μ)‖²`` from :func:`log_density_stack`,
 which evaluates a whole stack of Gaussians and sweeps the points in row
-blocks of a fixed size, so its temporaries do not grow with N.
-:func:`log_sum_exp` reduces in log space, and :func:`regularize_covariances`
-ridges a stack of covariances until each is positive definite.
+blocks of a fixed size, so its temporaries do not grow with N.  Inputs that
+fit in one block (``C·N·d ≤ _ROW_FLOATS``, every A1-sized fit) take a
+one-block path with no block bookkeeping: one subtraction, the same
+batched product and one row-wise reduction, so both paths give the same
+bits.  :func:`log_sum_exp` reduces in log space, and
+:func:`regularize_covariances` ridges a stack of covariances until each is
+positive definite; when one batched factorization settles every matrix,
+the ridge ladder is not entered.
 
-Those two are public wrappers that check their arguments and hand them to
-private cores, ``_log_sum_exp`` and ``_regularize_covariances``, which hold
-all the logic.  The EM engine calls the cores directly on arrays it made
-itself; the cores keep only the guards its values can trip (a NaN or
-``+inf`` summand, a non-finite covariance).
+The three are public wrappers that check their arguments and hand them to
+private cores, ``_log_density_stack``, ``_log_sum_exp`` and
+``_regularize_covariances``, which hold all the logic.  The EM engine calls
+the cores directly on arrays it made itself; the cores keep only the
+guards its values can trip (a NaN or ``+inf`` summand, a non-finite
+covariance, a singular factor).
 """
 
 from __future__ import annotations
@@ -48,12 +54,10 @@ def log_density_stack(
     ``means`` is (C, d), ``chols`` (C, d, d) lower factors, ``log_dets`` (C,).
     The quadratic form is the row-wise squared norm of ``(X - μ_c) L_c⁻ᵀ``,
     with every ``L_c⁻ᵀ`` from one batched inverse, copied C-contiguous.
-    Each block of rows takes one component at a time, or all of them when
-    their deviations fit in ``_ROW_FLOATS`` values, in two buffers made once
-    per call, so no temporary grows with N or C.  Every block holds
-    ``min(N, _ROW_FLOATS // d)`` rows, the last one overlapping the one
-    before it, so each product takes the BLAS path of a whole-N product and
-    the values equal those of one whole-N product per component bit for bit.
+    Every block of rows holds ``min(N, _ROW_FLOATS // d)`` rows, the last
+    one overlapping the one before it, so each product takes the BLAS path
+    of a whole-N product and the values equal those of one whole-N product
+    per component bit for bit; see :func:`_log_density_stack`.
 
     The (N, C) result is the transpose of a C-contiguous (C, N) buffer,
     which the EM engine reads directly (``.T``).
@@ -69,12 +73,54 @@ def log_density_stack(
         raise DimensionMismatchError(
             f"shapes {shapes} are not (N, d), (C, d), (C, d, d) and (C,)"
         )
-    n = points.shape[0]
-    quad = np.empty((c, n))
+    return _log_density_stack(points, np.asarray(means, dtype=float),
+                              np.asarray(chols, dtype=float),
+                              np.asarray(log_dets, dtype=float))
+
+
+def _log_density_stack(points: np.ndarray, means: np.ndarray, chols: np.ndarray,
+                       log_dets: np.ndarray) -> np.ndarray:
+    """:func:`log_density_stack` of float arrays of matching shapes, without
+    the checks: the core the EM engine calls.
+
+    When the deviations of every component from every point fit in
+    ``_ROW_FLOATS`` values (one block), they are one subtraction (see
+    :func:`_deviations`), one batched product and one row-wise reduction.
+    Otherwise each block of rows takes one component at a time, or all of
+    them when their deviations fit in ``_ROW_FLOATS`` values, in two buffers
+    made once per call, so no temporary grows with N or C.  Both paths make
+    the same batched product on a (components, rows, d) stack, so they
+    agree bit for bit."""
+    (n, d), c = points.shape, means.shape[0]
     try:
         inv_t = np.ascontiguousarray(np.linalg.inv(chols).swapaxes(1, 2))
     except np.linalg.LinAlgError as exc:
         raise InvariantViolationError(f"Cholesky factor is singular: {exc}") from exc
+    if c * n * d <= _ROW_FLOATS:
+        z = np.matmul(_deviations(points, means), inv_t)
+        quad = np.einsum("crd,crd->cr", z, z)
+    else:
+        quad = _blocked_quad(points, means, inv_t)
+    quad += (d * LOG_2PI + log_dets)[:, None]
+    quad *= -0.5
+    return quad.T
+
+
+def _deviations(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """``points - centers[:, None, :]`` → (C, n, d), from one subtraction
+    over whole flattened rows: each centre is repeated once per point first,
+    since a broadcast over the points would subtract d values at a time."""
+    (n, d), c = points.shape, centers.shape[0]
+    dev = np.repeat(centers, n, axis=0).reshape(c, n * d)
+    np.subtract(points.reshape(1, n * d), dev, out=dev)
+    return dev.reshape(c, n, d)
+
+
+def _blocked_quad(points: np.ndarray, means: np.ndarray, inv_t: np.ndarray) -> np.ndarray:
+    """The (C, N) quadratic forms of :func:`_log_density_stack`, a block of
+    rows at a time."""
+    (n, d), c = points.shape, means.shape[0]
+    quad = np.empty((c, n))
     rows = max(1, min(n, _ROW_FLOATS // d))
     # each mean repeated for a group of up to 64 rows, so the subtraction runs
     # over a group at a time, not d values; the rows left over take one more
@@ -96,9 +142,7 @@ def log_density_stack(
                             out=dev[:, whole:])
             np.matmul(dev, inv_t[k:k + group], out=z)
             np.einsum("crd,crd->cr", z, z, out=quad[k:k + group, lo:lo + rows])
-    quad += (d * LOG_2PI + np.asarray(log_dets, dtype=float))[:, None]
-    quad *= -0.5
-    return quad.T
+    return quad
 
 
 def log_sum_exp(v, axis=None):
@@ -185,11 +229,12 @@ def _regularize_covariances(
     try:
         chols = np.linalg.cholesky(sym)
         pivots = np.diagonal(chols, axis1=1, axis2=2)
-        settled = (pivots**2 >= 0.5 * floors[:, None]).all(axis=1)
+        cleared = pivots**2 >= 0.5 * floors[:, None]  # (C, d): pivot by pivot
     except np.linalg.LinAlgError:
-        chols, settled = np.empty_like(sym), np.zeros(n, dtype=bool)
-    for c in np.flatnonzero(~settled):
-        sym[c], eps[c], chols[c] = _ridge_ladder(sym[c], float(floors[c]))
+        chols, cleared = np.empty_like(sym), np.zeros((n, 1), dtype=bool)
+    if not cleared.all():  # otherwise every matrix settled on the first rung
+        for c in np.flatnonzero(~cleared.all(axis=1)):
+            sym[c], eps[c], chols[c] = _ridge_ladder(sym[c], float(floors[c]))
     return sym, eps, chols
 
 

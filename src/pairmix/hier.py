@@ -33,9 +33,22 @@ evaluator and the batch predictor.
 
 Arguments are checked at the edges (the public fit, likelihood and
 posterior functions); inside the loop the engine calls the unchecked cores
-of :mod:`pairmix.gaussian` and :mod:`pairmix.mixing`, and what does not
-change between iterations — the relation plan with its pair-member index —
-is built once per fit.
+of :mod:`pairmix.gaussian` (``_log_density_stack``, ``_regularize_covariances``)
+and :mod:`pairmix.mixing`, and what does not change between iterations —
+the relation plan with its pair-member index — is built once per fit.  A
+flat fit keeps ``π = 1`` and ``log π = 0`` from its start.
+
+Small fits are bound by numpy's per-call cost, not by arithmetic, so the
+density (see :mod:`pairmix.gaussian`) and the scatter sums of an input
+that fits in one row block make one batched product each, with no block
+bookkeeping, and a small table's log-sum-exp is made inline.  Each such
+path makes the operations of the blocked one on one block, so every fit is
+the same to the bit whichever path it takes.
+
+A point or pair with zero density under every class has no posterior; the
+normalization of its class table raises :class:`NotFiniteError` (the check
+runs only once a column's max is known not to be finite).  Zero density
+under every cluster of one class only zeroes that class's posterior.
 
 Reseed policy: a cluster whose responsibility mass falls to ≤ ``Z_EPS`` is
 moved to the point the model claims least, with the pooled data
@@ -61,7 +74,12 @@ from .errors import (
     NoConvergenceError,
     NotFiniteError,
 )
-from .gaussian import DEFAULT_RIDGE, _log_sum_exp, _regularize_covariances, log_density_stack
+from .gaussian import (
+    DEFAULT_RIDGE,
+    _deviations,
+    _log_density_stack,
+    _regularize_covariances,
+)
 from .initialize import _normalize_cluster_counts, init_hier, make_rng
 from .mixing import _solve_mixing
 from .types import (
@@ -223,13 +241,12 @@ def _hier_params(model: HierModel) -> _Params:
 
 
 def _updated_params(p: _Params, alpha, pi, means, covs, chols) -> _Params:
-    """``p`` with the parameters of a fit's M-step (``pi > 0``) and the
-    Cholesky factors of its covariances."""
+    """``p`` with the parameters of a fit's M-step (``alpha > 0``, ``pi > 0``)
+    and the Cholesky factors of its covariances; ``pi`` is ``p.pi`` itself
+    when it did not change, and keeps its ``log π``."""
     log_dets = 2.0 * np.log(np.diagonal(chols, axis1=-2, axis2=-1)).sum(axis=-1)
-    return p._replace(
-        alpha=alpha, log_alpha=_log(alpha), pi=pi, log_pi=np.log(pi),
-        means=means, covs=covs, chols=chols, log_dets=log_dets,
-    )
+    return _Params(alpha, np.log(alpha), pi, p.log_pi if pi is p.pi else np.log(pi),
+                   means, covs, chols, log_dets, p.offsets, p.class_of)
 
 
 class _RelationPlan(NamedTuple):
@@ -254,14 +271,14 @@ def _relation_plan(
     """Plan for ``relations`` as given (callers validate them first).  The
     independent factor takes the unlinked points, or every point with
     ``count_linked_as_unsupervised``."""
-    unlinked = np.ones(dataset.n, dtype=bool)
-    if not (count_linked_as_unsupervised or relations.is_empty()):
-        unlinked[relations.linked_indices()] = False
     must = np.asarray(relations.must, dtype=np.int64).reshape(-1, 2)
     cannot = np.asarray(relations.cannot, dtype=np.int64).reshape(-1, 2)
+    members = np.concatenate([must.T.ravel(), cannot.T.ravel()])
+    unlinked = np.ones(dataset.n, dtype=bool)
+    if not count_linked_as_unsupervised:
+        unlinked[members] = False
     return _RelationPlan(
-        np.flatnonzero(unlinked), np.flatnonzero(~unlinked), must, cannot,
-        np.concatenate([must.T.ravel(), cannot.T.ravel()]),
+        np.flatnonzero(unlinked), np.flatnonzero(~unlinked), must, cannot, members
     )
 
 
@@ -281,37 +298,70 @@ def _cluster_tables(p: _Params, points: np.ndarray):
     ``r`` (total clusters, N) of ``points``; ``r`` is ``None`` when every
     class has one cluster, where ``B`` is the log-density itself.  Each
     class normalizes its rows of the density kernel's (C, N) buffer in
-    place (see :func:`_normalize`), which leaves ``r`` in that buffer."""
-    weighted = log_density_stack(points, p.means, p.chols, p.log_dets).T
+    place (see :func:`_normalize`), which leaves ``r`` in that buffer.  A
+    point with zero density under every cluster of a class gets ``B = -inf``
+    there and ``r = 0``: whether it has a posterior at all is decided by the
+    class table."""
+    weighted = _log_density_stack(points, p.means, p.chols, p.log_dets).T
     weighted += p.log_pi[:, None]
     n_classes, offsets = p.alpha.size, p.offsets.tolist()
     if p.class_of.size == n_classes:
         return weighted, None
     b = np.empty((n_classes, points.shape[0]))
     for m in range(n_classes):
-        b[m] = _normalize(weighted[offsets[m]:offsets[m + 1]])
+        rows = weighted[offsets[m]:offsets[m + 1]]
+        try:
+            b[m] = _normalize(rows)
+        except NotFiniteError:  # raised before ``rows`` is touched
+            b[m] = _normalize_live(rows)
     return b, weighted
+
+
+def _normalize_live(w: np.ndarray) -> np.ndarray:
+    """:func:`_normalize` of the columns of ``w`` that are not all ``-inf``;
+    the others get ``lse = -inf`` and posteriors 0.  NaN or ``+inf`` still
+    raise."""
+    dead = w.max(axis=0) == -np.inf
+    lse = np.full(w.shape[1], -np.inf)
+    live = w[:, ~dead]
+    lse[~dead] = _normalize(live)
+    w[:, ~dead] = live
+    w[:, dead] = 0.0
+    return lse
 
 
 def _normalize(w: np.ndarray) -> np.ndarray:
     """Turn the columns of the log table ``w`` (K, n) into posteriors
-    ``exp(w - lse)`` in place; returns the log-normalizers ``lse`` (n,).
+    ``exp(w - lse)`` in place; returns the log-normalizers ``lse`` (n,),
+    equal to ``log_sum_exp(w, axis=0)`` bit for bit.
 
-    ``lse`` adds up ``exp(row - max)`` one row at a time, with no (K, n)
-    temporary: numpy's own order for an axis-0 sum of two or more columns,
-    so it equals ``log_sum_exp(w, axis=0)`` bit for bit.  Tables of at most
-    ``_ROW_FLOATS`` values or of one column (which numpy sums pairwise),
-    and a non-finite column max, go to the unchecked core of
-    :func:`~pairmix.gaussian.log_sum_exp` itself."""
-    hi = None if w.size <= _ROW_FLOATS or w.shape[1] == 1 else w.max(axis=0)
-    if hi is None or not np.isfinite(hi).all():
-        lse = _log_sum_exp(w, 0)
+    A table of at most ``_ROW_FLOATS`` values or of one column (which numpy
+    sums pairwise) makes exactly the operations of the ``_log_sum_exp``
+    core, inline.  A larger one adds up ``exp(row - max)`` one row at a
+    time, with no (K, n) temporary: numpy's own order for an axis-0 sum of
+    two or more columns.  A column whose max is not finite raises
+    :class:`NotFiniteError`, checked only once the max of every column is
+    known not to be finite: a NaN or ``+inf`` entry, or a column of
+    ``-inf`` — a point or pair with zero density under every row, whose
+    posterior is undefined (:func:`_cluster_tables` recovers from the
+    second in a class's cluster table)."""
+    hi = w.max(axis=0)
+    if not np.isfinite(hi).all():
+        if (hi < np.inf).all():
+            raise NotFiniteError(
+                "a point has zero density under every component "
+                "(it lies too far outside the model's scale); its posterior "
+                "is undefined"
+            )
+        raise NotFiniteError("log_sum_exp input contains NaN or +inf")
+    if w.size <= _ROW_FLOATS or w.shape[1] == 1:
+        lse = np.log(np.exp(w - hi).sum(axis=0))
     else:
         lse, term = np.exp(w[0] - hi), np.empty_like(hi)
         for row in w[1:]:
             lse += np.exp(np.subtract(row, hi, out=term), out=term)
         np.log(lse, out=lse)
-        lse += hi
+    lse += hi
     w -= lse
     np.exp(w, out=w)
     return lse
@@ -357,22 +407,23 @@ def _estep(p: _Params, points: np.ndarray, plan: _RelationPlan) -> _EStep:
     b, r = _cluster_tables(p, points)
     i, j = plan.must_pairs.T
     a_idx, b_idx = plan.cannot_pairs.T
-    must = log_alpha + b.take(i, axis=1) + b.take(j, axis=1)
+    no_pairs = np.empty((n_classes, 0))  # the tables of a factor with no pair
+    must = log_alpha + b.take(i, axis=1) + b.take(j, axis=1) if i.size else no_pairs
     b_a, b_b = b.take(a_idx, axis=1), b.take(b_idx, axis=1)
     b += log_alpha
     ll = float(_normalize(b)[plan.unsup_idx].sum())
     b[:, plan.linked_idx] = 0.0
     if i.size:
         ll += float(_normalize(must).sum())
+    if not a_idx.size:
+        return _EStep(b, r, must, no_pairs, no_pairs,
+                      np.empty((n_classes, n_classes, 0)), ll)
 
-    if a_idx.size:
-        # log cannotlink_prior(alpha).table, from the carried log α
-        log_prior = log_alpha + p.log_alpha - np.log(_cannot_norm(p.alpha))
-        np.fill_diagonal(log_prior, -np.inf)
-        joint = log_prior[:, :, None] + b_a[:, None, :] + b_b[None, :, :]
-        ll += float(_normalize(joint.reshape(n_classes**2, -1)).sum())
-    else:
-        joint = np.zeros((n_classes, n_classes, 0))
+    # log cannotlink_prior(alpha).table, from the carried log α
+    log_prior = log_alpha + p.log_alpha - np.log(_cannot_norm(p.alpha))
+    np.fill_diagonal(log_prior, -np.inf)
+    joint = log_prior[:, :, None] + b_a[:, None, :] + b_b[None, :, :]
+    ll += float(_normalize(joint.reshape(n_classes**2, -1)).sum())
     return _EStep(b, r, must, joint.sum(axis=1), joint.sum(axis=0), joint, ll)
 
 
@@ -471,7 +522,9 @@ def _class_counts(e: _EStep) -> np.ndarray:
     """Class counts ``c_m`` for the mixing-weight update: each must-link
     pair contributes its shared weight once, each cannot-link pair both
     marginals."""
-    return sum(table.sum(axis=1) for table in (e.unsup, e.must, e.cannot_a, e.cannot_b))
+    # an empty table would add zeros, which change no count
+    return sum(table.sum(axis=1)
+               for table in (e.unsup, e.must, e.cannot_a, e.cannot_b) if table.size)
 
 
 def _scatter_stack(
@@ -481,16 +534,26 @@ def _scatter_stack(
     ``slice(None)``) around ``centers`` (one row per component) → (C, d, d),
     with the weights of rows ``idx`` of ``resp`` (components, N).
 
-    Each component's matrix is ``Σ (dev * w).T @ dev``, summed over row
-    blocks of ``_ROW_FLOATS // d`` rows in order with one batched product
-    per block, so the (C, rows, d) temporaries do not grow with N
-    and results are bit-reproducible.  Points of at most one block add
-    their whole product, as a component computed alone would.
+    Each component's matrix is ``Σ (dev * w).T @ dev``.  Points of at most
+    one block of ``_ROW_FLOATS // d`` rows make one batched product, as a
+    component computed alone would, with no block bookkeeping; more points
+    are summed a block at a time (:func:`_blocked_scatter`).
     """
+    span = max(1, _ROW_FLOATS // points.shape[1])
+    if points.shape[0] > span:
+        return _blocked_scatter(points, resp, idx, centers, span)
+    dev = _deviations(points, centers)
+    return (dev * resp[idx][:, :, None]).transpose(0, 2, 1) @ dev
+
+
+def _blocked_scatter(points: np.ndarray, resp: np.ndarray, idx, centers: np.ndarray,
+                     span: int) -> np.ndarray:
+    """:func:`_scatter_stack` summed over row blocks of ``span`` rows in
+    order, with one batched product per block, so the (C, rows, d)
+    temporaries do not grow with N and results are bit-reproducible."""
     n, d = points.shape
     c = centers.shape[0]
     total = np.zeros((c, d, d))
-    span = max(1, _ROW_FLOATS // d)
     # each centre repeated once per row of a block: the subtraction then
     # runs over a whole flattened block instead of d values at a time
     rows = min(span, n)
@@ -511,23 +574,29 @@ def _mstep(points: np.ndarray, resp: np.ndarray, ridge_floor: float):
     Returns ``(weight, empty, means, covs, chols, ridges)``: the weights,
     the clusters whose weight is ≤ ``Z_EPS``, and the means, regularized
     covariances, their Cholesky factors and ridges.  The rows of the empty
-    clusters are unset; the caller reseeds them or rejects the step.  With
+    clusters are zero; the caller reseeds them or rejects the step.  With
     no empty cluster the live rows are indexed by ``slice(None)``, which
-    gathers nothing.
+    gathers nothing, and the live clusters' arrays are returned as made.
     """
-    total, d = resp.shape[0], points.shape[1]
     weight = resp.sum(axis=1)
     first = resp @ points
     is_empty = weight <= Z_EPS
-    live = np.flatnonzero(~is_empty) if is_empty.any() else slice(None)
-    means = np.empty((total, d))
-    covs = np.empty((total, d, d))
-    chols = np.empty((total, d, d))
-    ridges = np.zeros(total)
-    means[live] = first[live] / weight[live, None]
-    raw = _scatter_stack(points, resp, live, means[live]) / weight[live, None, None]
-    covs[live], ridges[live], chols[live] = _regularize_covariances(raw, ridge_floor)
+    any_empty = is_empty.any()
+    live = np.flatnonzero(~is_empty) if any_empty else slice(None)
+    means = first[live] / weight[live, None]
+    raw = _scatter_stack(points, resp, live, means) / weight[live, None, None]
+    covs, ridges, chols = _regularize_covariances(raw, ridge_floor)
+    if any_empty:
+        means, covs, chols, ridges = (_at_rows(a, live, weight.size)
+                                      for a in (means, covs, chols, ridges))
     return weight, np.flatnonzero(is_empty), means, covs, chols, ridges
+
+
+def _at_rows(a: np.ndarray, rows: np.ndarray, total: int) -> np.ndarray:
+    """``a`` placed at ``rows`` of a zero array of ``total`` rows."""
+    out = np.zeros((total, *a.shape[1:]))
+    out[rows] = a
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +657,7 @@ def _fit(dataset: Dataset, relations: RelationSet, p: _Params, config: FitConfig
     ``c`` in the warnings.  Returns the final arrays and the trace."""
     plan = _relation_plan(dataset, relations, config.count_linked_as_unsupervised)
     offsets, class_of = p.offsets, p.class_of
+    flat = class_of.size == offsets.size - 1  # one cluster per class
     warnings: list[str] = []
     # each E-step also yields the log-likelihood of the model it starts from
     e = _estep(p, dataset.points, plan)
@@ -627,8 +697,9 @@ def _fit(dataset: Dataset, relations: RelationSet, p: _Params, config: FitConfig
         warnings.extend(f"iteration {iteration}: {notes[c]}" for c in sorted(notes))
 
         class_counts[class_counts <= Z_EPS] = 1.0
-        # π: each cluster's share of its class (x/x = 1 with one cluster per class)
-        pi = weight / np.add.reduceat(weight, offsets[:-1])[class_of]
+        # π: each cluster's share of its class; a flat fit keeps π = 1 and
+        # log π = 0, which x/x = 1 would give again
+        pi = p.pi if flat else weight / np.add.reduceat(weight, offsets[:-1])[class_of]
         alpha = _safeguarded_mixing(
             class_counts, relations.n_cannot, p.alpha, warnings, iteration
         )

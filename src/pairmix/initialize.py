@@ -26,6 +26,7 @@ from .errors import (
     InvariantViolationError,
     KTooLargeError,
     LengthMismatchError,
+    NotFiniteError,
 )
 from .gaussian import DEFAULT_RIDGE, regularize_covariances
 from .types import ClassMixture, Dataset, FlatModel, HierModel, RelationSet
@@ -60,7 +61,10 @@ def _kmeanspp(
 
     Each seed's distance vector is computed once: it updates the running
     minimum that weighs the next draw, and a point moves to the new seed
-    only when strictly closer, so ties go to the lowest index.
+    only when strictly closer, so ties go to the lowest index.  Raises
+    :class:`NotFiniteError` when the squared distances overflow float64
+    (points beyond about 1e154 in magnitude), which would leave the draw's
+    weights undefined.
     """
     n = points.shape[0]
     if not 1 <= k <= n:
@@ -73,6 +77,11 @@ def _kmeanspp(
     d2 = _sq_dists(points, seeds[0])
     for s in range(1, k):
         total = d2.sum()
+        if not math.isfinite(total):
+            raise NotFiniteError(
+                "squared distances between points overflow float64; "
+                "rescale the data"
+            )
         if total > 0:
             probs = d2 / total
             choice = int(rng.choice(n, p=probs))
@@ -89,10 +98,13 @@ def _kmeanspp(
 def _sq_dists(points: np.ndarray, center: np.ndarray) -> np.ndarray:
     """Squared distance of every point to ``center`` → (N,), over row blocks
     of ``_ROW_FLOATS // d``: each row sums its own d terms, so the blocks
-    change no value, and the temporaries do not grow with N."""
+    change no value, and the temporaries do not grow with N.  A distance
+    that overflows is ``inf``, without a warning: :func:`_kmeanspp` tests
+    the total."""
     span = max(1, _ROW_FLOATS // points.shape[1])
-    return np.concatenate([np.square(points[lo:lo + span] - center).sum(axis=1)
-                           for lo in range(0, points.shape[0], span)])
+    with np.errstate(over="ignore"):
+        return np.concatenate([np.square(points[lo:lo + span] - center).sum(axis=1)
+                               for lo in range(0, points.shape[0], span)])
 
 
 def _seeded_moments(

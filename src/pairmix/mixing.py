@@ -224,21 +224,23 @@ def _solve_mixing(counts: np.ndarray, n_cannot: int,
         return counts / counts.sum(), None
 
     support = counts > 0
-    if support.sum() < 2:
+    c = counts[support]
+    k = c.size
+    if k < 2:
         raise DegenerateNormalizerError(
             "cannot-links require at least two classes with responsibility mass"
         )
-
-    c = counts[support]
-    k = c.size
-    if k == 2 and c.min() > n_cannot:
+    if k == 2 and min(c.tolist()) > n_cannot:
         # 1 − α₁² − α₂² = 2α₁α₂ on the simplex, so f is
-        # (c₁ − n)·log α₁ + (c₂ − n)·log α₂ + const, maximized at α ∝ c − n
-        a = c - n_cannot
-        a = np.maximum(a / a.sum(), ALPHA_FLOOR)
-        a /= a.sum()
+        # (c₁ − n)·log α₁ + (c₂ − n)·log α₂ + const, maximized at α ∝ c − n;
+        # on Python floats, with the IEEE operations of the array formula
+        # np.maximum((c − n) / Σ(c − n), ALPHA_FLOOR), renormalized
+        a1, a2 = (x - n_cannot for x in c.tolist())
+        total = a1 + a2
+        a1, a2 = max(a1 / total, ALPHA_FLOOR), max(a2 / total, ALPHA_FLOOR)
+        total = a1 + a2
         alpha = np.zeros(counts.size)
-        alpha[support] = a
+        alpha[support] = a1 / total, a2 / total
         return alpha, None
 
     if start is None:

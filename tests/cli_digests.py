@@ -8,7 +8,9 @@ Each command runs as a child ``python -m pairmix.cli`` in one temporary
 directory, with relative paths, in the order listed below: the A9 pipeline,
 a 12 000-row dataset predicted and projected (more than one block of rows
 for the CSV writers), ``--config`` cases, and error cases (``bad_rel.txt``
-names a point that no dataset here has).  Each prints one line: its label,
+names a point that no dataset here has; ``huge.csv`` holds 50 points about
+1e160 apart, whose squared distances overflow float64 and which have zero
+density under the model fitted on ``data.csv``).  Each prints one line: its label,
 exit code, and the first 16 hex digits of the SHA-256 of its stdout, its
 stderr and every file it created or changed.  Each ``--help`` page prints
 one line too.  Run the script on two trees and ``diff`` the outputs: no
@@ -123,6 +125,19 @@ COMMANDS = [
                                      "--out", "e18.txt"], None),
 ]
 
+HUGE = ["--data", "huge.csv", "--label-column", "label"]
+COMMANDS += [
+    ("fit-overflow", ["fit", *HUGE, "--classes", "2", "--out", "e19.json"], None),
+    ("fit-two-level-overflow", ["fit", *HUGE, "--classes", "2", "--clusters-per-class",
+                                "2", "--out", "e19.json"], None),
+    ("trials-overflow", ["trials", *HUGE, "--classes", "2", "--budgets", "0,2",
+                         "--n-trials", "2", "--out", "e20.csv"], None),
+    ("predict-overflow", ["predict", "--model", "model.json", *HUGE, "--out", "e21.csv"],
+     None),
+    ("evaluate-overflow", ["evaluate", "--model", "model.json", *HUGE,
+                           "--out", "e22.txt"], None),
+]
+
 HELP = [[], ["fit"], ["predict"], ["evaluate"], ["gen-relations"], ["gen-data"],
         ["trials"], ["pca"]]
 
@@ -149,6 +164,9 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "bad_rel.txt").write_text("ml,0,999\n")
+        (root / "huge.csv").write_text("x0,x1,label\n" + "".join(
+            f"{(i % 10) * 1e160 + (i // 25) * 3e161!r},{(i % 7) * -1e160!r},{i // 25}\n"
+            for i in range(50)))
         for label, argv, config in COMMANDS:
             if config is not None:
                 (root / "cfg.json").write_text(json.dumps(config))

@@ -12,6 +12,7 @@ from pairmix import (
     FlatModel,
     InvariantViolationError,
     KTooLargeError,
+    NotFiniteError,
     RelationSet,
     cannotlink_prior,
     fit_flat,
@@ -411,6 +412,30 @@ def test_predict_matches_resp_unsupervised():
     np.testing.assert_allclose(batch.sum(axis=1), 1.0, atol=1e-12)
     for i in range(20):
         np.testing.assert_allclose(batch[i], predict_flat(model, pts[i]), atol=1e-12)
+
+
+def test_zero_density_point_raises_not_finite():
+    # a point at 1e160 under a unit-scale model has log-density -inf under
+    # every class: its posterior is undefined, and every posterior, predict
+    # and likelihood path raises instead of returning NaN
+    rng = np.random.default_rng(416)
+    model = random_flat_model(rng, 3, 2)
+    far, near = np.array([1e160, -1e160]), np.zeros(2)
+    calls = [
+        lambda: predict_flat(model, far),
+        lambda: predict_flat_batch(model, np.stack([near, far])),
+        lambda: resp_unsupervised(model, far),
+        lambda: resp_mustlink(model, near, far),
+        lambda: resp_cannotlink(model, far, near),
+        lambda: log_likelihood(model, Dataset(np.stack([near, far])), RelationSet()),
+        lambda: fit_flat(Dataset(np.stack([near, far, near + 1.0])), RelationSet(), 3,
+                         init=model),
+    ]
+    for call in calls:
+        with pytest.raises(NotFiniteError, match="zero density"):
+            call()
+    # a point far out but with a finite log-density keeps its posterior
+    assert np.isfinite(predict_flat(model, np.array([1e100, 0.0]))).all()
 
 
 def test_fit_config_validation():

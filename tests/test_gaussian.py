@@ -125,6 +125,38 @@ def test_log_density_stack_row_blocks_match_whole_rows(d, c, tight):
         assert np.array_equal(got, _whole_rows_reference(pts, means, chols, log_dets))
 
 
+def test_one_block_density_equals_blocked_path_bits(monkeypatch):
+    # inputs of one block (C·n·d ≤ _ROW_FLOATS) take the one-block path;
+    # with _ROW_FLOATS lowered the same inputs go through the row blocks,
+    # one component per product (n·d values) or in shorter, overlapping
+    # blocks of rows, and every value is the same to the bit
+    rng = np.random.default_rng(106)
+    blocked = []
+    blocked_quad = gaussian._blocked_quad
+
+    def spy(*args):
+        blocked.append(args[0].shape)
+        return blocked_quad(*args)
+
+    monkeypatch.setattr(gaussian, "_blocked_quad", spy)
+    for c, n, d in ((1, 1, 1), (2, 400, 2), (4, 200, 2), (1, 401, 2), (3, 65, 3),
+                    (8, 63, 5), (2, 1000, 16), (8, 256, 16), (5, 97, 13)):
+        a = rng.normal(size=(c, d, d))
+        chols = np.linalg.cholesky(a @ a.swapaxes(1, 2) + 0.5 * np.eye(d))
+        log_dets = 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
+        means = rng.normal(size=(c, d))
+        pts = 3.0 * rng.normal(size=(n, d))
+        assert c * n * d <= gaussian._ROW_FLOATS
+        one = log_density_stack(pts, means, chols, log_dets)
+        assert not blocked
+        for row_floats in {c * n * d - 1, n * d, max(d, n * d // 3)} - {c * n * d}:
+            monkeypatch.setattr(gaussian, "_ROW_FLOATS", row_floats)
+            assert np.array_equal(log_density_stack(pts, means, chols, log_dets), one)
+            assert blocked.pop() == (n, d)
+        monkeypatch.undo()
+        monkeypatch.setattr(gaussian, "_blocked_quad", spy)
+
+
 def test_log_density_stack_peak_memory_is_bounded():
     # N = 1e5, d = 16, C = 8: one (N, d) temporary is 12.8 MB and the
     # (N, C) result 6.4 MB, so the sweep's own buffers get 1.6 MB

@@ -15,6 +15,7 @@ from pairmix import (
     HierModel,
     InvariantViolationError,
     KTooLargeError,
+    NotFiniteError,
     RelationSet,
     fit_flat,
     fit_hier,
@@ -185,9 +186,10 @@ def test_cluster_tables_uneven_classes_match_dense_reference():
 @pytest.mark.parametrize("k", [1, 2, 3, 8, 9])
 def test_normalize_matches_log_sum_exp_bits(monkeypatch, k):
     # the row-by-row normalizer against log_sum_exp over axis 0, on tables
-    # with -inf entries, with and without an all -inf column, and on one
-    # column, whose sum numpy takes pairwise once it has 8 entries; with no
-    # table counted small, every other table is summed row by row
+    # with -inf entries, and on one column, whose sum numpy takes pairwise
+    # once it has 8 entries; with no table counted small, every other table
+    # is summed row by row.  An all -inf column (a point with zero density
+    # under every row) has no posterior and raises
     monkeypatch.setattr(hier, "_ROW_FLOATS", 0)
     rng = np.random.default_rng(517)
     for n, dead in itertools.product((1, 2, 7, 1000) * 25, (False, True)):
@@ -196,14 +198,14 @@ def test_normalize_matches_log_sum_exp_bits(monkeypatch, k):
         w[rng.integers(k, size=n), np.arange(n)] = rng.normal(size=n) * 3.0
         if dead:
             w[:, rng.integers(n)] = -np.inf
+            with pytest.raises(NotFiniteError, match="zero density"):
+                hier._normalize(w.copy())
+            continue
         want = log_sum_exp(w, axis=0)
         got_w = w.copy()
-        # an all -inf column has no posterior: -inf - -inf is NaN
-        with np.errstate(invalid="ignore"):
-            got = hier._normalize(got_w)
-            want_w = np.exp(w - want)
+        got = hier._normalize(got_w)
         assert np.array_equal(got, want)
-        assert np.array_equal(got_w, want_w, equal_nan=True)
+        assert np.array_equal(got_w, np.exp(w - want))
 
 
 def test_responsibilities_rows_count_factors():
@@ -316,6 +318,30 @@ def test_scatter_stack_blocks_match_per_component_bits(blocks):
             centers = rng.normal(size=(rows.size, d))
             got = hier._scatter_stack(points, resp, idx, centers)
             assert np.array_equal(got, _scatter_reference(points, resp, rows, centers))
+
+
+def test_one_block_scatter_equals_blocked_loop_bits(monkeypatch):
+    # points of one block return one batched product; the blocked loop run
+    # on the same points as one block of span ≥ n rows sums that product
+    # into zeros, with the same bits.  With _ROW_FLOATS lowered below n·d
+    # the same call on the last points goes through the loop
+    rng = np.random.default_rng(519)
+    for n, d in ((1, 1), (2, 3), (200, 2), (400, 2), (1024, 8), (511, 16)):
+        points, resp = rng.normal(size=(n, d)), rng.random((7, n))
+        for idx in (np.array([0, 2, 3, 5, 6]), slice(None)):
+            centers = rng.normal(size=(np.arange(7)[idx].size, d))
+            assert n <= hier._ROW_FLOATS // d
+            one = hier._scatter_stack(points, resp, idx, centers)
+            for span in (n, n + 1, 4 * n):
+                looped = hier._blocked_scatter(points, resp, idx, centers, span)
+                assert np.array_equal(looped, one)
+    calls = []
+    blocked_scatter = hier._blocked_scatter
+    monkeypatch.setattr(hier, "_blocked_scatter",
+                        lambda *args: calls.append(args[-1]) or blocked_scatter(*args))
+    monkeypatch.setattr(hier, "_ROW_FLOATS", (n - 1) * d)
+    hier._scatter_stack(points, resp, idx, centers)
+    assert calls == [n - 1]
 
 
 def _scatter_row_block_reference(points, resp, idx, centers, span):
@@ -611,6 +637,37 @@ def test_fit_hier_cluster_count_validation():
         fit_hier(ds, RelationSet(), 2, (2, 2, 2))
     with pytest.raises(InvariantViolationError):
         fit_hier(ds, RelationSet(), 2, 0)
+
+
+def test_hier_zero_density_point_raises_not_finite():
+    # as in the flat model: a point with zero density under every cluster
+    # has no posterior
+    rng = np.random.default_rng(520)
+    model = random_hier_model(rng, 3, (2, 1, 3), 2)
+    far, near = np.array([-1e160, 1e160]), np.zeros(2)
+    calls = [
+        lambda: predict_hier(model, far),
+        lambda: predict_hier_batch(model, np.stack([far, near])),
+        lambda: hier_resp_unsupervised(model, far),
+        lambda: hier_resp_mustlink(model, far, near),
+        lambda: hier_resp_cannotlink(model, near, far),
+        lambda: log_likelihood_hier(model, Dataset(np.stack([near, far])), RelationSet()),
+    ]
+    for call in calls:
+        with pytest.raises(NotFiniteError, match="zero density"):
+            call()
+    # zero density under every cluster of one class only (covariances of
+    # 1e-300 put the point 1e155 standard deviations out) leaves that class
+    # a posterior of 0 and its clusters no NaN
+    tight = ClassMixture(pi=np.array([0.5, 0.5]), means=np.array([[0.0, 0.0], [1.0, 0.0]]),
+                         covs=np.tile(1e-300 * np.eye(2), (2, 1, 1)))
+    broad = ClassMixture(pi=np.array([1.0]), means=np.zeros((1, 2)),
+                         covs=(1e10 * np.eye(2))[None])
+    model = HierModel(alpha=np.array([0.5, 0.5]), classes=(tight, broad))
+    x = np.array([1e5, 0.0])
+    assert np.array_equal(predict_hier_batch(model, np.stack([x, x])), [[0.0, 1.0]] * 2)
+    (joint_tight, joint_broad), marginal = hier_resp_unsupervised(model, x)
+    assert np.array_equal(joint_tight, [0.0, 0.0]) and np.array_equal(marginal, [0.0, 1.0])
 
 
 def test_predict_hier_consistency():

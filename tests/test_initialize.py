@@ -11,6 +11,7 @@ from pairmix import (
     InvariantViolationError,
     KTooLargeError,
     LengthMismatchError,
+    NotFiniteError,
     RelationSet,
 )
 from pairmix import initialize
@@ -89,6 +90,21 @@ def test_kmeanspp_duplicate_points_fallback():
     np.testing.assert_array_equal(seeds, np.ones((3, 2)))
     # every distance ties, so every point stays with seed 0
     np.testing.assert_array_equal(_kmeanspp(ds.points, 3, make_rng(0))[1], np.zeros(6))
+
+
+def test_kmeanspp_overflow_raises_not_finite():
+    # points at 1e160: every squared distance overflows to inf, which would
+    # make the D² weights NaN; the seeding and both initializers raise
+    ds = gen_synthetic("two-cluster", 25, 0.25, seed=0)
+    huge = Dataset(ds.points * 1e160, labels=ds.labels)
+    for init in (lambda: kmeanspp_seeds(huge, 2, make_rng(0)),
+                 lambda: init_flat(huge, 2, make_rng(0)),
+                 lambda: init_hier(huge, 2, 2, make_rng(0))):
+        with pytest.raises(NotFiniteError, match="overflow"):
+            init()
+    # one seed draws nothing, and the largest finite spread still seeds
+    assert kmeanspp_seeds(huge, 1, make_rng(0)).shape == (1, 2)
+    assert np.isfinite(kmeanspp_seeds(Dataset(ds.points * 1e150), 2, make_rng(0))).all()
 
 
 def test_kmeanspp_deterministic():

@@ -1030,6 +1030,62 @@ def test_cli_exit_code_by_error_family(monkeypatch, capsys, tmp_path, error):
     assert capsys.readouterr().err == f"error: {error.__name__}: {exc}\n"
 
 
+@pytest.fixture
+def overflow_dir(tmp_path, monkeypatch):
+    """A working directory with a 50-row dataset (``unit.csv``), the same
+    rows scaled by 1e160 (``huge.csv``), whose squared distances overflow
+    float64, and a model fitted on the unit rows (``unit.json``)."""
+    ds = pairmix.gen_synthetic("two-cluster", 25, 0.25, seed=0)
+    save_dataset_csv(ds, tmp_path / "unit.csv")
+    save_dataset_csv(Dataset(ds.points * 1e160, labels=ds.labels), tmp_path / "huge.csv")
+    save_model(fit_flat(ds, RelationSet(), 2, FitConfig(seed=0))[0], tmp_path / "unit.json")
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+HUGE = ["--data", "huge.csv", "--label-column", "label"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", *HUGE, "--classes", "2", "--out", "out.json", "--trace", "trace.csv"],
+        ["fit", *HUGE, "--classes", "2", "--clusters-per-class", "2", "--out", "out.json"],
+        ["predict", "--model", "unit.json", *HUGE, "--out", "out.csv"],
+        ["evaluate", "--model", "unit.json", *HUGE, "--out", "out.txt"],
+    ],
+    ids=["fit", "fit-two-level", "predict", "evaluate"],
+)
+def test_cli_overflowing_data_exit_3(overflow_dir, capsys, argv):
+    # fitting data whose squared distances overflow, or predicting points
+    # with zero density under every class of a unit-scale model, is an
+    # input error: exit 3, one error line, no output and no temporary file
+    before = sorted(p.name for p in overflow_dir.iterdir())
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: NotFiniteError: ")
+    assert sorted(p.name for p in overflow_dir.iterdir()) == before
+
+
+def test_cli_trials_on_overflowing_data_records_failures(overflow_dir, capsys):
+    # each trial fails at its initialization and the sweep records it
+    argv = ["trials", *HUGE, "--classes", "2", "--budgets", "0,2", "--n-trials", "2",
+            "--out", "trials.csv"]
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == ("budget=0 mean=nan std=nan failed=2\n"
+                            "budget=2 mean=nan std=nan failed=2\n")
+    rows = [r.split(",") for r in (overflow_dir / "trials.csv").read_text().splitlines()]
+    assert len(rows) == 5 and all(r[3] == "" and r[5] == "false" for r in rows[1:])
+    # the unit-scale rows fit and score as usual
+    assert cli.main(["evaluate", "--model", "unit.json", "--data", "unit.csv",
+                     "--label-column", "label"]) == 0
+    assert capsys.readouterr().out == "purity=1.0\n"
+
+
 def test_cli_exit_code_4_numeric(workspace, tmp_path):
     root, data, rels = workspace
     # a cannot-link with a single class has no valid normalizer

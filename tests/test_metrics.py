@@ -169,6 +169,17 @@ def test_run_trials_records_failures_without_aborting():
     assert all("KTooLargeError" in e for e in r.errors)
 
 
+def test_run_trials_records_overflow_failures_without_aborting():
+    # data at 1e160 overflow the k-means++ distances: each trial fails with
+    # NotFiniteError and is recorded, flat and two-level
+    ds = gen_synthetic("two-cluster", 25, 0.25, seed=0)
+    huge = Dataset(ds.points * 1e160, labels=ds.labels)
+    for clusters in (1, (2, 2)):
+        reports = run_trials(huge, 2, clusters, [0, 2], n_trials=2, base_seed=0)
+        assert [r.n_failed for r in reports] == [2, 2]
+        assert all(e.startswith("NotFiniteError: ") for r in reports for e in r.errors)
+
+
 def test_run_trials_validation():
     ds = small_dataset()
     with pytest.raises(InvariantViolationError):

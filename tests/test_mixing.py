@@ -12,6 +12,7 @@ from pairmix import (
     optimize_mixing,
     optimize_mixing_info,
 )
+from pairmix import mixing
 from pairmix.mixing import ALPHA_FLOOR
 
 from oracles import grid_argmax_two_class, mixing_objective_reference
@@ -216,6 +217,34 @@ def test_two_class_closed_form_on_two_class_support():
     alpha, info = optimize_mixing_info(counts, 4)
     np.testing.assert_allclose(alpha, [26 / 32, 0.0, 6 / 32], rtol=0, atol=1e-15)
     assert info.n_steps == 0 and alpha[1] == 0.0
+
+
+def test_two_class_closed_form_equals_array_formula_bits():
+    # the engine's two-class closed form runs on Python floats; it equals
+    # the array formula np.maximum((c − n) / Σ(c − n), ALPHA_FLOOR),
+    # renormalized, to the bit, on random counts (a third of them with a
+    # count barely above n, where the floor clamps) and on a two-class
+    # support of three classes
+    rng = np.random.default_rng(319)
+    clamped = 0
+    for t in range(3000):
+        n_cannot = int(rng.integers(1, 40))
+        counts = n_cannot + rng.gamma(0.7, 30.0, size=2) + 1e-9
+        if t % 3 == 0:
+            counts[t % 2] = n_cannot + counts[1 - t % 2] * 10.0 ** -rng.uniform(9, 16)
+        if t % 5 == 0:
+            counts = np.insert(counts, int(rng.integers(3)), 0.0)
+        support = counts > 0
+        a = counts[support] - n_cannot
+        a = np.maximum(a / a.sum(), ALPHA_FLOOR)
+        a /= a.sum()
+        want = np.zeros(counts.size)
+        want[support] = a
+        got, info = mixing._solve_mixing(counts, n_cannot, None)
+        assert info is None
+        assert np.array_equal(got, want)
+        clamped += bool((a == a.min()).any() and a.min() < 2 * ALPHA_FLOOR)
+    assert clamped > 500
 
 
 def test_two_class_closed_form_clamps_at_floor():
