@@ -83,6 +83,10 @@ def log_likelihood(
     pairs ``log Σ_{m≠m'} p(m, m') N_m(x_a) N_{m'}(x_b)``.  Points belonging
     to a relation enter the first sum only when
     ``count_linked_as_unsupervised`` is set.
+
+    Raises :class:`NotFiniteError` when a point or pair has zero density
+    under every class (its log-density underflows to ``-inf``), where the
+    likelihood would be ``-inf``.
     """
     return _log_likelihood(
         _flat_params(model), dataset, relations, count_linked_as_unsupervised

@@ -35,15 +35,14 @@ Arguments are checked at the edges (the public fit, likelihood and
 posterior functions); inside the loop the engine calls the unchecked cores
 of :mod:`pairmix.gaussian` (``_log_density_stack``, ``_regularize_covariances``)
 and :mod:`pairmix.mixing`, and what does not change between iterations —
-the relation plan with its pair-member index — is built once per fit.  A
-flat fit keeps ``π = 1`` and ``log π = 0`` from its start.
+the relation plan with its pair-member index — is built once per fit.
 
 Small fits are bound by numpy's per-call cost, not by arithmetic, so the
-density (see :mod:`pairmix.gaussian`) and the scatter sums of an input
-that fits in one row block make one batched product each, with no block
-bookkeeping, and a small table's log-sum-exp is made inline.  Each such
-path makes the operations of the blocked one on one block, so every fit is
-the same to the bit whichever path it takes.
+density of an input that fits in one row block (see :mod:`pairmix.gaussian`)
+makes one batched product with no block bookkeeping, and a small table's
+log-sum-exp is made inline.  Each such path makes the operations of the
+blocked one on one block, so every fit is the same to the bit whichever
+path it takes.
 
 A point or pair with zero density under every class has no posterior; the
 normalization of its class table raises :class:`NotFiniteError` (the check
@@ -76,7 +75,6 @@ from .errors import (
 )
 from .gaussian import (
     DEFAULT_RIDGE,
-    _deviations,
     _log_density_stack,
     _regularize_covariances,
 )
@@ -242,10 +240,9 @@ def _hier_params(model: HierModel) -> _Params:
 
 def _updated_params(p: _Params, alpha, pi, means, covs, chols) -> _Params:
     """``p`` with the parameters of a fit's M-step (``alpha > 0``, ``pi > 0``)
-    and the Cholesky factors of its covariances; ``pi`` is ``p.pi`` itself
-    when it did not change, and keeps its ``log π``."""
+    and the Cholesky factors of its covariances."""
     log_dets = 2.0 * np.log(np.diagonal(chols, axis1=-2, axis2=-1)).sum(axis=-1)
-    return _Params(alpha, np.log(alpha), pi, p.log_pi if pi is p.pi else np.log(pi),
+    return _Params(alpha, np.log(alpha), pi, np.log(pi),
                    means, covs, chols, log_dets, p.offsets, p.class_of)
 
 
@@ -349,9 +346,9 @@ def _normalize(w: np.ndarray) -> np.ndarray:
     if not np.isfinite(hi).all():
         if (hi < np.inf).all():
             raise NotFiniteError(
-                "a point has zero density under every component "
+                "a point or pair has zero density under every class "
                 "(it lies too far outside the model's scale); its posterior "
-                "is undefined"
+                "and the likelihood are undefined"
             )
         raise NotFiniteError("log_sum_exp input contains NaN or +inf")
     if w.size <= _ROW_FLOATS or w.shape[1] == 1:
@@ -534,26 +531,16 @@ def _scatter_stack(
     ``slice(None)``) around ``centers`` (one row per component) → (C, d, d),
     with the weights of rows ``idx`` of ``resp`` (components, N).
 
-    Each component's matrix is ``Σ (dev * w).T @ dev``.  Points of at most
-    one block of ``_ROW_FLOATS // d`` rows make one batched product, as a
-    component computed alone would, with no block bookkeeping; more points
-    are summed a block at a time (:func:`_blocked_scatter`).
+    Each component's matrix is ``Σ (dev * w).T @ dev``, summed over row
+    blocks of ``_ROW_FLOATS // d`` rows in order with one batched product
+    per block, so the (C, rows, d) temporaries do not grow with N
+    and results are bit-reproducible.  Points of at most one block add
+    their whole product, as a component computed alone would.
     """
-    span = max(1, _ROW_FLOATS // points.shape[1])
-    if points.shape[0] > span:
-        return _blocked_scatter(points, resp, idx, centers, span)
-    dev = _deviations(points, centers)
-    return (dev * resp[idx][:, :, None]).transpose(0, 2, 1) @ dev
-
-
-def _blocked_scatter(points: np.ndarray, resp: np.ndarray, idx, centers: np.ndarray,
-                     span: int) -> np.ndarray:
-    """:func:`_scatter_stack` summed over row blocks of ``span`` rows in
-    order, with one batched product per block, so the (C, rows, d)
-    temporaries do not grow with N and results are bit-reproducible."""
     n, d = points.shape
     c = centers.shape[0]
     total = np.zeros((c, d, d))
+    span = max(1, _ROW_FLOATS // d)
     # each centre repeated once per row of a block: the subtraction then
     # runs over a whole flattened block instead of d values at a time
     rows = min(span, n)
@@ -619,7 +606,10 @@ def log_likelihood_hier(
     count_linked_as_unsupervised: bool = False,
 ) -> float:
     """Hierarchical analog of :func:`pairmix.flat.log_likelihood` with the
-    within-class mixture likelihood in place of the single density."""
+    within-class mixture likelihood in place of the single density.
+
+    Raises :class:`NotFiniteError` when a point or pair has zero density
+    under every class (its log-density underflows to ``-inf``)."""
     return _log_likelihood(
         _hier_params(model), dataset, relations, count_linked_as_unsupervised
     )
@@ -657,7 +647,6 @@ def _fit(dataset: Dataset, relations: RelationSet, p: _Params, config: FitConfig
     ``c`` in the warnings.  Returns the final arrays and the trace."""
     plan = _relation_plan(dataset, relations, config.count_linked_as_unsupervised)
     offsets, class_of = p.offsets, p.class_of
-    flat = class_of.size == offsets.size - 1  # one cluster per class
     warnings: list[str] = []
     # each E-step also yields the log-likelihood of the model it starts from
     e = _estep(p, dataset.points, plan)
@@ -697,9 +686,8 @@ def _fit(dataset: Dataset, relations: RelationSet, p: _Params, config: FitConfig
         warnings.extend(f"iteration {iteration}: {notes[c]}" for c in sorted(notes))
 
         class_counts[class_counts <= Z_EPS] = 1.0
-        # π: each cluster's share of its class; a flat fit keeps π = 1 and
-        # log π = 0, which x/x = 1 would give again
-        pi = p.pi if flat else weight / np.add.reduceat(weight, offsets[:-1])[class_of]
+        # π: each cluster's share of its class (x/x = 1 with one cluster per class)
+        pi = weight / np.add.reduceat(weight, offsets[:-1])[class_of]
         alpha = _safeguarded_mixing(
             class_counts, relations.n_cannot, p.alpha, warnings, iteration
         )

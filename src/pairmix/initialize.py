@@ -62,9 +62,9 @@ def _kmeanspp(
     Each seed's distance vector is computed once: it updates the running
     minimum that weighs the next draw, and a point moves to the new seed
     only when strictly closer, so ties go to the lowest index.  Raises
-    :class:`NotFiniteError` when the squared distances overflow float64
-    (points beyond about 1e154 in magnitude), which would leave the draw's
-    weights undefined.
+    :class:`NotFiniteError` when the squared distances or their sum overflow
+    float64 (points beyond about 1e153 in magnitude), which would leave the
+    draw's weights undefined.
     """
     n = points.shape[0]
     if not 1 <= k <= n:
@@ -76,7 +76,8 @@ def _kmeanspp(
         return seeds, assign
     d2 = _sq_dists(points, seeds[0])
     for s in range(1, k):
-        total = d2.sum()
+        with np.errstate(over="ignore"):  # finite distances can sum past float64
+            total = d2.sum()
         if not math.isfinite(total):
             raise NotFiniteError(
                 "squared distances between points overflow float64; "
@@ -100,7 +101,7 @@ def _sq_dists(points: np.ndarray, center: np.ndarray) -> np.ndarray:
     of ``_ROW_FLOATS // d``: each row sums its own d terms, so the blocks
     change no value, and the temporaries do not grow with N.  A distance
     that overflows is ``inf``, without a warning: :func:`_kmeanspp` tests
-    the total."""
+    their total."""
     span = max(1, _ROW_FLOATS // points.shape[1])
     with np.errstate(over="ignore"):
         return np.concatenate([np.square(points[lo:lo + span] - center).sum(axis=1)

@@ -438,6 +438,29 @@ def test_zero_density_point_raises_not_finite():
     assert np.isfinite(predict_flat(model, np.array([1e100, 0.0]))).all()
 
 
+def test_zero_density_pair_raises_not_finite():
+    # each point has density under one class only, and not the same one: a
+    # must-link between them has zero density under every class, and a
+    # cannot-link between two points of one class under every allowed
+    # labelling, while each point alone keeps its posterior
+    model = FlatModel(alpha=np.array([0.5, 0.5]), means=np.array([[0.0, 0.0], [1e155, 0.0]]),
+                      covs=np.stack([np.eye(2)] * 2))
+    a, b = model.means
+    assert np.array_equal(predict_flat(model, a), [1.0, 0.0])
+    assert np.array_equal(predict_flat(model, b), [0.0, 1.0])
+    points = Dataset(np.stack([a, b, a + 0.5]))
+    calls = [
+        lambda: resp_mustlink(model, a, b),
+        lambda: resp_cannotlink(model, a, a + 0.5),
+        lambda: log_likelihood(model, points, RelationSet(must=[(0, 1)])),
+        lambda: log_likelihood(model, points, RelationSet(cannot=[(0, 2)])),
+    ]
+    for call in calls:
+        with pytest.raises(NotFiniteError, match="point or pair has zero density"):
+            call()
+    assert np.isfinite(log_likelihood(model, points, RelationSet(cannot=[(0, 1)])))
+
+
 def test_fit_config_validation():
     with pytest.raises(InvariantViolationError):
         FitConfig(max_iters=0)

@@ -320,30 +320,6 @@ def test_scatter_stack_blocks_match_per_component_bits(blocks):
             assert np.array_equal(got, _scatter_reference(points, resp, rows, centers))
 
 
-def test_one_block_scatter_equals_blocked_loop_bits(monkeypatch):
-    # points of one block return one batched product; the blocked loop run
-    # on the same points as one block of span ≥ n rows sums that product
-    # into zeros, with the same bits.  With _ROW_FLOATS lowered below n·d
-    # the same call on the last points goes through the loop
-    rng = np.random.default_rng(519)
-    for n, d in ((1, 1), (2, 3), (200, 2), (400, 2), (1024, 8), (511, 16)):
-        points, resp = rng.normal(size=(n, d)), rng.random((7, n))
-        for idx in (np.array([0, 2, 3, 5, 6]), slice(None)):
-            centers = rng.normal(size=(np.arange(7)[idx].size, d))
-            assert n <= hier._ROW_FLOATS // d
-            one = hier._scatter_stack(points, resp, idx, centers)
-            for span in (n, n + 1, 4 * n):
-                looped = hier._blocked_scatter(points, resp, idx, centers, span)
-                assert np.array_equal(looped, one)
-    calls = []
-    blocked_scatter = hier._blocked_scatter
-    monkeypatch.setattr(hier, "_blocked_scatter",
-                        lambda *args: calls.append(args[-1]) or blocked_scatter(*args))
-    monkeypatch.setattr(hier, "_ROW_FLOATS", (n - 1) * d)
-    hier._scatter_stack(points, resp, idx, centers)
-    assert calls == [n - 1]
-
-
 def _scatter_row_block_reference(points, resp, idx, centers, span):
     # one component at a time, summed over row blocks of ``span`` rows
     total = np.zeros((idx.size, centers.shape[1], centers.shape[1]))
@@ -621,6 +597,22 @@ def test_fit_hier_reseeds_empty_clusters():
     for c in model.classes:
         assert np.all(np.isfinite(c.means)) and np.all(np.isfinite(c.covs))
     assert np.all(np.isfinite(trace.log_likelihoods))
+
+
+def test_one_cluster_class_pi_is_exactly_one_after_an_iteration():
+    # an init π within 1e-12 of 1 passes the simplex check; the M-step
+    # recomputes it as weight / weight, so the fit returns π = 1 exactly
+    rng = np.random.default_rng(601)
+    ds = Dataset(np.vstack([rng.normal(size=(20, 2)), 6.0 + rng.normal(size=(20, 2))]))
+    near_one = np.array([1.0 - 5e-13])
+    init = HierModel(
+        alpha=np.array([0.5, 0.5]),
+        classes=tuple(ClassMixture(pi=near_one, means=[m], covs=[np.eye(2)])
+                      for m in ([0.0, 0.0], [6.0, 6.0])),
+    )
+    model, _ = fit_hier(ds, RelationSet(), 2, (1, 1), FitConfig(max_iters=1), init=init)
+    for c in model.classes:
+        assert np.array_equal(c.pi, [1.0])
 
 
 def test_fit_hier_rejects_too_many_clusters():

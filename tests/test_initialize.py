@@ -92,11 +92,14 @@ def test_kmeanspp_duplicate_points_fallback():
     np.testing.assert_array_equal(_kmeanspp(ds.points, 3, make_rng(0))[1], np.zeros(6))
 
 
-def test_kmeanspp_overflow_raises_not_finite():
-    # points at 1e160: every squared distance overflows to inf, which would
-    # make the D² weights NaN; the seeding and both initializers raise
+@pytest.mark.parametrize("scale", [1e160, 1e153], ids=["distances", "sum"])
+def test_kmeanspp_overflow_raises_not_finite(scale):
+    # at 1e160 every squared distance overflows to inf; at 1e153 each one is
+    # finite but their sum overflows.  Either would make the D² weights NaN:
+    # the seeding and both initializers raise, with no RuntimeWarning
+    # (the suite turns warnings into errors)
     ds = gen_synthetic("two-cluster", 25, 0.25, seed=0)
-    huge = Dataset(ds.points * 1e160, labels=ds.labels)
+    huge = Dataset(ds.points * scale, labels=ds.labels)
     for init in (lambda: kmeanspp_seeds(huge, 2, make_rng(0)),
                  lambda: init_flat(huge, 2, make_rng(0)),
                  lambda: init_hier(huge, 2, 2, make_rng(0))):

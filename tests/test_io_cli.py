@@ -1034,16 +1034,20 @@ def test_cli_exit_code_by_error_family(monkeypatch, capsys, tmp_path, error):
 def overflow_dir(tmp_path, monkeypatch):
     """A working directory with a 50-row dataset (``unit.csv``), the same
     rows scaled by 1e160 (``huge.csv``), whose squared distances overflow
-    float64, and a model fitted on the unit rows (``unit.json``)."""
+    float64, and by 1e153 (``large.csv``), whose squared distances are
+    finite but sum past float64, and a model fitted on the unit rows
+    (``unit.json``)."""
     ds = pairmix.gen_synthetic("two-cluster", 25, 0.25, seed=0)
     save_dataset_csv(ds, tmp_path / "unit.csv")
     save_dataset_csv(Dataset(ds.points * 1e160, labels=ds.labels), tmp_path / "huge.csv")
+    save_dataset_csv(Dataset(ds.points * 1e153, labels=ds.labels), tmp_path / "large.csv")
     save_model(fit_flat(ds, RelationSet(), 2, FitConfig(seed=0))[0], tmp_path / "unit.json")
     monkeypatch.chdir(tmp_path)
     return tmp_path
 
 
 HUGE = ["--data", "huge.csv", "--label-column", "label"]
+LARGE = ["--data", "large.csv", "--label-column", "label"]
 
 
 @pytest.mark.parametrize(
@@ -1051,15 +1055,19 @@ HUGE = ["--data", "huge.csv", "--label-column", "label"]
     [
         ["fit", *HUGE, "--classes", "2", "--out", "out.json", "--trace", "trace.csv"],
         ["fit", *HUGE, "--classes", "2", "--clusters-per-class", "2", "--out", "out.json"],
+        ["fit", *LARGE, "--classes", "2", "--out", "out.json"],
+        ["fit", *LARGE, "--classes", "2", "--clusters-per-class", "2", "--out", "out.json"],
         ["predict", "--model", "unit.json", *HUGE, "--out", "out.csv"],
         ["evaluate", "--model", "unit.json", *HUGE, "--out", "out.txt"],
     ],
-    ids=["fit", "fit-two-level", "predict", "evaluate"],
+    ids=["fit", "fit-two-level", "fit-sum", "fit-two-level-sum", "predict", "evaluate"],
 )
 def test_cli_overflowing_data_exit_3(overflow_dir, capsys, argv):
-    # fitting data whose squared distances overflow, or predicting points
-    # with zero density under every class of a unit-scale model, is an
-    # input error: exit 3, one error line, no output and no temporary file
+    # fitting data whose squared distances (or only their sum) overflow, or
+    # predicting points with zero density under every class of a unit-scale
+    # model, is an input error: exit 3, one error line, no output and no
+    # temporary file.  The suite turns warnings into errors, so a
+    # RuntimeWarning on the way would not exit 3
     before = sorted(p.name for p in overflow_dir.iterdir())
     assert cli.main(argv) == 3
     captured = capsys.readouterr()
@@ -1069,9 +1077,10 @@ def test_cli_overflowing_data_exit_3(overflow_dir, capsys, argv):
     assert sorted(p.name for p in overflow_dir.iterdir()) == before
 
 
-def test_cli_trials_on_overflowing_data_records_failures(overflow_dir, capsys):
+@pytest.mark.parametrize("data", [HUGE, LARGE], ids=["distances", "sum"])
+def test_cli_trials_on_overflowing_data_records_failures(overflow_dir, capsys, data):
     # each trial fails at its initialization and the sweep records it
-    argv = ["trials", *HUGE, "--classes", "2", "--budgets", "0,2", "--n-trials", "2",
+    argv = ["trials", *data, "--classes", "2", "--budgets", "0,2", "--n-trials", "2",
             "--out", "trials.csv"]
     assert cli.main(argv) == 0
     captured = capsys.readouterr()
