@@ -30,7 +30,10 @@ by one of three routes:
     are exact maximizers and cannot end below it either);
   - a fraction-to-boundary cap plus a hard floor (``ALPHA_FLOOR``, which
     also clamps the two-class closed form) keeping all weights strictly
-    positive.
+    positive;
+  - once that phase stops off the boundary, up to three plain Newton steps
+    (the polish), so the solve ends at the maximizer to within a few ulps
+    instead of wherever its stopping test happened to pass.
 
 :func:`optimize_mixing_info` checks its arguments and hands them to
 ``_solve_mixing``; the EM engine, whose counts come from its own E-step,
@@ -63,6 +66,8 @@ ALPHA_FLOOR = 1e-10
 _ACTIVE_THRESH = 10.0 * ALPHA_FLOOR
 _TOL = 1e-8  # scaled KKT residual at which a solve stops
 _MAX_STEPS = 200  # Newton steps a solve may take
+_POLISH_STEPS = 3  # plain Newton steps after the safeguarded phase stops
+_POLISH_ULPS = 32  # how far, in ulps of f's terms, a polish step may lower f
 
 
 def _check_counts(counts: np.ndarray) -> np.ndarray:
@@ -294,6 +299,10 @@ def _solve_mixing(counts: np.ndarray, n_cannot: int,
         resid = _kkt_residual(a, grad)
 
     railed = bool((a <= _ACTIVE_THRESH).any())
+    if not railed:
+        a, f_cur, grad, polished = _polish(a, c, n_cannot, grad, f_cur)
+        steps += polished
+        resid = _kkt_residual(a, grad)
     if resid > _TOL and not railed:
         # allow a near-converged return when progress is machine-limited
         if resid > 1e-6:
@@ -304,6 +313,37 @@ def _solve_mixing(counts: np.ndarray, n_cannot: int,
     alpha = np.zeros(counts.size)
     alpha[support] = a / a.sum()
     return alpha, MixingInfo(steps, resid, f_cur, railed)
+
+
+def _polish(a: np.ndarray, c: np.ndarray, n_cannot: int, grad: np.ndarray,
+            f_cur: float) -> tuple[np.ndarray, float, np.ndarray, int]:
+    """Up to ``_POLISH_STEPS`` plain Newton steps, no line search, from the
+    point ``a`` where the safeguarded phase met ``_TOL``: the residual test
+    stops that phase wherever rounding puts it below the tolerance, and
+    Newton's quadratic convergence takes every such point on to the
+    maximizer to within a few ulps.  A step is kept only if every weight
+    stays above ``ALPHA_FLOOR`` and ``f`` falls at most 4 ulps below the
+    point it started from.  Returns the point, ``f`` and the gradient there,
+    and the number of steps kept."""
+    # f's rounding error scales with its terms c·log α and n·log(1 − Σα²),
+    # both ≤ 0, which can be far larger than f itself
+    scale = float(c @ -np.log(a)) - n_cannot * math.log(1.0 - float(a @ a))
+    f_floor = f_cur - _POLISH_ULPS * math.ulp(scale)
+    for kept in range(_POLISH_STEPS):
+        try:
+            delta = np.linalg.solve(*_newton_system(a, c, n_cannot, grad))[:a.size]
+        except np.linalg.LinAlgError:
+            return a, f_cur, grad, kept
+        cand = a + delta
+        if not (cand > ALPHA_FLOOR).all():  # NaN fails the test too
+            return a, f_cur, grad, kept
+        cand /= cand.sum()
+        f_cand = mixing_objective(cand, c, n_cannot)
+        if not f_cand >= f_floor:
+            return a, f_cur, grad, kept
+        a, f_cur = cand, f_cand
+        grad = mixing_gradient(a, c, n_cannot)
+    return a, f_cur, grad, _POLISH_STEPS
 
 
 def optimize_mixing(counts, n_cannot: int, alpha_init=None) -> np.ndarray:
