@@ -396,23 +396,26 @@ class _EStep(NamedTuple):
 
 
 def _estep(p: _Params, points: np.ndarray, plan: _RelationPlan) -> _EStep:
-    """E-step over ``points`` with one density pass: the pair columns of
-    ``B`` are gathered (``take`` keeps them C-contiguous), then ``log α + B``
-    is normalized in place for all N points."""
+    """E-step over ``points`` with one density pass: the pair members'
+    columns of ``B`` are gathered with one ``take`` over ``plan.members``,
+    then ``log α + B`` is normalized in place for all N points."""
     n_classes = p.alpha.size
     log_alpha = p.log_alpha[:, None]
     b, r = _cluster_tables(p, points)
-    i, j = plan.must_pairs.T
-    a_idx, b_idx = plan.cannot_pairs.T
+    n_must, n_cannot = len(plan.must_pairs), len(plan.cannot_pairs)
+    # columns i then j of the must-links, a then b of the cannot-links
+    pairs = b.take(plan.members, axis=1)
+    split = 2 * n_must + n_cannot
+    b_i, b_j = pairs[:, :n_must], pairs[:, n_must:2 * n_must]
+    b_a, b_b = pairs[:, 2 * n_must:split], pairs[:, split:]
     no_pairs = np.empty((n_classes, 0))  # the tables of a factor with no pair
-    must = log_alpha + b.take(i, axis=1) + b.take(j, axis=1) if i.size else no_pairs
-    b_a, b_b = b.take(a_idx, axis=1), b.take(b_idx, axis=1)
+    must = log_alpha + b_i + b_j if n_must else no_pairs
     b += log_alpha
     ll = float(_normalize(b)[plan.unsup_idx].sum())
     b[:, plan.linked_idx] = 0.0
-    if i.size:
+    if n_must:
         ll += float(_normalize(must).sum())
-    if not a_idx.size:
+    if not n_cannot:
         return _EStep(b, r, must, no_pairs, no_pairs,
                       np.empty((n_classes, n_classes, 0)), ll)
 
