@@ -113,20 +113,6 @@ def mixing_gradient(alpha, counts, n_cannot: int) -> np.ndarray:
     return grad
 
 
-# The solver's inner loop works on the support, where every c_m > 0 and
-# every α_m > 0, and always has cannot-links.  There _support_objective
-# computes exactly what mixing_objective does, operation for operation,
-# without its argument conversion and zero-count masking.
-
-
-def _support_objective(a: np.ndarray, c: np.ndarray, n_cannot: int) -> float:
-    value = float((c * np.log(a)).sum())
-    norm = 1.0 - float(a @ a)
-    if norm <= 0.0:
-        return np.inf
-    return value - n_cannot * np.log(norm)
-
-
 def _newton_system(a, c, n_cannot, grad):
     """Equality-constrained KKT matrix ``[[H, -1], [1ᵀ, 0]]`` and right-hand
     side ``[-∇f, 0]``, with the Hessian of f
@@ -214,7 +200,7 @@ def _closed_form_info(alpha: np.ndarray, counts: np.ndarray, n_cannot: int) -> M
     support = counts > 0
     a, c = alpha[support], counts[support]
     resid = _kkt_residual(a, mixing_gradient(a, c, n_cannot))
-    return MixingInfo(0, resid, _support_objective(a, c, n_cannot),
+    return MixingInfo(0, resid, mixing_objective(a, c, n_cannot),
                       bool((a <= _ACTIVE_THRESH).any()))
 
 
@@ -254,7 +240,7 @@ def _solve_mixing(counts: np.ndarray, n_cannot: int,
         a = np.maximum(start[support], 1e-12)
         a = a / a.sum()
 
-    f_cur = _support_objective(a, c, n_cannot)
+    f_cur = mixing_objective(a, c, n_cannot)
     grad = mixing_gradient(a, c, n_cannot)
     resid = _kkt_residual(a, grad)
     steps = 0
@@ -284,7 +270,7 @@ def _solve_mixing(counts: np.ndarray, n_cannot: int,
         for _ in range(60):
             cand = np.maximum(a + t * delta, ALPHA_FLOOR)
             cand /= cand.sum()
-            f_cand = _support_objective(cand, c, n_cannot)
+            f_cand = mixing_objective(cand, c, n_cannot)
             if math.isfinite(f_cand) and f_cand >= f_cur + 1e-4 * t * slope:
                 a, f_cur = cand, f_cand
                 accepted = True
