@@ -14,12 +14,13 @@ bits.  :func:`log_sum_exp` reduces in log space, and
 positive definite; when one batched factorization settles every matrix,
 the ridge ladder is not entered.
 
-The three are public wrappers that check their arguments and hand them to
-private cores, ``_log_density_stack``, ``_log_sum_exp`` and
-``_regularize_covariances``, which hold all the logic.  The EM engine calls
-the cores directly on arrays it made itself; the cores keep only the
-guards its values can trip (a NaN or ``+inf`` summand, a non-finite
-covariance, a singular factor).
+The density kernel and the covariance repair are public wrappers that
+check their arguments and hand them to private cores,
+``_log_density_stack`` and ``_regularize_covariances``, which hold all the
+logic.  The EM engine calls the cores directly on arrays it made itself;
+the cores keep only the guards its values can trip (a non-finite
+covariance, a singular factor).  The engine normalizes its posterior
+tables itself (:mod:`pairmix.hier`), so :func:`log_sum_exp` has no core.
 """
 
 from __future__ import annotations
@@ -154,12 +155,6 @@ def log_sum_exp(v, axis=None):
     v = np.asarray(v, dtype=float)
     if v.size == 0 or (axis is not None and v.shape[axis] == 0):
         raise EmptyInputError("log_sum_exp over an empty set")
-    return _log_sum_exp(v, axis)
-
-
-def _log_sum_exp(v: np.ndarray, axis=None):
-    """:func:`log_sum_exp` of a non-empty float array, without the argument
-    checks: the core the EM engine calls."""
     hi = v.max(axis=axis, keepdims=True)
     if np.isfinite(hi).all():
         shifted = v - hi

@@ -219,6 +219,10 @@ def test_log_sum_exp_extreme_shift_is_stable():
     assert abs(log_sum_exp(v) - expected) < 1e-6
     assert log_sum_exp(np.array([-np.inf, 0.0])) == 0.0
     assert log_sum_exp(np.array([-np.inf, -np.inf])) == -np.inf
+    # an all -inf slice reduces to -inf along either axis, the others as usual
+    dead = np.array([[-np.inf, 0.0], [-np.inf, -np.inf]])
+    assert np.array_equal(log_sum_exp(dead, axis=0), [-np.inf, 0.0])
+    assert np.array_equal(log_sum_exp(dead, axis=1), [0.0, -np.inf])
 
 
 def test_log_sum_exp_axis_semantics():
@@ -333,16 +337,9 @@ def test_regularize_stack_matches_single_matrix():
 
 
 def test_cores_match_wrappers_bit_for_bit():
-    # on valid input each core returns exactly what its checking wrapper
-    # returns, on a table with -inf entries and an all -inf column along
-    # every axis, and a stack whose indefinite matrix climbs the ladder
+    # on valid input the core returns exactly what its checking wrapper
+    # returns, on a stack whose indefinite matrix climbs the ladder
     rng = np.random.default_rng(107)
-    v = rng.normal(size=(5, 9)) * 4.0
-    v[rng.random(size=v.shape) < 0.3] = -np.inf
-    v[:, 4] = -np.inf
-    for axis in (None, 0, 1):
-        assert np.array_equal(gaussian._log_sum_exp(v, axis), log_sum_exp(v, axis=axis))
-    assert np.isneginf(gaussian._log_sum_exp(v, 0)[4])
     a = rng.normal(size=(2, 3, 3))
     stack = np.stack([a[0] @ a[0].T + np.eye(3), np.diag([1.0, 2.0, -0.5]), a[1] @ a[1].T])
     got = gaussian._regularize_covariances(stack.copy(), 1e-6)
@@ -350,10 +347,6 @@ def test_cores_match_wrappers_bit_for_bit():
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
     assert got[1][1] > 0.0 and got[1][0] == got[1][2] == 0.0
-    # the cores keep the guards that an E-step's or M-step's values can trip
-    with pytest.raises(NotFiniteError):
-        gaussian._log_sum_exp(np.array([[0.0, np.nan], [1.0, 0.0]]), 0)
-    with pytest.raises(NotFiniteError):
-        gaussian._log_sum_exp(np.array([0.0, np.inf]), None)
+    # the core keeps the guard that an M-step's values can trip
     with pytest.raises(NotFiniteError):
         gaussian._regularize_covariances(np.full((1, 2, 2), np.inf), 1e-6)
