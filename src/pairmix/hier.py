@@ -39,15 +39,18 @@ the relation plan with its pair-member index — is built once per fit.
 
 Small fits are bound by numpy's per-call cost, not by arithmetic, so the
 density of an input that fits in one row block (see :mod:`pairmix.gaussian`)
-makes one batched product with no block bookkeeping, and a small table's
-log-sum-exp is made inline.  Each such path makes the operations of the
-blocked one on one block, so every fit is the same to the bit whichever
+makes one batched product with no block bookkeeping: the operations of the
+blocked path on one block, so every fit is the same to the bit whichever
 path it takes.
 
-A point or pair with zero density under every class has no posterior; the
-normalization of its class table raises :class:`NotFiniteError` (the check
-runs only once a column's max is known not to be finite).  Zero density
-under every cluster of one class only zeroes that class's posterior.
+Every table — a class's rows of the cluster table, and the point,
+must-link and cannot-link class tables — goes through one in-place softmax
+(:func:`_normalize`) whatever its size.  A column of ``-inf``, zero density
+under every row, gets posteriors 0 and log-normalizer ``-inf`` there.  In a
+cluster table that only zeroes the class's posterior; in a class table it
+is a point or pair with no posterior, for which the E-step's
+log-likelihood and the batch class posteriors raise
+:class:`NotFiniteError`.
 
 Reseed policy: a cluster whose responsibility mass falls to ≤ ``Z_EPS`` is
 moved to the point the model claims least, with the pooled data
@@ -90,6 +93,10 @@ from .types import (
 )
 
 Z_EPS = 1e-12
+_LOWEST = np.finfo(float).min
+_ZERO_DENSITY = ("a point or pair has zero density under every class (it lies too "
+                 "far outside the model's scale); its posterior and the likelihood "
+                 "are undefined")
 # float64 values in one row block of a component's scatter sum; see _scatter_stack
 _ROW_FLOATS = 1 << 13
 
@@ -306,61 +313,35 @@ def _cluster_tables(p: _Params, points: np.ndarray):
         return weighted, None
     b = np.empty((n_classes, points.shape[0]))
     for m in range(n_classes):
-        rows = weighted[offsets[m]:offsets[m + 1]]
-        try:
-            b[m] = _normalize(rows)
-        except NotFiniteError:  # raised before ``rows`` is touched
-            b[m] = _normalize_live(rows)
+        b[m] = _normalize(weighted[offsets[m]:offsets[m + 1]])
     return b, weighted
 
 
-def _normalize_live(w: np.ndarray) -> np.ndarray:
-    """:func:`_normalize` of the columns of ``w`` that are not all ``-inf``;
-    the others get ``lse = -inf`` and posteriors 0.  NaN or ``+inf`` still
-    raise."""
-    dead = w.max(axis=0) == -np.inf
-    lse = np.full(w.shape[1], -np.inf)
-    live = w[:, ~dead]
-    lse[~dead] = _normalize(live)
-    w[:, ~dead] = live
-    w[:, dead] = 0.0
-    return lse
-
-
 def _normalize(w: np.ndarray) -> np.ndarray:
-    """Turn the columns of the log table ``w`` (K, n) into posteriors
-    ``exp(w - lse)`` in place; returns the log-normalizers ``lse`` (n,),
-    equal to ``log_sum_exp(w, axis=0)`` bit for bit.
+    """Turn the columns of the log table ``w`` (K, n) into posteriors in
+    place: subtract each column's max, exponentiate, divide by the column
+    sums.  Returns the log-normalizers ``lse = log(sum) + max`` (n,), equal
+    to ``log_sum_exp(w, axis=0)`` bit for bit.
 
-    A table of at most ``_ROW_FLOATS`` values or of one column (which numpy
-    sums pairwise) makes exactly the operations of the ``_log_sum_exp``
-    core, inline.  A larger one adds up ``exp(row - max)`` one row at a
-    time, with no (K, n) temporary: numpy's own order for an axis-0 sum of
-    two or more columns.  A column whose max is not finite raises
-    :class:`NotFiniteError`, checked only once the max of every column is
-    known not to be finite: a NaN or ``+inf`` entry, or a column of
-    ``-inf`` — a point or pair with zero density under every row, whose
-    posterior is undefined (:func:`_cluster_tables` recovers from the
-    second in a class's cluster table)."""
+    The division happens in the shifted space, so a column's posteriors sum
+    to 1 even where its max is so large that ``lse`` rounds to it.  A column
+    of ``-inf`` (zero density under every row) gets ``lse = -inf`` and
+    posteriors 0; the caller decides whether that is an error.  A NaN or
+    ``+inf`` entry raises :class:`NotFiniteError`."""
     hi = w.max(axis=0)
-    if not np.isfinite(hi).all():
-        if (hi < np.inf).all():
-            raise NotFiniteError(
-                "a point or pair has zero density under every class "
-                "(it lies too far outside the model's scale); its posterior "
-                "and the likelihood are undefined"
-            )
+    if not (hi < np.inf).all():  # a NaN max fails the test too
         raise NotFiniteError("log_sum_exp input contains NaN or +inf")
-    if w.size <= _ROW_FLOATS or w.shape[1] == 1:
-        lse = np.log(np.exp(w - hi).sum(axis=0))
-    else:
-        lse, term = np.exp(w[0] - hi), np.empty_like(hi)
-        for row in w[1:]:
-            lse += np.exp(np.subtract(row, hi, out=term), out=term)
-        np.log(lse, out=lse)
-    lse += hi
-    w -= lse
+    # a column of -inf is shifted by the lowest float instead, which keeps
+    # it -inf, so its exponentials and its sum are 0
+    w -= np.maximum(hi, _LOWEST)
     np.exp(w, out=w)
+    total = w.sum(axis=0)
+    # a live column's sum holds its max row's exp(0) = 1, so this changes
+    # only the sums of the columns of -inf, whose posteriors stay 0
+    np.maximum(total, 1.0, out=total)
+    w /= total
+    lse = np.log(total)
+    lse += hi
     return lse
 
 
@@ -369,7 +350,8 @@ def _class_posteriors(p: _Params, points: np.ndarray):
     their sub-cluster posteriors ``r`` (see :func:`_cluster_tables`)."""
     b, r = _cluster_tables(p, points)
     b += p.log_alpha[:, None]
-    _normalize(b)
+    if (_normalize(b) == -np.inf).any():
+        raise NotFiniteError(_ZERO_DENSITY)
     return b, r
 
 
@@ -415,16 +397,20 @@ def _estep(p: _Params, points: np.ndarray, plan: _RelationPlan) -> _EStep:
     b[:, plan.linked_idx] = 0.0
     if n_must:
         ll += float(_normalize(must).sum())
-    if not n_cannot:
-        return _EStep(b, r, must, no_pairs, no_pairs,
-                      np.empty((n_classes, n_classes, 0)), ll)
-
-    # log cannotlink_prior(alpha).table, from the carried log α
-    log_prior = log_alpha + p.log_alpha - np.log(_cannot_norm(p.alpha))
-    np.fill_diagonal(log_prior, -np.inf)
-    joint = log_prior[:, :, None] + b_a[:, None, :] + b_b[None, :, :]
-    ll += float(_normalize(joint.reshape(n_classes**2, -1)).sum())
-    return _EStep(b, r, must, joint.sum(axis=1), joint.sum(axis=0), joint, ll)
+    if n_cannot:
+        # log cannotlink_prior(alpha).table, from the carried log α
+        log_prior = log_alpha + p.log_alpha - np.log(_cannot_norm(p.alpha))
+        np.fill_diagonal(log_prior, -np.inf)
+        joint = log_prior[:, :, None] + b_a[:, None, :] + b_b[None, :, :]
+        ll += float(_normalize(joint.reshape(n_classes**2, -1)).sum())
+        cannot_a, cannot_b = joint.sum(axis=1), joint.sum(axis=0)
+    else:
+        joint, cannot_a, cannot_b = np.empty((n_classes, n_classes, 0)), no_pairs, no_pairs
+    # a point or pair with zero density under every class has a table
+    # column of -inf, whose lse = -inf makes the sum -inf
+    if ll == -np.inf:
+        raise NotFiniteError(_ZERO_DENSITY)
+    return _EStep(b, r, must, cannot_a, cannot_b, joint, ll)
 
 
 def _responsibilities(e: _EStep, plan: _RelationPlan, class_of: np.ndarray) -> np.ndarray:

@@ -183,14 +183,12 @@ def test_cluster_tables_uneven_classes_match_dense_reference():
         np.testing.assert_allclose(r, want_r, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 8, 9])
-def test_normalize_matches_log_sum_exp_bits(monkeypatch, k):
-    # the row-by-row normalizer against log_sum_exp over axis 0, on tables
-    # with -inf entries, and on one column, whose sum numpy takes pairwise
-    # once it has 8 entries; with no table counted small, every other table
-    # is summed row by row.  An all -inf column (a point with zero density
-    # under every row) has no posterior and raises
-    monkeypatch.setattr(hier, "_ROW_FLOATS", 0)
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 9, 64])
+def test_normalize_matches_log_sum_exp_bits(k):
+    # the in-place softmax against log_sum_exp over axis 0 and against
+    # exp(w - max) / Σ, on tables with -inf entries, on one column (which
+    # numpy sums pairwise once it has 8 entries) and with a column of -inf
+    # (zero density under every row), which gets lse = -inf and posteriors 0
     rng = np.random.default_rng(517)
     for n, dead in itertools.product((1, 2, 7, 1000) * 25, (False, True)):
         w = rng.normal(size=(k, n)) * 3.0
@@ -198,14 +196,20 @@ def test_normalize_matches_log_sum_exp_bits(monkeypatch, k):
         w[rng.integers(k, size=n), np.arange(n)] = rng.normal(size=n) * 3.0
         if dead:
             w[:, rng.integers(n)] = -np.inf
-            with pytest.raises(NotFiniteError, match="zero density"):
-                hier._normalize(w.copy())
-            continue
-        want = log_sum_exp(w, axis=0)
+        live = w.max(axis=0) > -np.inf
+        with np.errstate(invalid="ignore"):  # the reference's dead columns are NaN
+            e = np.exp(w - w.max(axis=0))
+            want_w = e / e.sum(axis=0)
         got_w = w.copy()
         got = hier._normalize(got_w)
-        assert np.array_equal(got, want)
-        assert np.array_equal(got_w, np.exp(w - want))
+        assert np.array_equal(got, log_sum_exp(w, axis=0))
+        assert np.array_equal(got_w[:, live], want_w[:, live])
+        assert np.isneginf(got[~live]).all() and not got_w[:, ~live].any()
+    for bad in (np.nan, np.inf):
+        w = np.zeros((k, 3))
+        w[-1, 1] = bad
+        with pytest.raises(NotFiniteError, match="NaN or \\+inf"):
+            hier._normalize(w)
 
 
 def test_responsibilities_rows_count_factors():
@@ -387,10 +391,7 @@ def _raise_public(*args, **kwargs):
 def test_fit_loop_calls_only_private_cores(monkeypatch):
     # the public regularize_covariances and log_sum_exp raise wherever a
     # pairmix module holds them; fits from given starting models (their
-    # initialization is an API edge) must still give the unpatched traces.
-    # N = 4200 with two classes puts 8400 > _ROW_FLOATS values in a
-    # point table, which _normalize sums row by row; the pair tables are
-    # small and go to the log-sum-exp core
+    # initialization is an API edge) must still give the unpatched traces
     ds = gen_synthetic("two-cluster", 2100, 0.25, seed=3)
     rel = sample_relations(ds.labels, 40, make_rng(518))
     assert rel.must and rel.cannot
@@ -399,14 +400,6 @@ def test_fit_loop_calls_only_private_cores(monkeypatch):
     hier_init = init_hier(ds, 2, 2, make_rng(1))
     want = [fit_flat(ds, rel, 2, config, init=flat_init)[1],
             fit_hier(ds, rel, 2, 2, config, init=hier_init)[1]]
-    tables = []
-    normalize = hier._normalize
-
-    def recorded(w):
-        tables.append(w.shape)
-        return normalize(w)
-
-    monkeypatch.setattr(hier, "_normalize", recorded)
     modules = [m for name, m in sorted(sys.modules.items())
                if name == "pairmix" or name.startswith("pairmix.")]
     for module in modules:
@@ -417,8 +410,6 @@ def test_fit_loop_calls_only_private_cores(monkeypatch):
            fit_hier(ds, rel, 2, 2, config, init=hier_init)[1]]
     assert got == want
     assert all(trace.n_iters > 2 for trace in got)
-    assert any(k * n > hier._ROW_FLOATS and n > 1 for k, n in tables)
-    assert any(k * n <= hier._ROW_FLOATS for k, n in tables)
 
 
 def test_scatter_stack_peak_memory_is_bounded():
@@ -660,6 +651,22 @@ def test_hier_zero_density_point_raises_not_finite():
     assert np.array_equal(predict_hier_batch(model, np.stack([x, x])), [[0.0, 1.0]] * 2)
     (joint_tight, joint_broad), marginal = hier_resp_unsupervised(model, x)
     assert np.array_equal(joint_tight, [0.0, 0.0]) and np.array_equal(marginal, [0.0, 1.0])
+
+
+def test_cluster_posteriors_sum_to_one_at_huge_log_densities():
+    # member a at the origin, between two clusters of one class with
+    # covariance 1e-300·I at (±0.5, 0): both log-densities are about
+    # -1.25e299, where log 2 is below the ulp of the log-normalizer, so
+    # exp(w - lse) gave the sub-cluster posteriors [1, 1].  Member b sits on
+    # the other class, so the cannot-link gives a's class posterior 1
+    tiny = 1e-300 * np.eye(2)
+    pair = ClassMixture(pi=np.array([0.5, 0.5]), means=np.array([[-0.5, 0.0], [0.5, 0.0]]),
+                        covs=np.stack([tiny, tiny]))
+    other = ClassMixture(pi=np.array([1.0]), means=np.array([[2.0, 0.0]]), covs=tiny[None])
+    model = HierModel(alpha=np.array([0.5, 0.5]), classes=(pair, other))
+    joint_a, _, d_a, _, _ = hier_resp_cannotlink(model, np.zeros(2), np.array([2.0, 0.0]))
+    assert np.array_equal(d_a, [1.0, 0.0])
+    assert np.array_equal(joint_a[0], [0.5, 0.5])
 
 
 def test_predict_hier_consistency():
