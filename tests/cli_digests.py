@@ -16,13 +16,30 @@ stderr and every file it created or changed.  Each ``--help`` page prints
 one line too.  Run the script on two trees and ``diff`` the outputs: no
 difference means the same exit codes, stdout, stderr and output bytes.
 Fits in the children are not seen by the in-process ``tests/fit_digests.py``.
+
+A hash cannot tell a last-digit change from a change of behaviour, so the
+outputs can be kept and compared number by number::
+
+    PYTHONPATH=src python tests/cli_digests.py --keep /tmp/after > after.txt
+    python tests/cli_digests.py --compare /tmp/before /tmp/after
+
+``--keep DIR`` saves each command's stdout, stderr and the files it
+created or changed under ``DIR/<label>/`` (a ``--help`` page under
+``DIR/help-<command>/``).  ``--compare A B`` prints one line per file of
+either tree: ``identical``; where the text between the numbers matches,
+the largest relative difference over the numbers; otherwise ``text
+differs`` (or ``only in A`` / ``only in B``).  It exits with status 1 when
+any file's text differs or is missing from one tree.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -146,8 +163,8 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def _files(root: Path) -> dict[str, str]:
-    return {p.name: _digest(p.read_bytes()) for p in root.iterdir() if p.is_file()}
+def _files(root: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in root.iterdir() if p.is_file()}
 
 
 def _run(argv, cwd, env) -> subprocess.CompletedProcess:
@@ -155,7 +172,16 @@ def _run(argv, cwd, env) -> subprocess.CompletedProcess:
                           capture_output=True, cwd=cwd, env=env)
 
 
-def main() -> int:
+def _keep(keep: Path | None, label: str, proc, written: dict[str, bytes]) -> None:
+    if keep is None:
+        return
+    out = keep / label
+    out.mkdir(parents=True, exist_ok=True)
+    for name, data in {**written, "stdout": proc.stdout, "stderr": proc.stderr}.items():
+        (out / name).write_bytes(data)
+
+
+def run(keep: Path | None) -> None:
     # the children run elsewhere, so a relative PYTHONPATH entry is made
     # absolute; help text wraps at the width a child reads from COLUMNS
     path = os.environ.get("PYTHONPATH", "").split(os.pathsep)
@@ -174,15 +200,67 @@ def main() -> int:
             before = _files(root)
             proc = _run(argv, root, env)
             (root / "cfg.json").unlink(missing_ok=True)
-            after = _files(root)
-            written = " ".join(f"{name}={digest}" for name, digest in sorted(after.items())
-                               if before.get(name) != digest)
+            written = {name: data for name, data in sorted(_files(root).items())
+                       if before.get(name) != data}
+            _keep(keep, label, proc, written)
+            files = " ".join(f"{name}={_digest(data)}" for name, data in written.items())
             print(f"{label} exit={proc.returncode} stdout={_digest(proc.stdout)} "
-                  f"stderr={_digest(proc.stderr)} {written}".rstrip())
+                  f"stderr={_digest(proc.stderr)} {files}".rstrip())
         for argv in HELP:
             proc = _run([*argv, "--help"], root, env)
+            _keep(keep, f"help-{argv[0] if argv else 'pairmix'}", proc, {})
             print(f"help {' '.join(argv) or 'pairmix'} exit={proc.returncode} "
                   f"stdout={_digest(proc.stdout)} stderr={_digest(proc.stderr)}")
+
+
+# a decimal or exponent number, or a word a float's repr can print
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?\b(?:nan|inf)\b")
+
+
+def compare_text(a: str, b: str) -> str:
+    """``identical``; the largest relative difference over the numbers of
+    two texts whose other characters match; or ``text differs``."""
+    if a == b:
+        return "identical"
+    nums_a, nums_b = _NUMBER.findall(a), _NUMBER.findall(b)
+    if _NUMBER.split(a) != _NUMBER.split(b) or len(nums_a) != len(nums_b):
+        return "text differs"
+    worst = 0.0
+    for x, y in zip(nums_a, nums_b):
+        if x != y:
+            x, y = float(x), float(y)
+            rel = abs(x - y) / abs(x) if x else abs(y)
+            worst = max(worst, rel if rel == rel else math.inf)  # NaN: no bound
+    return f"numbers differ by at most {worst:.3g} relative"
+
+
+def compare(a: Path, b: Path) -> int:
+    """Print one line per file of either kept tree; 1 when any file's text
+    differs or is missing from one tree."""
+    names = sorted({p.relative_to(root).as_posix() for root in (a, b)
+                    for p in root.rglob("*") if p.is_file()})
+    status = 0
+    for name in names:
+        if not (a / name).is_file() or not (b / name).is_file():
+            verdict = f"only in {'B' if (b / name).is_file() else 'A'}"
+        else:
+            verdict = compare_text((a / name).read_text(errors="replace"),
+                                   (b / name).read_text(errors="replace"))
+        status |= verdict.startswith(("text", "only"))
+        print(f"{name}: {verdict}")
+    return status
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--keep", type=Path, metavar="DIR",
+                        help="save each command's stdout, stderr and files under DIR/<label>/")
+    parser.add_argument("--compare", type=Path, nargs=2, metavar=("A", "B"),
+                        help="compare two --keep trees number by number, and run nothing")
+    args = parser.parse_args()
+    if args.compare:
+        return compare(*args.compare)
+    run(args.keep)
     return 0
 
 
