@@ -91,17 +91,20 @@ def _log_density_stack(points: np.ndarray, means: np.ndarray, chols: np.ndarray,
     them when their deviations fit in ``_ROW_FLOATS`` values, in two buffers
     made once per call, so no temporary grows with N or C.  Both paths make
     the same batched product on a (components, rows, d) stack, so they
-    agree bit for bit."""
+    agree bit for bit.  A quadratic form past float64 is ``+inf``, a
+    log-density of ``-inf``, without a warning: the caller decides whether
+    a point with zero density is an error."""
     (n, d), c = points.shape, means.shape[0]
     try:
         inv_t = np.ascontiguousarray(np.linalg.inv(chols).swapaxes(1, 2))
     except np.linalg.LinAlgError as exc:
         raise InvariantViolationError(f"Cholesky factor is singular: {exc}") from exc
-    if c * n * d <= _ROW_FLOATS:
-        z = np.matmul(_deviations(points, means), inv_t)
-        quad = np.einsum("crd,crd->cr", z, z)
-    else:
-        quad = _blocked_quad(points, means, inv_t)
+    with np.errstate(over="ignore"):
+        if c * n * d <= _ROW_FLOATS:
+            z = np.matmul(_deviations(points, means), inv_t)
+            quad = np.einsum("crd,crd->cr", z, z)
+        else:
+            quad = _blocked_quad(points, means, inv_t)
     quad += (d * LOG_2PI + log_dets)[:, None]
     quad *= -0.5
     return quad.T
@@ -217,30 +220,40 @@ def _regularize_covariances(
     if not np.isfinite(stack).all():
         raise NotFiniteError("covariance contains non-finite entries")
     n, d, _ = stack.shape
-    tr = np.trace(stack, axis1=1, axis2=2)
-    floors = np.where(tr > 0.0, rel_floor * tr / d, rel_floor)
-    sym = 0.5 * (stack + stack.swapaxes(1, 2))  # the ladder's first rung, ε = 0
     eps = np.zeros(n)
-    try:
-        chols = np.linalg.cholesky(sym)
-        pivots = np.diagonal(chols, axis1=1, axis2=2)
-        cleared = pivots**2 >= 0.5 * floors[:, None]  # (C, d): pivot by pivot
-    except np.linalg.LinAlgError:
-        chols, cleared = np.empty_like(sym), np.zeros((n, 1), dtype=bool)
-    if not cleared.all():  # otherwise every matrix settled on the first rung
-        for c in np.flatnonzero(~cleared.all(axis=1)):
-            sym[c], eps[c], chols[c] = _ridge_ladder(sym[c], float(floors[c]))
+    # entries near the float64 limit, or a huge rel_floor, can take the
+    # symmetrization, the trace, a floor, a rung or a squared pivot past it;
+    # such a matrix fails the pivot test, and its ladder raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr = np.trace(stack, axis1=1, axis2=2)
+        floors = np.where(tr > 0.0, rel_floor * tr / d, rel_floor)
+        sym = 0.5 * (stack + stack.swapaxes(1, 2))  # the ladder's first rung, ε = 0
+        try:
+            chols = np.linalg.cholesky(sym)
+            pivots = np.diagonal(chols, axis1=1, axis2=2)
+            cleared = pivots**2 >= 0.5 * floors[:, None]  # (C, d): pivot by pivot
+        except np.linalg.LinAlgError:
+            chols, cleared = np.empty_like(sym), np.zeros((n, 1), dtype=bool)
+        if not cleared.all():  # otherwise every matrix settled on the first rung
+            for c in np.flatnonzero(~cleared.all(axis=1)):
+                sym[c], eps[c], chols[c] = _ridge_ladder(sym[c], float(floors[c]))
     return sym, eps, chols
 
 
 def _ridge_ladder(sym: np.ndarray, floor: float) -> tuple[np.ndarray, float, np.ndarray]:
     """The first rung ``sym + εI`` whose pivots all clear ``floor/2``, its
-    ε and its lower Cholesky factor."""
+    ε and its lower Cholesky factor.  A rung that is not finite (the matrix,
+    its floor or ε past float64) raises :class:`NotFiniteError`."""
     eye = np.eye(sym.shape[0])
     pivot_floor = 0.5 * floor
     eps = 0.0
     for _ in range(64):
         candidate = sym + eps * eye
+        if not np.isfinite(candidate).all():
+            raise NotFiniteError(
+                "covariance ridge overflows float64; rescale the data or lower "
+                "the ridge floor"
+            )
         try:
             chol = np.linalg.cholesky(candidate)
             if (np.diag(chol) ** 2 >= pivot_floor).all():

@@ -113,7 +113,8 @@ def _seeded_moments(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Read each seed's group of points (``assign``) off as a mean and a
     regularized biased covariance; an empty group keeps its seed and gets
-    a ``ridge_floor·I`` covariance."""
+    a ``ridge_floor·I`` covariance.  A covariance past float64 raises
+    :class:`NotFiniteError`."""
     k, d = seeds.shape
     means = seeds.copy()
     covs = np.broadcast_to(ridge_floor * np.eye(d), (k, d, d)).copy()
@@ -122,7 +123,10 @@ def _seeded_moments(
         dev = points[assign == c]  # a copy, centred in place
         means[c] = dev.mean(axis=0)
         dev -= means[c]
-        covs[c] = dev.T @ dev / dev.shape[0]
+        with np.errstate(over="ignore"):  # _kmeanspp checks no distance for one seed
+            covs[c] = dev.T @ dev / dev.shape[0]
+    if not np.isfinite(covs).all():
+        raise NotFiniteError("the data's covariance overflows float64; rescale the data")
     covs[filled] = regularize_covariances(covs[filled], ridge_floor)[0]
     return means, covs
 

@@ -71,7 +71,9 @@ class PcaTransform:
 
 
 def fit_pca(dataset: Dataset, k: int) -> PcaTransform:
-    """Top-``k`` eigenpairs of the sample covariance (biased, 1/N)."""
+    """Top-``k`` eigenpairs of the sample covariance (biased, 1/N).
+
+    Raises :class:`NotFiniteError` when the covariance overflows float64."""
     if not 1 <= k <= min(dataset.n, dataset.dim):
         raise KTooLargeError(
             f"k={k} is outside [1, min(N={dataset.n}, d={dataset.dim})]"
@@ -79,7 +81,10 @@ def fit_pca(dataset: Dataset, k: int) -> PcaTransform:
     x = dataset.points
     mean = x.mean(axis=0)
     dev = x - mean
-    cov = dev.T @ dev / x.shape[0]
+    with np.errstate(over="ignore"):
+        cov = dev.T @ dev / x.shape[0]
+    if not np.isfinite(cov).all():
+        raise NotFiniteError("the data's covariance overflows float64; rescale the data")
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1][:k]
     eigvals = np.maximum(eigvals[order], 0.0)

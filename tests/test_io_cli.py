@@ -1034,14 +1034,17 @@ def test_cli_exit_code_by_error_family(monkeypatch, capsys, tmp_path, error):
 def overflow_dir(tmp_path, monkeypatch):
     """A working directory with a 50-row dataset (``unit.csv``), the same
     rows scaled by 1e160 (``huge.csv``), whose squared distances overflow
-    float64, and by 1e153 (``large.csv``), whose squared distances are
-    finite but sum past float64, and a model fitted on the unit rows
-    (``unit.json``)."""
+    float64, by 1e153 (``large.csv``), whose squared distances are finite
+    but sum past float64, and by 1e150 (``wide.csv``), and models fitted on
+    the unit rows (``unit.json``) and on the rows scaled by 1e-150
+    (``tight.json``)."""
     ds = pairmix.gen_synthetic("two-cluster", 25, 0.25, seed=0)
     save_dataset_csv(ds, tmp_path / "unit.csv")
-    save_dataset_csv(Dataset(ds.points * 1e160, labels=ds.labels), tmp_path / "huge.csv")
-    save_dataset_csv(Dataset(ds.points * 1e153, labels=ds.labels), tmp_path / "large.csv")
+    for name, scale in (("huge", 1e160), ("large", 1e153), ("wide", 1e150)):
+        save_dataset_csv(Dataset(ds.points * scale, labels=ds.labels), tmp_path / f"{name}.csv")
     save_model(fit_flat(ds, RelationSet(), 2, FitConfig(seed=0))[0], tmp_path / "unit.json")
+    tight = Dataset(ds.points * 1e-150, labels=ds.labels)
+    save_model(fit_flat(tight, RelationSet(), 2, FitConfig(seed=0))[0], tmp_path / "tight.json")
     monkeypatch.chdir(tmp_path)
     return tmp_path
 
@@ -1059,15 +1062,23 @@ LARGE = ["--data", "large.csv", "--label-column", "label"]
         ["fit", *LARGE, "--classes", "2", "--clusters-per-class", "2", "--out", "out.json"],
         ["predict", "--model", "unit.json", *HUGE, "--out", "out.csv"],
         ["evaluate", "--model", "unit.json", *HUGE, "--out", "out.txt"],
+        ["fit", *HUGE, "--classes", "1", "--out", "out.json"],
+        ["pca", *HUGE, "--k", "1", "--out-data", "out.csv", "--out-transform", "out.json"],
+        ["predict", "--model", "tight.json", *HUGE, "--out", "out.csv"],
+        ["fit", "--data", "wide.csv", "--label-column", "label", "--classes", "2",
+         "--ridge-floor", "1e300", "--out", "out.json"],
     ],
-    ids=["fit", "fit-two-level", "fit-sum", "fit-two-level-sum", "predict", "evaluate"],
+    ids=["fit", "fit-two-level", "fit-sum", "fit-two-level-sum", "predict", "evaluate",
+         "fit-one-class", "pca", "predict-tight-model", "fit-ridge-floor"],
 )
 def test_cli_overflowing_data_exit_3(overflow_dir, capsys, argv):
-    # fitting data whose squared distances (or only their sum) overflow, or
-    # predicting points with zero density under every class of a unit-scale
-    # model, is an input error: exit 3, one error line, no output and no
-    # temporary file.  The suite turns warnings into errors, so a
-    # RuntimeWarning on the way would not exit 3
+    # fitting data whose squared distances (or only their sum, or one
+    # class's covariance) overflow, projecting data whose covariance does,
+    # fitting with a ridge floor that does, or predicting points with zero
+    # density under every class (whose quadratic forms may overflow too) is
+    # an input error: exit 3, one error line, no output and no temporary
+    # file.  The suite turns warnings into errors, so a RuntimeWarning on
+    # the way would not exit 3
     before = sorted(p.name for p in overflow_dir.iterdir())
     assert cli.main(argv) == 3
     captured = capsys.readouterr()
