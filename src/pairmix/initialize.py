@@ -123,10 +123,10 @@ def _seeded_moments(
         dev = points[assign == c]  # a copy, centred in place
         means[c] = dev.mean(axis=0)
         dev -= means[c]
-        with np.errstate(over="ignore"):  # _kmeanspp checks no distance for one seed
+        # _kmeanspp checks no distance for one seed; regularize_covariances
+        # raises for a covariance that overflows
+        with np.errstate(over="ignore"):
             covs[c] = dev.T @ dev / dev.shape[0]
-    if not np.isfinite(covs).all():
-        raise NotFiniteError("the data's covariance overflows float64; rescale the data")
     covs[filled] = regularize_covariances(covs[filled], ridge_floor)[0]
     return means, covs
 

@@ -304,12 +304,13 @@ def _solve_mixing(counts: np.ndarray, n_cannot: int,
 def _polish(a: np.ndarray, c: np.ndarray, n_cannot: int, grad: np.ndarray,
             f_cur: float) -> tuple[np.ndarray, float, np.ndarray, int]:
     """Up to ``_POLISH_STEPS`` plain Newton steps, no line search, from the
-    point ``a`` where the safeguarded phase met ``_TOL``: the residual test
-    stops that phase wherever rounding puts it below the tolerance, and
-    Newton's quadratic convergence takes every such point on to the
+    point ``a`` where the safeguarded phase stopped off the boundary: its
+    residual test stops it wherever rounding puts it below the tolerance,
+    and Newton's quadratic convergence takes every such point on to the
     maximizer to within a few ulps.  A step is kept only if every weight
-    stays above ``ALPHA_FLOOR`` and ``f`` falls at most 4 ulps below the
-    point it started from.  Returns the point, ``f`` and the gradient there,
+    stays above ``ALPHA_FLOOR`` and ``f`` falls no further below its value
+    at ``a`` than ``f``'s own rounding error, ``_POLISH_ULPS`` ulps of the
+    size of its terms.  Returns the point, ``f`` and the gradient there,
     and the number of steps kept."""
     # f's rounding error scales with its terms c·log α and n·log(1 − Σα²),
     # both ≤ 0, which can be far larger than f itself
