@@ -21,6 +21,12 @@ logic.  The EM engine calls the cores directly on arrays it made itself;
 the cores keep only the guards its values can trip (a non-finite
 covariance, a singular factor).  The engine normalizes its posterior
 tables itself (:mod:`pairmix.hier`), so :func:`log_sum_exp` has no core.
+
+An overflow past float64 in the cores becomes ``+inf``, which the guards
+and the engine turn into :class:`NotFiniteError`.  The cores leave the
+floating-point error state to their callers, which ignore overflow: the
+public wrappers here and the engine's entry points set it once per call,
+so the fit loop does not pay for it on every iteration.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ DEFAULT_RIDGE = 1e-6
 _ROW_FLOATS = 1 << 15
 
 
+@np.errstate(over="ignore")
 def log_density_stack(
     points: np.ndarray,
     means: np.ndarray,
@@ -92,19 +99,18 @@ def _log_density_stack(points: np.ndarray, means: np.ndarray, chols: np.ndarray,
     made once per call, so no temporary grows with N or C.  Both paths make
     the same batched product on a (components, rows, d) stack, so they
     agree bit for bit.  A quadratic form past float64 is ``+inf``, a
-    log-density of ``-inf``, without a warning: the caller decides whether
-    a point with zero density is an error."""
+    log-density of ``-inf``, which the caller may take for zero density:
+    its callers ignore overflow (see the module docstring)."""
     (n, d), c = points.shape, means.shape[0]
     try:
         inv_t = np.ascontiguousarray(np.linalg.inv(chols).swapaxes(1, 2))
     except np.linalg.LinAlgError as exc:
         raise InvariantViolationError(f"Cholesky factor is singular: {exc}") from exc
-    with np.errstate(over="ignore"):
-        if c * n * d <= _ROW_FLOATS:
-            z = np.matmul(_deviations(points, means), inv_t)
-            quad = np.einsum("crd,crd->cr", z, z)
-        else:
-            quad = _blocked_quad(points, means, inv_t)
+    if c * n * d <= _ROW_FLOATS:
+        z = np.matmul(_deviations(points, means), inv_t)
+        quad = np.einsum("crd,crd->cr", z, z)
+    else:
+        quad = _blocked_quad(points, means, inv_t)
     quad += (d * LOG_2PI + log_dets)[:, None]
     quad *= -0.5
     return quad.T
@@ -178,6 +184,7 @@ def log_sum_exp(v, axis=None):
     return out.squeeze(axis=axis)
 
 
+@np.errstate(over="ignore")
 def regularize_covariances(
     stack, rel_floor: float = DEFAULT_RIDGE
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -220,23 +227,22 @@ def _regularize_covariances(
     if not np.isfinite(stack).all():
         raise NotFiniteError("covariance contains non-finite entries")
     n, d, _ = stack.shape
+    # entries near the float64 limit, or a huge rel_floor, can take the trace,
+    # a floor or a squared pivot past it, to +inf (its callers ignore
+    # overflow); an infinite floor fails the pivot test, and its ladder raises
+    tr = np.trace(stack, axis1=1, axis2=2)
+    floors = np.where(tr > 0.0, rel_floor * tr / d, rel_floor)
+    sym = 0.5 * (stack + stack.swapaxes(1, 2))  # the ladder's first rung, ε = 0
     eps = np.zeros(n)
-    # entries near the float64 limit, or a huge rel_floor, can take the
-    # symmetrization, the trace, a floor, a rung or a squared pivot past it;
-    # such a matrix fails the pivot test, and its ladder raises
-    with np.errstate(over="ignore", invalid="ignore"):
-        tr = np.trace(stack, axis1=1, axis2=2)
-        floors = np.where(tr > 0.0, rel_floor * tr / d, rel_floor)
-        sym = 0.5 * (stack + stack.swapaxes(1, 2))  # the ladder's first rung, ε = 0
-        try:
-            chols = np.linalg.cholesky(sym)
-            pivots = np.diagonal(chols, axis1=1, axis2=2)
-            cleared = pivots**2 >= 0.5 * floors[:, None]  # (C, d): pivot by pivot
-        except np.linalg.LinAlgError:
-            chols, cleared = np.empty_like(sym), np.zeros((n, 1), dtype=bool)
-        if not cleared.all():  # otherwise every matrix settled on the first rung
-            for c in np.flatnonzero(~cleared.all(axis=1)):
-                sym[c], eps[c], chols[c] = _ridge_ladder(sym[c], float(floors[c]))
+    try:
+        chols = np.linalg.cholesky(sym)
+        pivots = np.diagonal(chols, axis1=1, axis2=2)
+        cleared = pivots**2 >= 0.5 * floors[:, None]  # (C, d): pivot by pivot
+    except np.linalg.LinAlgError:
+        chols, cleared = np.empty_like(sym), np.zeros((n, 1), dtype=bool)
+    if not cleared.all():  # otherwise every matrix settled on the first rung
+        for c in np.flatnonzero(~cleared.all(axis=1)):
+            sym[c], eps[c], chols[c] = _ridge_ladder(sym[c], float(floors[c]))
     return sym, eps, chols
 
 
@@ -248,7 +254,8 @@ def _ridge_ladder(sym: np.ndarray, floor: float) -> tuple[np.ndarray, float, np.
     pivot_floor = 0.5 * floor
     eps = 0.0
     for _ in range(64):
-        candidate = sym + eps * eye
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite ε gives NaN
+            candidate = sym + eps * eye
         if not np.isfinite(candidate).all():
             raise NotFiniteError(
                 "covariance ridge overflows float64; rescale the data or lower "

@@ -35,7 +35,11 @@ Arguments are checked at the edges (the public fit, likelihood and
 posterior functions); inside the loop the engine calls the unchecked cores
 of :mod:`pairmix.gaussian` (``_log_density_stack``, ``_regularize_covariances``)
 and :mod:`pairmix.mixing`, and what does not change between iterations —
-the relation plan with its pair-member index — is built once per fit.
+the relation plan with its pair-member index — is built once per fit.  The
+entry points (the fit loop, the point and batch posteriors and the
+log-likelihood) run under ``np.errstate(over="ignore")``: a density, scatter
+or covariance floor past float64 becomes ``inf`` without a warning, which
+the finiteness guards turn into :class:`NotFiniteError`.
 
 Small fits are bound by numpy's per-call cost, not by arithmetic, so the
 density of an input that fits in one row block (see :mod:`pairmix.gaussian`)
@@ -99,6 +103,8 @@ _ZERO_DENSITY = ("a point or pair has zero density under every class (it lies to
                  "are undefined")
 # float64 values in one row block of a component's scatter sum; see _scatter_stack
 _ROW_FLOATS = 1 << 13
+# the engine's entry points ignore overflow (see the module docstring)
+_overflow_to_inf = np.errstate(over="ignore")
 
 
 @dataclass(frozen=True)
@@ -329,11 +335,12 @@ def _normalize(w: np.ndarray) -> np.ndarray:
     posteriors 0; the caller decides whether that is an error.  A NaN or
     ``+inf`` entry raises :class:`NotFiniteError`."""
     hi = w.max(axis=0)
-    if not (hi < np.inf).all():  # a NaN max fails the test too
-        raise NotFiniteError("log_sum_exp input contains NaN or +inf")
     # a column of -inf is shifted by the lowest float instead, which keeps
     # it -inf, so its exponentials and its sum are 0
-    w -= np.maximum(hi, _LOWEST)
+    shift = np.maximum(hi, _LOWEST)
+    if not np.isfinite(shift).all():  # a NaN or +inf max
+        raise NotFiniteError("log_sum_exp input contains NaN or +inf")
+    w -= shift
     np.exp(w, out=w)
     total = w.sum(axis=0)
     # a live column's sum holds its max row's exp(0) = 1, so this changes
@@ -439,6 +446,7 @@ _MUST_PAIR = RelationSet(must=((0, 1),))
 _CANNOT_PAIR = RelationSet(cannot=((0, 1),))
 
 
+@_overflow_to_inf
 def _point_estep(p: _Params, relations: RelationSet, **named_points) -> _EStep:
     """E-step over the named points alone: one independent point, or a pair
     linked by ``relations`` (as indices 0 and 1)."""
@@ -579,6 +587,7 @@ def _at_rows(a: np.ndarray, rows: np.ndarray, total: int) -> np.ndarray:
 # observed-data log-likelihood
 
 
+@_overflow_to_inf
 def _log_likelihood(p: _Params, dataset, relations, count_linked_as_unsupervised) -> float:
     """The E-step's sum of log-normalizers: the log-likelihood with every
     latent label marginalized."""
@@ -630,6 +639,7 @@ def _safeguarded_mixing(counts: np.ndarray, n_cannot: int, alpha_old: np.ndarray
         return alpha_old
 
 
+@_overflow_to_inf
 def _fit(dataset: Dataset, relations: RelationSet, p: _Params, config: FitConfig,
          name_of: Callable[[int], str]) -> tuple[_Params, FitTrace]:
     """EM from ``p`` on validated relations; ``name_of(c)`` names cluster
@@ -748,6 +758,7 @@ def fit_hier(
     return HierModel(alpha=p.alpha, classes=classes), trace
 
 
+@_overflow_to_inf
 def _predict_batch(p: _Params, points) -> np.ndarray:
     """Class-marginal posteriors of the rows of ``points`` → (N, M)."""
     points = np.asarray(points, dtype=float)

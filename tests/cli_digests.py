@@ -222,11 +222,10 @@ def compare_text(a: str, b: str) -> str:
     two texts whose other characters match; or ``text differs``."""
     if a == b:
         return "identical"
-    nums_a, nums_b = _NUMBER.findall(a), _NUMBER.findall(b)
-    if _NUMBER.split(a) != _NUMBER.split(b) or len(nums_a) != len(nums_b):
+    if _NUMBER.split(a) != _NUMBER.split(b):  # equal text, so as many numbers
         return "text differs"
     worst = 0.0
-    for x, y in zip(nums_a, nums_b):
+    for x, y in zip(_NUMBER.findall(a), _NUMBER.findall(b)):
         if x != y:
             x, y = float(x), float(y)
             rel = abs(x - y) / abs(x) if x else abs(y)

@@ -657,8 +657,9 @@ def test_cluster_posteriors_sum_to_one_at_huge_log_densities():
     # member a at the origin, between two clusters of one class with
     # covariance 1e-300·I at (±0.5, 0): both log-densities are about
     # -1.25e299, where log 2 is below the ulp of the log-normalizer, so
-    # exp(w - lse) gave the sub-cluster posteriors [1, 1].  Member b sits on
-    # the other class, so the cannot-link gives a's class posterior 1
+    # exp(w - lse) would give sub-cluster posteriors [1, 1]; divided in the
+    # shifted space they are [0.5, 0.5].  Member b sits on the other class,
+    # so the cannot-link gives a's class posterior 1
     tiny = 1e-300 * np.eye(2)
     pair = ClassMixture(pi=np.array([0.5, 0.5]), means=np.array([[-0.5, 0.0], [0.5, 0.0]]),
                         covs=np.stack([tiny, tiny]))
