@@ -223,16 +223,18 @@ def _regularize_covariances(
     """:func:`regularize_covariances` of a float (C, d, d) stack and a
     positive floor, without the shape and floor checks: the core the EM
     engine calls.  Non-finite entries still raise :class:`NotFiniteError`,
-    since an M-step can produce them."""
-    if not np.isfinite(stack).all():
-        raise NotFiniteError("covariance contains non-finite entries")
+    since an M-step can produce them, and so do finite entries whose
+    symmetrization overflows."""
     n, d, _ = stack.shape
-    # entries near the float64 limit, or a huge rel_floor, can take the trace,
-    # a floor or a squared pivot past it, to +inf (its callers ignore
-    # overflow); an infinite floor fails the pivot test, and its ladder raises
+    # entries near the float64 limit, or a huge rel_floor, can take the
+    # symmetrization, the trace, a floor or a squared pivot past it, to +inf
+    # (its callers ignore overflow): the symmetrized stack is checked, and
+    # an infinite floor fails the pivot test, whose ladder raises
+    sym = 0.5 * (stack + stack.swapaxes(1, 2))  # the ladder's first rung, ε = 0
+    if not np.isfinite(sym).all():
+        raise NotFiniteError("covariance contains non-finite entries")
     tr = np.trace(stack, axis1=1, axis2=2)
     floors = np.where(tr > 0.0, rel_floor * tr / d, rel_floor)
-    sym = 0.5 * (stack + stack.swapaxes(1, 2))  # the ladder's first rung, ε = 0
     eps = np.zeros(n)
     try:
         chols = np.linalg.cholesky(sym)

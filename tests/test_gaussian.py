@@ -350,3 +350,11 @@ def test_cores_match_wrappers_bit_for_bit():
     # the core keeps the guard that an M-step's values can trip
     with pytest.raises(NotFiniteError):
         gaussian._regularize_covariances(np.full((1, 2, 2), np.inf), 1e-6)
+
+
+def test_regularize_rejects_a_covariance_whose_symmetrization_overflows():
+    # (S + Sᵀ)/2 of entries near the float64 limit is inf, which a Cholesky
+    # factorization does not reject: the repair must not return it
+    stack = np.array([[[1.5e308, 1.2e308], [1.2e308, 1.5e308]]])
+    with pytest.raises(NotFiniteError):
+        regularize_covariances(stack)
