@@ -184,7 +184,7 @@ def log_sum_exp(v, axis=None):
     return out.squeeze(axis=axis)
 
 
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", invalid="ignore")  # invalid: inf + -inf in (S + Sᵀ)/2
 def regularize_covariances(
     stack, rel_floor: float = DEFAULT_RIDGE
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
