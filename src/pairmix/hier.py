@@ -342,7 +342,7 @@ def _normalize(w: np.ndarray) -> np.ndarray:
         raise NotFiniteError("log_sum_exp input contains NaN or +inf")
     w -= shift
     np.exp(w, out=w)
-    total = w.sum(axis=0)
+    total = w.sum(axis=0, out=shift)  # the shift is spent: reuse its buffer
     # a live column's sum holds its max row's exp(0) = 1, so this changes
     # only the sums of the columns of -inf, whose posteriors stay 0
     np.maximum(total, 1.0, out=total)

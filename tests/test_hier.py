@@ -212,6 +212,17 @@ def test_normalize_matches_log_sum_exp_bits(k):
             hier._normalize(w)
 
 
+def test_normalize_peak_memory_is_three_vectors():
+    # in place, the kernel keeps three (n,) vectors alive (the column maxima,
+    # the shifted maxima turned column sums, and lse): 2.4 MB at n = 1e5
+    w = np.random.default_rng(521).normal(size=(8, 100_000))
+    tracemalloc.start()
+    hier._normalize(w)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 3 * 8 * 100_000 + 64_000
+
+
 def test_responsibilities_rows_count_factors():
     # a point's expected counts sum to the number of factors it is in: 0 is
     # in a must-link and a cannot-link pair, 5 in two must-link pairs and 3
