@@ -8,6 +8,7 @@ import pytest
 from pairmix import (
     Dataset,
     DegenerateNormalizerError,
+    DimensionMismatchError,
     FitConfig,
     FlatModel,
     InvariantViolationError,
@@ -364,6 +365,18 @@ def test_fit_rejects_more_classes_than_points():
     ds = Dataset(np.random.default_rng(0).normal(size=(3, 2)))
     with pytest.raises(KTooLargeError):
         fit_flat(ds, RelationSet(), 4)
+
+
+def test_fit_rejects_no_class_and_an_init_of_another_shape():
+    rng = np.random.default_rng(365)
+    ds = Dataset(rng.normal(size=(6, 2)))
+    with pytest.raises(InvariantViolationError, match="^need at least one class$"):
+        fit_flat(ds, RelationSet(), 0)
+    with pytest.raises(InvariantViolationError, match="^init has 3 classes, expected 2$"):
+        fit_flat(ds, RelationSet(), 2, init=random_flat_model(rng, 3, 2))
+    with pytest.raises(DimensionMismatchError,
+                       match="^init dimension 3 does not match data dimension 2$"):
+        fit_flat(ds, RelationSet(), 2, init=random_flat_model(rng, 2, 3))
 
 
 def test_fit_single_class_with_cannot_links_degenerate():

@@ -11,10 +11,12 @@ import pytest
 from pairmix import (
     ClassMixture,
     Dataset,
+    DimensionMismatchError,
     FitConfig,
     HierModel,
     InvariantViolationError,
     KTooLargeError,
+    NoConvergenceError,
     NotFiniteError,
     RelationSet,
     fit_flat,
@@ -533,6 +535,36 @@ def test_one_warm_mixing_solve_per_em_iteration(monkeypatch, two_level):
     assert all(alpha is not None for alpha in solves)
 
 
+@pytest.mark.parametrize("two_level", [False, True])
+def test_mixing_stall_keeps_previous_weights_and_fit_goes_on(monkeypatch, two_level):
+    # a solve that cannot converge keeps the weights it started from; the
+    # fit records it once and iterates on
+    starts = []
+    solve = hier._solve_mixing
+
+    def stalls_once(counts, n_cannot, alpha_init):
+        starts.append(alpha_init.copy())
+        if len(starts) == 2:
+            raise NoConvergenceError("stalled")
+        return solve(counts, n_cannot, alpha_init)
+
+    monkeypatch.setattr(hier, "_solve_mixing", stalls_once)
+    ds = gen_synthetic("two-moons", 100, 0.05, seed=11)
+    rel = RelationSet(must=[(0, 99), (100, 199)], cannot=[(0, 100), (99, 199)])
+    cfg = FitConfig(seed=6, max_iters=6, tol=1e-300)
+    if two_level:
+        _, trace = fit_hier(ds, rel, 2, (2, 2), cfg)
+    else:
+        _, trace = fit_flat(ds, rel, 2, cfg)
+    assert trace.n_iters == len(starts) == 6
+    assert trace.warnings == (
+        "iteration 2: mixing update made no progress; kept previous weights",
+    )
+    # iteration 3 starts from the weights iteration 1 made
+    assert np.array_equal(starts[2], starts[1])
+    assert not np.array_equal(starts[1], starts[0])
+
+
 @pytest.mark.parametrize("count_linked", [False, True])
 def test_fit_hier_trace_entries_match_log_likelihood(count_linked):
     # the hierarchical counterpart of the flat check: each trace entry comes
@@ -631,6 +663,20 @@ def test_fit_hier_cluster_count_validation():
         fit_hier(ds, RelationSet(), 2, (2, 2, 2))
     with pytest.raises(InvariantViolationError):
         fit_hier(ds, RelationSet(), 2, 0)
+
+
+def test_fit_hier_rejects_an_init_of_another_shape():
+    rng = np.random.default_rng(640)
+    ds = Dataset(rng.normal(size=(12, 2)))
+    for counts in ((2, 1), (1, 1, 1)):  # other cluster counts, another class count
+        init = random_hier_model(rng, len(counts), counts, 2)
+        with pytest.raises(InvariantViolationError,
+                           match="^init does not match the requested class/cluster "
+                                 "structure$"):
+            fit_hier(ds, RelationSet(), 2, (1, 1), init=init)
+    with pytest.raises(DimensionMismatchError,
+                       match="^init dimension 3 does not match data dimension 2$"):
+        fit_hier(ds, RelationSet(), 2, (1, 1), init=random_hier_model(rng, 2, (1, 1), 3))
 
 
 def test_hier_zero_density_point_raises_not_finite():
