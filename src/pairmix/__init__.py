@@ -3,6 +3,8 @@ relations, with optional multi-cluster (manifold-shaped) classes."""
 
 __version__ = "0.2.0"
 
+from types import ModuleType as _ModuleType
+
 from .datasets import gen_synthetic
 from .errors import (
     ConflictingPairError,
@@ -81,4 +83,7 @@ from .types import (
     validate_relations,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, without the submodules, which a star import would
+# otherwise bind over the caller's modules of the same name (io, types)
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

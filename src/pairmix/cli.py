@@ -28,8 +28,6 @@ import json
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 from . import __version__
 from .datasets import DEFAULT_NOISE, gen_synthetic
 from .errors import (
@@ -38,8 +36,7 @@ from .errors import (
     PairmixError,
     ParseError,
 )
-from .flat import FitConfig, fit_flat, predict_flat_batch
-from .hier import fit_hier, predict_hier_batch
+from .flat import FitConfig
 from .initialize import SAMPLING_MODES, _normalize_cluster_counts, make_rng, sample_relations
 from .io import (
     atomic_write_text,
@@ -51,10 +48,10 @@ from .io import (
     save_relations,
     save_trace_csv,
 )
-from .metrics import hard_assign, purity, run_trials
+from .metrics import _fit_model, _missing_or_repr, _posteriors, hard_assign, purity, run_trials
 from .pca import apply_pca, fit_pca
 from .serialize import load_model, save_model, serialize_pca
-from .types import Dataset, FlatModel, RelationSet
+from .types import Dataset, RelationSet
 
 _NUMERIC_ERRORS = (DegenerateNormalizerError, NoConvergenceError)
 
@@ -149,12 +146,8 @@ def _load_labeled(args: argparse.Namespace) -> Dataset:
 def _cmd_fit(args: argparse.Namespace) -> int:
     dataset = load_csv(args.data, args.label_column)
     relations = load_relations(args.relations) if args.relations else RelationSet()
-    clusters = _cluster_counts(args)
-    config = _fit_config(args)
-    if all(k == 1 for k in clusters):
-        model, trace = fit_flat(dataset, relations, args.classes, config)
-    else:
-        model, trace = fit_hier(dataset, relations, args.classes, clusters, config)
+    model, trace = _fit_model(dataset, relations, args.classes, _cluster_counts(args),
+                              _fit_config(args))
     save_model(model, args.out)
     if args.trace:
         save_trace_csv(trace, args.trace)
@@ -166,12 +159,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         f"log_likelihood={trace.log_likelihoods[-1]!r}"
     )
     return 0
-
-
-def _posteriors(model, points: np.ndarray) -> np.ndarray:
-    if isinstance(model, FlatModel):
-        return predict_flat_batch(model, points)
-    return predict_hier_batch(model, points)
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
@@ -229,10 +216,12 @@ def _cmd_trials(args: argparse.Namespace) -> int:
         config=_fit_config(args),
         csv_path=args.out,
     )
+    # a budget whose trials all failed has no mean or spread: they are
+    # printed empty, as the trials CSV prints a failed trial's purity
     for report in reports:
         print(
-            f"budget={report.budget} mean={report.mean!r} std={report.std!r} "
-            f"failed={report.n_failed}"
+            f"budget={report.budget} mean={_missing_or_repr(report.mean)} "
+            f"std={_missing_or_repr(report.std)} failed={report.n_failed}"
         )
     return 0
 

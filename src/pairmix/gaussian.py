@@ -128,7 +128,7 @@ def _deviations(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 def _blocked_quad(points: np.ndarray, means: np.ndarray, inv_t: np.ndarray) -> np.ndarray:
     """The (C, N) quadratic forms of :func:`_log_density_stack`, a block of
-    rows at a time."""
+    rows and one component at a time."""
     (n, d), c = points.shape, means.shape[0]
     quad = np.empty((c, n))
     rows = max(1, min(n, _ROW_FLOATS // d))
@@ -136,22 +136,20 @@ def _blocked_quad(points: np.ndarray, means: np.ndarray, inv_t: np.ndarray) -> n
     # over a group at a time, not d values; the rows left over take one more
     reps = min(rows, 64)
     whole = rows - rows % reps
-    tiled = np.repeat(means, reps, axis=0).reshape(c, 1, reps * d)
-    group = c if c * rows * d <= _ROW_FLOATS else 1  # components per product
-    dev, z = np.empty((group, rows, d)), np.empty((group, rows, d))
-    dev_whole = dev[:, :whole].reshape(group, -1, reps * d)
+    tiled = np.repeat(means, reps, axis=0).reshape(c, reps * d)
+    dev, z = np.empty((rows, d)), np.empty((rows, d))
+    dev_whole = dev[:whole].reshape(-1, reps * d)
     for lo in range(0, n, rows):
         # the last block ends at row n and may overlap the one before it:
         # a short tail would take another BLAS path with other roundings
         lo = min(lo, n - rows)
         head = points[lo:lo + whole].reshape(-1, reps * d)
-        for k in range(0, c, group):
-            np.subtract(head, tiled[k:k + group], out=dev_whole)
+        for k in range(c):
+            np.subtract(head, tiled[k], out=dev_whole)
             if whole < rows:
-                np.subtract(points[lo + whole:lo + rows], tiled[k:k + group, :, :d],
-                            out=dev[:, whole:])
-            np.matmul(dev, inv_t[k:k + group], out=z)
-            np.einsum("crd,crd->cr", z, z, out=quad[k:k + group, lo:lo + rows])
+                np.subtract(points[lo + whole:lo + rows], tiled[k, :d], out=dev[whole:])
+            np.matmul(dev, inv_t[k], out=z)
+            np.einsum("rd,rd->r", z, z, out=quad[k, lo:lo + rows])
     return quad
 
 

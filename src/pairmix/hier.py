@@ -93,6 +93,7 @@ from .types import (
     FlatModel,
     HierModel,
     RelationSet,
+    _readonly,
     validate_relations,
 )
 
@@ -119,9 +120,7 @@ class CannotLinkPrior:
     norm: float
 
     def __post_init__(self):
-        table = np.array(self.table, dtype=float)
-        table.setflags(write=False)
-        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "table", _readonly(self.table))
 
 
 def cannotlink_prior(alpha) -> CannotLinkPrior:
@@ -624,21 +623,6 @@ def _pooled_covariance(dataset: Dataset, ridge_floor: float):
     return covs[0], chols[0]
 
 
-def _safeguarded_mixing(counts: np.ndarray, n_cannot: int, alpha_old: np.ndarray,
-                        warnings: list[str], iteration: int) -> np.ndarray:
-    """Mixing update that never decreases the concentrated objective: one
-    solve started from the previous weights, whose line search accepts
-    only ascent steps (two classes take the exact maximizer).  A solve that
-    cannot converge keeps the previous weights and logs it.  The counts come
-    from the fit's own E-step, so the solver's argument checks are skipped."""
-    try:
-        return _solve_mixing(counts, n_cannot, alpha_old)[0]
-    except NoConvergenceError:
-        warnings.append(f"iteration {iteration}: mixing update made no progress; "
-                        "kept previous weights")
-        return alpha_old
-
-
 @_overflow_to_inf
 def _fit(dataset: Dataset, relations: RelationSet, p: _Params, config: FitConfig,
          name_of: Callable[[int], str]) -> tuple[_Params, FitTrace]:
@@ -687,9 +671,15 @@ def _fit(dataset: Dataset, relations: RelationSet, p: _Params, config: FitConfig
         class_counts[class_counts <= Z_EPS] = 1.0
         # π: each cluster's share of its class (x/x = 1 with one cluster per class)
         pi = weight / np.add.reduceat(weight, offsets[:-1])[class_of]
-        alpha = _safeguarded_mixing(
-            class_counts, relations.n_cannot, p.alpha, warnings, iteration
-        )
+        # one solve from the previous weights, whose line search only ascends
+        # (two classes take the exact maximizer); the counts come from the
+        # fit's own E-step, so the solver's argument checks are skipped
+        try:
+            alpha = _solve_mixing(class_counts, relations.n_cannot, p.alpha)[0]
+        except NoConvergenceError:
+            warnings.append(f"iteration {iteration}: mixing update made no progress; "
+                            "kept previous weights")
+            alpha = p.alpha
         p = _updated_params(p, alpha, pi, means, covs, chols)
 
         e = _estep(p, dataset.points, plan)

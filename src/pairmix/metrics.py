@@ -18,7 +18,7 @@ from .initialize import (
     sample_relations,
     trial_seed,
 )
-from .types import Dataset
+from .types import Dataset, FlatModel, _readonly
 
 
 def hard_assign(posteriors) -> np.ndarray:
@@ -86,9 +86,7 @@ class TrialReport:
     def __post_init__(self):
         for name, dtype in (("purities", float), ("iterations", np.int64),
                             ("converged", bool)):
-            arr = np.asarray(getattr(self, name), dtype=dtype)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _readonly(getattr(self, name), dtype))
 
     @property
     def n_trials(self) -> int:
@@ -109,6 +107,22 @@ class TrialReport:
         return float(ok.std()) if ok.size else float("nan")
 
 
+def _fit_model(dataset: Dataset, relations, n_classes: int, counts, config: FitConfig,
+               init=None):
+    """:func:`fit_flat` when every class has one cluster (``counts``, one per
+    class), else :func:`fit_hier`; returns the model and its trace."""
+    if all(k == 1 for k in counts):
+        return fit_flat(dataset, relations, n_classes, config, init=init)
+    return fit_hier(dataset, relations, n_classes, counts, config, init=init)
+
+
+def _posteriors(model, points) -> np.ndarray:
+    """The (N, M) class posteriors of ``points`` under a flat or two-level model."""
+    if isinstance(model, FlatModel):
+        return predict_flat_batch(model, points)
+    return predict_hier_batch(model, points)
+
+
 def _run_one(
     dataset: Dataset,
     n_classes: int,
@@ -119,26 +133,18 @@ def _run_one(
     config: FitConfig,
 ):
     rng = make_rng(seed)
-    flat = all(c == 1 for c in clusters_per_class)
     try:
-        if flat:
+        if all(c == 1 for c in clusters_per_class):
             start = init_flat(dataset, n_classes, rng, config.ridge_floor)
         else:
             start = init_hier(
                 dataset, n_classes, clusters_per_class, rng, config.ridge_floor
             )
         relations = sample_relations(dataset.labels, budget, rng, mode)
-        if flat:
-            model, fit_trace = fit_flat(
-                dataset, relations, n_classes, config, init=start
-            )
-            post = predict_flat_batch(model, dataset.points)
-        else:
-            model, fit_trace = fit_hier(
-                dataset, relations, n_classes, clusters_per_class, config, init=start
-            )
-            post = predict_hier_batch(model, dataset.points)
-        score = purity(hard_assign(post), dataset.labels)
+        model, fit_trace = _fit_model(
+            dataset, relations, n_classes, clusters_per_class, config, init=start
+        )
+        score = purity(hard_assign(_posteriors(model, dataset.points)), dataset.labels)
         return score, fit_trace.n_iters, fit_trace.converged, ""
     except PairmixError as exc:
         return float("nan"), 0, False, f"{type(exc).__name__}: {exc}"
@@ -205,15 +211,19 @@ def run_trials(
     return reports
 
 
+def _missing_or_repr(value) -> str:
+    """A float as its ``repr``, or as the empty text when it is NaN (missing)."""
+    return "" if np.isnan(value) else repr(float(value))
+
+
 def trials_to_csv(reports) -> str:
     """Render trial reports as the sweep CSV (deterministic formatting)."""
     lines = ["budget,trial_index,seed,purity,iterations,converged"]
     for report in reports:
         for t in range(report.n_trials):
-            p = report.purities[t]
-            purity_txt = "" if np.isnan(p) else repr(float(p))
             lines.append(
-                f"{report.budget},{t},{report.seeds[t]},{purity_txt},"
+                f"{report.budget},{t},{report.seeds[t]},"
+                f"{_missing_or_repr(report.purities[t])},"
                 f"{int(report.iterations[t])},{str(bool(report.converged[t])).lower()}"
             )
     return "\n".join(lines) + "\n"

@@ -289,13 +289,13 @@ def _solve_mixing(counts: np.ndarray, n_cannot: int,
         a, f_cur, grad, polished = _polish(a, c, n_cannot, grad, f_cur)
         steps += polished
         resid = _kkt_residual(a, grad)
-    if resid > _TOL and not railed:
-        # allow a near-converged return when progress is machine-limited
-        if resid > 1e-6:
-            raise NoConvergenceError(
-                f"mixing optimization stalled at KKT residual {resid:.3e} "
-                f"after {steps} steps"
-            )
+    # a residual between _TOL and 1e-6 is a near-converged return, where
+    # progress is machine-limited
+    if resid > 1e-6 and not railed:
+        raise NoConvergenceError(
+            f"mixing optimization stalled at KKT residual {resid:.3e} "
+            f"after {steps} steps"
+        )
     alpha = np.zeros(counts.size)
     alpha[support] = a / a.sum()
     return alpha, MixingInfo(steps, resid, f_cur, railed)

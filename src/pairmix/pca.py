@@ -17,7 +17,7 @@ from .errors import (
     KTooLargeError,
     NotFiniteError,
 )
-from .types import Dataset
+from .types import Dataset, _readonly
 
 
 @dataclass(frozen=True)
@@ -57,9 +57,7 @@ class PcaTransform:
                 "eigenvalues must be nonnegative and nonincreasing"
             )
         for name, arr in (("mean", mean), ("components", comp), ("eigenvalues", eig)):
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _readonly(arr))
 
     @property
     def k(self) -> int:

@@ -50,6 +50,17 @@ def serialize_model(model: FlatModel | HierModel) -> str:
     return json.dumps(_model_payload(model), indent=2) + "\n"
 
 
+def _payload(doc: str, what: str) -> dict:
+    """The JSON object of the ``what`` document ``doc``."""
+    try:
+        payload = json.loads(doc)
+    except json.JSONDecodeError as exc:
+        raise SchemaMismatchError(f"{what} document is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise SchemaMismatchError(f"{what} document must be a JSON object")
+    return payload
+
+
 def _require(doc: dict, key: str, types) -> object:
     if key not in doc:
         raise SchemaMismatchError(f"model document is missing field {key!r}")
@@ -78,12 +89,7 @@ def deserialize_model(doc: str) -> FlatModel | HierModel:
     :class:`InvariantViolationError` (via the model constructors) for value
     violations such as a non-simplex ``alpha``.
     """
-    try:
-        payload = json.loads(doc)
-    except json.JSONDecodeError as exc:
-        raise SchemaMismatchError(f"model document is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise SchemaMismatchError("model document must be a JSON object")
+    payload = _payload(doc, "model")
     version = _require(payload, "version", int)
     if version != SCHEMA_VERSION:
         raise SchemaMismatchError(f"unsupported model schema version {version!r}")
@@ -157,12 +163,7 @@ def serialize_pca(transform) -> str:
 def deserialize_pca(doc: str):
     from .pca import PcaTransform
 
-    try:
-        payload = json.loads(doc)
-    except json.JSONDecodeError as exc:
-        raise SchemaMismatchError(f"transform document is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise SchemaMismatchError("transform document must be a JSON object")
+    payload = _payload(doc, "transform")
     if _require(payload, "version", int) != SCHEMA_VERSION:
         raise SchemaMismatchError("unsupported transform schema version")
     if _require(payload, "kind", str) != "pca":

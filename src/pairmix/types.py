@@ -30,14 +30,9 @@ SYMMETRY_ATOL = 1e-10
 Pair = tuple[int, int]
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
-
-
-def _readonly_int(a) -> np.ndarray:
-    out = np.array(a, dtype=np.int64)
+def _readonly(a, dtype=float) -> np.ndarray:
+    """A read-only copy of ``a`` as ``dtype``: the caller's array stays its own."""
+    out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
 
@@ -147,7 +142,7 @@ class Dataset:
                 lab = fl.astype(np.int64)
             if lab.size and lab.min() < 0:
                 raise InvariantViolationError("labels must be non-negative")
-            object.__setattr__(self, "labels", _readonly_int(lab))
+            object.__setattr__(self, "labels", _readonly(lab, np.int64))
 
     @property
     def n(self) -> int:

@@ -1096,8 +1096,8 @@ def test_cli_trials_on_overflowing_data_records_failures(overflow_dir, capsys, d
     assert cli.main(argv) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
-    assert captured.out == ("budget=0 mean=nan std=nan failed=2\n"
-                            "budget=2 mean=nan std=nan failed=2\n")
+    assert captured.out == ("budget=0 mean= std= failed=2\n"
+                            "budget=2 mean= std= failed=2\n")
     rows = [r.split(",") for r in (overflow_dir / "trials.csv").read_text().splitlines()]
     assert len(rows) == 5 and all(r[3] == "" and r[5] == "false" for r in rows[1:])
     # the unit-scale rows fit and score as usual

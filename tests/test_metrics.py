@@ -217,3 +217,16 @@ def test_trials_to_csv_failed_trials_blank_purity():
     rows = text.strip().split("\n")[1:]
     assert rows[0] == "3,0,7,0.5,4,true"
     assert rows[1] == "3,1,8,,0,false"
+
+
+def test_trial_report_copies_the_callers_arrays():
+    # the report freezes copies; the caller's arrays stay its own and writable
+    arrays = {"purities": np.array([0.5, 1.0]), "iterations": np.array([4, 7]),
+              "converged": np.array([True, False])}
+    report = TrialReport(budget=1, mode="both", seeds=(1, 2), errors=("", ""), **arrays)
+    for name, given in arrays.items():
+        kept = getattr(report, name)
+        assert not np.shares_memory(kept, given)
+        assert not kept.flags.writeable and given.flags.writeable
+        given[0] = 0
+        assert kept[0] != 0

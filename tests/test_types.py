@@ -1,5 +1,6 @@
 """Validation and immutability of the core value objects, and the public names."""
 
+import io
 import types
 
 import numpy as np
@@ -216,3 +217,12 @@ def test_public_api_surface():
         "save_dataset_csv", "save_model", "save_relations", "serialize_model",
         "serialize_pca", "trial_seed", "validate_relations",
     ]
+
+
+def test_star_import_binds_no_submodule():
+    # pairmix.io and pairmix.types must not replace the caller's io and types
+    namespace = {}
+    exec("import io, types\nfrom pairmix import *", namespace)
+    assert namespace["io"] is io and namespace["types"] is types
+    assert not any(isinstance(getattr(pairmix, name), types.ModuleType)
+                   for name in pairmix.__all__)
