@@ -2,9 +2,11 @@
 
 Every error raised by this package derives from :class:`PairmixError`, so
 callers can catch one base class at API boundaries.  The subclasses split
-into two broad families: *input* errors (malformed files, invalid pairs,
-shape mismatches) and *numerical* errors (degenerate normalizers, failed
-convergence).  The CLI maps the two families onto distinct exit codes.
+into two families: *numerical* errors (a degenerate normalizer, a solver
+that does not converge), which the CLI exits with code 4, and *input*
+errors, every other one (malformed files, invalid pairs, shape
+mismatches, values that are not finite or run past float64, empty
+inputs), which it exits with code 3.
 """
 
 from __future__ import annotations
@@ -66,20 +68,20 @@ class SchemaMismatchError(ParseError):
     """A document has the wrong structure or an unsupported version."""
 
 
-# ---------------------------------------------------------------------------
-# numerical errors
-
-
 class NotFiniteError(PairmixError):
     """An input or intermediate value is NaN or infinite."""
 
 
-class DegenerateNormalizerError(PairmixError):
-    """A probability normalizer is zero, so posteriors are undefined."""
-
-
 class EmptyInputError(PairmixError):
     """An operation that needs at least one element received none."""
+
+
+# ---------------------------------------------------------------------------
+# numerical errors
+
+
+class DegenerateNormalizerError(PairmixError):
+    """A probability normalizer is zero, so posteriors are undefined."""
 
 
 class NoConvergenceError(PairmixError):

@@ -5,11 +5,11 @@ Everything here works in log space; densities are exponentiated only after
 normalization by the callers.  Covariances are handled through Cholesky
 factors ``L``; every density is ``‖L⁻¹(x-μ)‖²`` from :func:`log_density_stack`,
 which evaluates a whole stack of Gaussians and sweeps the points in row
-blocks of a fixed size, so its temporaries do not grow with N.  Inputs that
-fit in one block (``C·N·d ≤ _ROW_FLOATS``, every A1-sized fit) take a
-one-block path with no block bookkeeping: one subtraction, the same
-batched product and one row-wise reduction, so both paths give the same
-bits.  :func:`log_sum_exp` reduces in log space, and
+blocks of a fixed size, one component at a time, so its temporaries do not
+grow with N or C.  Inputs that fit in one block (``C·N·d ≤ _ROW_FLOATS``,
+every A1-sized fit) take a one-block path with no block bookkeeping: one
+subtraction, one batched product over all components and one row-wise
+reduction, with the same bits as the sweep.  :func:`log_sum_exp` reduces in log space, and
 :func:`regularize_covariances` ridges a stack of covariances until each is
 positive definite; when one batched factorization settles every matrix,
 the ridge ladder is not entered.
@@ -94,13 +94,13 @@ def _log_density_stack(points: np.ndarray, means: np.ndarray, chols: np.ndarray,
     When the deviations of every component from every point fit in
     ``_ROW_FLOATS`` values (one block), they are one subtraction (see
     :func:`_deviations`), one batched product and one row-wise reduction.
-    Otherwise each block of rows takes one component at a time, or all of
-    them when their deviations fit in ``_ROW_FLOATS`` values, in two buffers
-    made once per call, so no temporary grows with N or C.  Both paths make
-    the same batched product on a (components, rows, d) stack, so they
-    agree bit for bit.  A quadratic form past float64 is ``+inf``, a
-    log-density of ``-inf``, which the caller may take for zero density:
-    its callers ignore overflow (see the module docstring)."""
+    Otherwise each block of rows takes one component at a time, in two
+    buffers made once per call, so no temporary grows with N or C.  The
+    batched product makes each component's product as the sweep's own
+    (rows, d) product does, so the two paths agree bit for bit.  A
+    quadratic form past float64 is ``+inf``, a log-density of ``-inf``,
+    which the caller may take for zero density: its callers ignore
+    overflow (see the module docstring)."""
     (n, d), c = points.shape, means.shape[0]
     try:
         inv_t = np.ascontiguousarray(np.linalg.inv(chols).swapaxes(1, 2))

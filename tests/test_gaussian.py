@@ -97,8 +97,8 @@ def _whole_rows_reference(points, means, chols, log_dets):
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 6, 16])
 def test_log_density_stack_row_blocks_match_whole_rows(d, c, tight):
     # the row blocks, their boundaries and a ragged tail change no bit, nor
-    # does taking all components in one product (n = 1 and 7 with c = 8),
-    # nor centring a block's rows in groups and the rows left over apart;
+    # does the one-block path, which takes all components in one product
+    # (c·n·d ≤ _ROW_FLOATS, e.g. n = 1 and 7 with c = 8), nor centring a block's rows in groups and the rows left over apart;
     # "tight" puts narrow components (covariance scale 1e-6) about 1e3
     # from the origin, where the deviations cancel most digits
     rng = np.random.default_rng(104)
