@@ -9,10 +9,10 @@ blocks of a fixed size, one component at a time, so its temporaries do not
 grow with N or C.  Inputs that fit in one block (``C·N·d ≤ _ROW_FLOATS``,
 every A1-sized fit) take a one-block path with no block bookkeeping: one
 subtraction, one batched product over all components and one row-wise
-reduction, with the same bits as the sweep.  :func:`log_sum_exp` reduces in log space, and
-:func:`regularize_covariances` ridges a stack of covariances until each is
-positive definite; when one batched factorization settles every matrix,
-the ridge ladder is not entered.
+reduction, with the same bits as the sweep.  :func:`log_sum_exp` reduces
+in log space, and :func:`regularize_covariances` ridges a stack of
+covariances until each is positive definite; when one batched
+factorization settles every matrix, the ridge ladder is not entered.
 
 The density kernel and the covariance repair are public wrappers that
 check their arguments and hand them to private cores,
